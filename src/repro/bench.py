@@ -2,21 +2,19 @@
 
 Measures how fast the *simulator itself* executes — simulated bytecode
 instructions per wall-clock second (ips) and memory accesses per second
-(aps) — for every suite workload, across up to five arms:
+(aps) — for every suite workload, across these arms:
 
 ``fastpath``
-    Compiled dispatch tables + the hierarchy's pooled L1 fast path,
-    superinstruction fusion *off* — the per-handler compiled engine,
-    no profilers attached.
-``fused``
-    The default engine: compiled dispatch with superinstruction fusion
-    (straight-line handler runs execute as single fused closures) and
-    the batched memory-system walk.  Measured against ``fastpath`` as
-    ``fused_speedup``; the two arms' MachineResults are compared on
-    every run, so the bench doubles as an equivalence check.
+    The production engine: compiled dispatch with superinstruction
+    fusion (straight-line handler runs execute as single fused
+    closures), the hierarchy's pooled L1 fast path and the batched
+    memory-system walk; no profilers attached.
 ``legacy``
     The original one-step-at-a-time interpreter and composed hierarchy
-    walk (``--no-fastpath``).
+    walk (``MachineConfig.fastpath=False``), the semantic oracle.
+    Measured against ``fastpath`` as ``speedup_vs_legacy``; the two
+    arms' MachineResults are compared on every run, so the bench
+    doubles as an equivalence check.
 ``profiled``
     The fast path with DJXPerf attached at the paper's default sampling
     period (64) on the instrumented program — the configuration a user
@@ -79,14 +77,16 @@ from repro.workloads.suite import suite_names
 #: ``/6`` added the multi-process fleet-scaling arm (jobs/sec at 1 vs
 #: N supervised shard processes, warm compile-cache hit rate);
 #: ``/7`` added the profile-guided optimization arm (per-workload
-#: verdict, before/after simulated cycles, verified speedup).
-SCHEMA = "repro-bench-throughput/7"
+#: verdict, before/after simulated cycles, verified speedup);
+#: ``/8`` dropped the separate fused arm: ``fastpath`` times the
+#: production (fused) engine, which carries the fusion counters.
+SCHEMA = "repro-bench-throughput/8"
 
 #: Quick subset for CI: the heaviest row of each flavour, two
 #: streaming-native rows, and the engine-bound interpreter kernels.
 #: The suite rows weight the aggregate towards allocation/native cost;
-#: the kernels weight it towards dispatch, which is what the fused
-#: ratio gate needs to resolve.
+#: the kernels weight it towards dispatch, which is what the
+#: fastpath-over-legacy ratio gate needs to resolve.
 SMALL_SUITE = ("mnemonics", "akka-uct", "avrora", "crypto",
                "kernel-arith", "kernel-array", "kernel-field",
                "kernel-mixed")
@@ -160,8 +160,7 @@ class BenchRow:
     profiled_peraccess: Optional[ArmTiming] = None
     allfamilies: Optional[ArmTiming] = None
     store: Optional[StoreTiming] = None
-    fused: Optional[ArmTiming] = None
-    #: Superinstruction observability from the fused arm's machine:
+    #: Superinstruction observability from the fastpath arm's machine:
     #: blocks_fused / fused_executions / guard_bailouts.
     fusion: Optional[Dict[str, int]] = None
 
@@ -170,13 +169,6 @@ class BenchRow:
         if self.legacy is None:
             return None
         return self.legacy.seconds / self.fastpath.seconds
-
-    @property
-    def fused_speedup(self) -> Optional[float]:
-        """Fused superinstruction engine over plain compiled dispatch."""
-        if self.fused is None:
-            return None
-        return self.fastpath.seconds / self.fused.seconds
 
     @property
     def profiled_speedup(self) -> Optional[float]:
@@ -230,10 +222,6 @@ class BenchReport:
         return self._aggregate(lambda r: r.fastpath)
 
     @property
-    def aggregate_fused(self) -> Optional[ArmTiming]:
-        return self._aggregate(lambda r: r.fused)
-
-    @property
     def aggregate_legacy(self) -> Optional[ArmTiming]:
         return self._aggregate(lambda r: r.legacy)
 
@@ -269,13 +257,6 @@ class BenchReport:
         return legacy.seconds / fast.seconds
 
     @property
-    def aggregate_fused_speedup(self) -> Optional[float]:
-        fast, fused = self.aggregate_fastpath, self.aggregate_fused
-        if fast is None or fused is None:
-            return None
-        return fast.seconds / fused.seconds
-
-    @property
     def aggregate_profiled_speedup(self) -> Optional[float]:
         skip = self.aggregate_profiled
         peraccess = self.aggregate_profiled_peraccess
@@ -306,9 +287,6 @@ class BenchReport:
                      "legacy": arm(row.legacy)}
             if row.speedup_vs_legacy is not None:
                 entry["speedup_vs_legacy"] = round(row.speedup_vs_legacy, 3)
-            if row.fused is not None:
-                entry["fused"] = arm(row.fused)
-                entry["fused_speedup"] = round(row.fused_speedup, 3)
             if row.fusion is not None:
                 entry["fusion"] = dict(row.fusion)
             if row.profiled is not None:
@@ -332,9 +310,6 @@ class BenchReport:
         agg = out["aggregate"]
         if self.aggregate_speedup is not None:
             agg["speedup_vs_legacy"] = round(self.aggregate_speedup, 3)
-        if self.aggregate_fused is not None:
-            agg["fused"] = arm(self.aggregate_fused)
-            agg["fused_speedup"] = round(self.aggregate_fused_speedup, 3)
         if self.aggregate_profiled is not None:
             agg["profiled_instructions"] = sum(
                 r.profiled_instructions for r in self.rows)
@@ -367,11 +342,10 @@ def _time_run(program, config, repeat: int,
     """Best-of-``repeat`` wall time for one arm.
 
     A fresh machine (and, via ``attach``, fresh collectors) is built per
-    repeat; dispatch tables (and, on the fused engine, superinstruction
-    tables) are warmed before the timer starts so the first repeat
-    measures execution, not table compilation.  The last repeat's
-    machine is returned alongside for post-run counters (the fused arm
-    reports its fusion stats).
+    repeat; dispatch and superinstruction tables are warmed before the
+    timer starts so the first repeat measures execution, not table
+    compilation.  The last repeat's machine is returned alongside for
+    post-run counters (the fastpath arm reports its fusion stats).
     """
     best: Optional[float] = None
     result: Optional[MachineResult] = None
@@ -530,39 +504,18 @@ def bench_workload(workload: Workload, repeat: int = 3,
                    legacy: bool = True, profiled: bool = False,
                    variant: str = "baseline",
                    seed: Optional[int] = None,
-                   store: bool = False,
-                   fused: bool = True) -> BenchRow:
+                   store: bool = False) -> BenchRow:
     """Measure one workload; raises :class:`EquivalenceError` if the
-    legacy arm disagrees with the fast path on any result field, if the
-    fused arm disagrees with either, or if the profiled arms' counting
-    boundaries disagree.  ``seed`` overrides the machine seed
-    identically on every arm."""
+    legacy arm disagrees with the fast path on any result field, or if
+    the profiled arms' counting boundaries disagree.  ``seed``
+    overrides the machine seed identically on every arm."""
     program = workload.build_verified(variant)
-    config = dataclasses.replace(workload.machine_config(), fastpath=True,
-                                 fused=False)
+    config = dataclasses.replace(workload.machine_config(), fastpath=True)
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
-    fast_result, fast_seconds, _ = _time_run(program, config, repeat)
+    fast_result, fast_seconds, fast_machine = _time_run(program, config,
+                                                        repeat)
     fast, instructions, accesses = _timing(fast_result, fast_seconds)
-    fused_timing: Optional[ArmTiming] = None
-    fusion_counters: Optional[Dict[str, int]] = None
-    if fused:
-        fused_result, fused_seconds, fused_machine = _time_run(
-            program, dataclasses.replace(config, fused=True), repeat)
-        if fused_result != fast_result:
-            raise EquivalenceError(
-                f"{workload.name}: fused and compiled-dispatch engines "
-                f"disagree (fused={fused_result!r}, "
-                f"fastpath={fast_result!r})")
-        fused_timing = ArmTiming(seconds=fused_seconds,
-                                 ips=instructions / fused_seconds,
-                                 aps=accesses / fused_seconds)
-        stats = fused_machine.fusion
-        fusion_counters = {
-            "blocks_fused": stats.blocks_fused,
-            "fused_executions": stats.fused_executions,
-            "guard_bailouts": stats.guard_bailouts,
-        }
     legacy_timing: Optional[ArmTiming] = None
     if legacy:
         legacy_result, legacy_seconds, _ = _time_run(
@@ -590,19 +543,18 @@ def bench_workload(workload: Workload, repeat: int = 3,
                     profiled_peraccess=peraccess_timing,
                     allfamilies=families_timing,
                     store=store_timing,
-                    fused=fused_timing,
-                    fusion=fusion_counters)
+                    fusion=dataclasses.asdict(fast_machine.fusion))
 
 
 def _bench_worker(task) -> BenchRow:
     """One suite fan-out task: ``(name, repeat, legacy, profiled,
-    variant, seed, store, fused)``.  Module-level so the worker stays
+    variant, seed, store)``.  Module-level so the worker stays
     picklable across the process pool; BenchRow and its timings are
     frozen dataclasses of primitives, so results pickle cleanly too."""
-    name, repeat, legacy, profiled, variant, seed, store, fused = task
+    name, repeat, legacy, profiled, variant, seed, store = task
     return bench_workload(get_workload(name), repeat=repeat, legacy=legacy,
                           profiled=profiled, variant=variant, seed=seed,
-                          store=store, fused=fused)
+                          store=store)
 
 
 def bench_suite(names: Optional[Sequence[str]] = None, repeat: int = 3,
@@ -610,7 +562,6 @@ def bench_suite(names: Optional[Sequence[str]] = None, repeat: int = 3,
                 progress: Optional[Callable[[BenchRow], None]] = None,
                 seed: Optional[int] = None,
                 store: bool = False,
-                fused: bool = True,
                 jobs: int = 1) -> BenchReport:
     """Run the harness over ``names`` (default: the full suite).
 
@@ -630,7 +581,7 @@ def bench_suite(names: Optional[Sequence[str]] = None, repeat: int = 3,
         from repro.serve.workers import WorkerPool
 
         tasks = [(name, repeat, legacy, profiled, "baseline", seed,
-                  store, fused) for name in names]
+                  store) for name in names]
         with WorkerPool(_bench_worker,
                         jobs=min(jobs, len(tasks))) as pool:
             outcomes = pool.map(tasks)
@@ -649,7 +600,7 @@ def bench_suite(names: Optional[Sequence[str]] = None, repeat: int = 3,
     for name in names:
         row = bench_workload(get_workload(name), repeat=repeat,
                              legacy=legacy, profiled=profiled, seed=seed,
-                             store=store, fused=fused)
+                             store=store)
         rows.append(row)
         if progress is not None:
             progress(row)
@@ -721,15 +672,6 @@ def _check_engine_ratios(report: BenchReport, baseline: Dict,
             f"aggregate fastpath speedup regressed: measured "
             f"{measured:.3f}x < floor {floor:.3f}x "
             f"(committed {committed:.3f}x - {tolerance:.0%})")
-    fused_measured = report.aggregate_fused_speedup
-    fused_committed = baseline.get("aggregate", {}).get("fused_speedup")
-    if fused_measured is not None and fused_committed is not None:
-        fused_floor = fused_committed * (1.0 - tolerance)
-        if fused_measured < fused_floor:
-            failures.append(
-                f"fused superinstruction speedup regressed: measured "
-                f"{fused_measured:.3f}x < floor {fused_floor:.3f}x "
-                f"(committed {fused_committed:.3f}x - {tolerance:.0%})")
     profiled_measured = report.aggregate_profiled_speedup
     profiled_committed = baseline.get("aggregate", {}).get(
         "profiled_speedup")
@@ -883,8 +825,8 @@ def check_regression(report: BenchReport, baseline: Dict,
     *ratios* are compared, not absolute throughput: each ratio's two
     arms are measured within one process on one machine, so the ratio
     transfers between the committing machine and the checking machine,
-    while raw ips does not.  Engine rows gate fastpath-over-legacy,
-    fused, and — if both the run and the baseline carry profiled arms —
+    while raw ips does not.  Engine rows gate fastpath-over-legacy and
+    — if both the run and the baseline carry profiled arms —
     skip-ahead-over-per-access ratios; a ``serve_load`` section gates
     the fleet arm's p99/p50 tail ratio (ceiling ``serve_tolerance``),
     dedupe hit rate (floor ``tolerance``), and the cross-shard reshard

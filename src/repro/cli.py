@@ -25,7 +25,7 @@ Commands
     out over a process pool (``--jobs``).
 ``bench``
     Measure simulator throughput (simulated instructions/sec and
-    accesses/sec) on both engines — compiled-dispatch fast path and
+    accesses/sec) on both engines — the production fused engine and
     the legacy stepper — and optionally write/check the tracked
     ``BENCH_throughput.json`` baseline.
 ``fuzz``
@@ -109,14 +109,8 @@ def cmd_list(args) -> int:
 
 def cmd_profile(args) -> int:
     workload = get_workload(args.workload)
-    machine_config = None
-    if args.no_fastpath or args.no_fused:
-        machine_config = dataclasses.replace(workload.machine_config(),
-                                             fastpath=not args.no_fastpath,
-                                             fused=not args.no_fused)
     run = run_profiled(workload, variant=args.variant,
                        config=_config(args),
-                       machine_config=machine_config,
                        trace_path=args.trace,
                        trace_accesses=args.trace_accesses,
                        family=args.family)
@@ -266,8 +260,6 @@ def cmd_bench(args) -> int:
     def progress(row):
         if args.json:
             return
-        fused = (f"  x{row.fused_speedup:.2f} fused"
-                 if row.fused_speedup is not None else "")
         speedup = (f"  x{row.speedup_vs_legacy:.2f}"
                    if row.speedup_vs_legacy is not None else "")
         profiled = (f"  x{row.profiled_speedup:.2f} prof"
@@ -278,7 +270,7 @@ def cmd_bench(args) -> int:
                  if row.store is not None else "")
         print(f"{row.name:24s} {row.instructions:8d} ins  "
               f"{row.fastpath.ips:10.0f} ips  "
-              f"{row.fastpath.aps:10.0f} aps{fused}{speedup}"
+              f"{row.fastpath.aps:10.0f} aps{speedup}"
               f"{profiled}{store}")
 
     if args.serve_only:
@@ -290,7 +282,6 @@ def cmd_bench(args) -> int:
                              legacy=not args.no_legacy,
                              profiled=args.profiled, progress=progress,
                              seed=args.seed, store=args.store_arm,
-                             fused=not args.no_fused,
                              jobs=args.jobs or 1)
     # A bare --serve-only keeps its historical meaning (serve-load
     # smoke); with --fleet-scaling it runs only the requested arms.
@@ -352,8 +343,6 @@ def cmd_bench(args) -> int:
         print(f"{'AGGREGATE':24s} "
               f"{sum(r.instructions for r in report.rows):8d} ins  "
               f"{agg.ips:10.0f} ips  {agg.aps:10.0f} aps"
-              + (f"  x{report.aggregate_fused_speedup:.2f} fused"
-                 if report.aggregate_fused_speedup is not None else "")
               + (f"  x{report.aggregate_speedup:.2f} vs legacy"
                  if report.aggregate_speedup is not None else "")
               + (f"  x{report.aggregate_profiled_speedup:.2f} profiled"
@@ -754,18 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--trace-accesses", action="store_true",
                            help="include raw accesses in the trace "
                                 "(enables replay --resample)")
-    p_profile.add_argument("--no-fastpath", action="store_true",
-                           help="run on the legacy one-step interpreter "
-                                "and composed hierarchy walk instead of "
-                                "the compiled-dispatch fast path "
-                                "(identical results, slower; for "
-                                "debugging and differential testing)")
-    p_profile.add_argument("--no-fused", action="store_true",
-                           help="run per-handler compiled dispatch "
-                                "instead of fused superinstruction "
-                                "blocks (identical results, slower; "
-                                "for debugging and differential "
-                                "testing)")
     _add_profiler_options(p_profile)
     p_profile.set_defaults(fn=cmd_profile)
 
@@ -865,8 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--no-legacy", action="store_true",
                          help="skip the legacy-engine arm (faster; "
                               "disables speedup and --check)")
-    p_bench.add_argument("--no-fused", action="store_true",
-                         help="skip the fused superinstruction arm")
     p_bench.add_argument("--jobs", type=int, default=None,
                          help="fan per-workload measurements over this "
                               "many worker processes (default 1 = "

@@ -5,12 +5,11 @@ be observationally equivalent, and every divergence is an oracle
 failure:
 
 ``engine``
-    Three-way execution-engine differential: the superinstruction-fused
-    fast path (the default engine) vs the per-handler compiled-dispatch
-    table (``MachineConfig.fused`` off) vs the legacy one-step
-    interpreter (``MachineConfig.fastpath`` off): identical
-    MachineResult, identical analyzer top-10, byte-identical recorded
-    trace across all three.
+    Two-way execution-engine differential: the production engine
+    (fused superinstruction blocks over compiled dispatch tables) vs the
+    legacy one-step interpreter (``MachineConfig.fastpath`` off), the
+    semantic oracle: identical MachineResult, identical analyzer top-10,
+    byte-identical recorded trace.
 ``counting``
     Per-access vs skip-ahead PMU counting
     (``MachineConfig.skip_ahead``) at the paper-default period, a prime
@@ -88,14 +87,12 @@ def fuzz_hierarchy() -> HierarchyConfig:
 
 
 def machine_config(spec: ProgramSpec, fastpath: bool = True,
-                   skip_ahead: bool = True,
-                   fused: bool = True) -> MachineConfig:
+                   skip_ahead: bool = True) -> MachineConfig:
     return MachineConfig(
         num_nodes=spec.num_nodes, cpus_per_node=2,
         heap_size=spec.heap_size, hierarchy=fuzz_hierarchy(),
         quantum=spec.quantum, gc_policy=spec.gc_policy,
-        fastpath=fastpath, skip_ahead=skip_ahead, fused=fused,
-        seed=spec.seed)
+        fastpath=fastpath, skip_ahead=skip_ahead, seed=spec.seed)
 
 
 @dataclasses.dataclass
@@ -118,12 +115,11 @@ def _read_trace(path: str) -> bytes:
 
 def _profiled_arm(spec: ProgramSpec, trace_path: str, *,
                   fastpath: bool = True, skip_ahead: bool = True,
-                  fused: bool = True, period: int = BASE_PERIOD,
+                  period: int = BASE_PERIOD,
                   sanitize: bool = False) -> ArmRun:
     profiler = DJXPerf(DjxConfig(sample_period=period, size_threshold=0))
     program = profiler.instrument(build_program(spec))
-    machine = Machine(program,
-                      machine_config(spec, fastpath, skip_ahead, fused))
+    machine = Machine(program, machine_config(spec, fastpath, skip_ahead))
     # Writer first so SamplerOpenEvents land in the trace; sanitizer
     # last so it checks the agent state *after* each batch is applied.
     writer = TraceWriter(trace_path, machine=machine,
@@ -224,11 +220,8 @@ def run_oracles(spec: ProgramSpec,
             if "engine" in oracles:
                 legacy = _profiled_arm(spec, path("legacy"),
                                        fastpath=False)
-                _compare_arms("engine", "legacy vs fused", base, legacy)
-                compiled = _profiled_arm(spec, path("compiled"),
-                                         fused=False)
-                _compare_arms("engine", "compiled dispatch vs fused",
-                              base, compiled)
+                _compare_arms("engine", "legacy vs production", base,
+                              legacy)
             if "counting" in oracles:
                 for period in COUNTING_PERIODS:
                     skip = base if period == BASE_PERIOD else \

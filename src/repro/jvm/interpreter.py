@@ -136,122 +136,31 @@ class Interpreter:
 
     Two execution engines share the exact observable semantics:
 
-    * the **fast path** (default) runs each method through its compiled
-      dispatch table (:mod:`repro.jvm.dispatch`) — a tight loop over
-      prebuilt per-instruction closures, with cycle/instruction charging
-      batched per uninterrupted stretch;
-    * the **legacy path** (``fastpath=False``, the machine's
-      ``--no-fastpath`` flag) decodes every instruction through
-      :meth:`step`'s if/elif chain, one at a time.
+    * the **production engine** (default) drives each uninterrupted
+      stretch through the method's fused superinstruction table
+      (:func:`repro.jvm.dispatch.compile_fused`), running whole basic
+      blocks as single closures and falling back to the per-handler
+      compiled dispatch table (:func:`repro.jvm.dispatch.
+      compile_dispatch`) off block leaders and on guard bailouts;
+    * the **legacy engine** (``MachineConfig.fastpath=False``) decodes
+      every instruction through :meth:`step`'s if/elif chain, one at a
+      time.  It is the semantic oracle.
 
     The differential-equivalence suite runs every workload through both
     and asserts byte-identical event traces.
     """
 
-    def __init__(self, machine, fastpath: bool = True,
-                 fused: bool = False) -> None:
+    def __init__(self, machine, fastpath: bool = True) -> None:
         self.machine = machine
         self.fastpath = fastpath
-        #: Superinstruction mode: drive each stretch through the fused
-        #: block table (:func:`repro.jvm.dispatch.compile_fused`) with
-        #: per-handler execution between blocks.  Requires ``fastpath``.
-        self.fused = fused and fastpath
 
     # ------------------------------------------------------------------
     def run_quantum(self, thread: JavaThread, budget: int) -> int:
         """Run up to ``budget`` instructions; returns the number executed.
 
         Stops early when the thread finishes or blocks.
-        """
-        if not self.fastpath:
-            return self._run_quantum_legacy(thread, budget)
-        if self.fused:
-            return self._run_quantum_fused(thread, budget)
-        executed = 0
-        runnable = ThreadState.RUNNABLE
-        frames = thread.frames
-        machine = self.machine
-        bus = machine.bus
-        while executed < budget and thread.state is runnable:
-            frame = frames[-1]
-            runtime = frame.runtime
-            # Table choice is per stretch: the observed variant keeps
-            # frame.pc current for async unwinds whenever a sampler is
-            # armed or accesses are recorded; otherwise the unobserved
-            # variant skips those dead stores.  Observation state only
-            # changes through subscribe/open_sampler, which take effect
-            # here on the next stretch.
-            if bus.sampling or bus._accesses_wanted:
-                table = runtime.dispatch_table_observed
-                if table is None:
-                    table = compile_dispatch(machine, runtime,
-                                             observed=True)
-                    runtime.dispatch_table_observed = table
-            else:
-                table = runtime.dispatch_table
-                if table is None:
-                    table = compile_dispatch(machine, runtime,
-                                             observed=False)
-                    runtime.dispatch_table = table
-            # cpi is constant within a stretch: it only changes when a
-            # JIT compile fires, which requires an INVOKE — and INVOKE
-            # always ends the stretch.
-            cpi = runtime.cycles_per_instruction_cached
-            code_len = len(table)
-            pc = frame.pc
-            limit = budget - executed
-            done = 0
-            trap: Optional[TrapError] = None
-            try:
-                while done < limit:
-                    if pc >= code_len:
-                        # Raised below, after charging the instructions
-                        # that did execute — the legacy path charges
-                        # nothing for the missing instruction either.
-                        trap = TrapError(
-                            f"{runtime.method.qualified_name}: pc {pc} "
-                            f"past end (missing return?)")
-                        break
-                    done += 1
-                    nxt = table[pc](thread, frame)
-                    if nxt == -1:
-                        pc = -1
-                        break
-                    pc = nxt
-            except TrapError:
-                thread.cycles += cpi * done
-                thread.instructions += done
-                # INVOKE manages frame.pc itself (legacy reports against
-                # the already-stored return address); everywhere else
-                # the legacy interpreter leaves pc at the faulting bci.
-                if runtime.method.code[pc].op is not Op.INVOKE:
-                    frame.pc = pc
-                raise
-            except Exception as exc:
-                thread.cycles += cpi * done
-                thread.instructions += done
-                frame.pc = pc
-                ins = runtime.method.code[pc]
-                raise TrapError(
-                    f"{runtime.method.qualified_name} bci {pc} "
-                    f"({ins!r}): {exc}") from exc
-            thread.cycles += cpi * done
-            thread.instructions += done
-            executed += done
-            if trap is not None:
-                frame.pc = pc
-                raise trap
-            if pc >= 0:
-                # Budget exhausted mid-method: persist the resume point.
-                # On frame switches (-1) the handler already stored it.
-                frame.pc = pc
-        return executed
 
-    def _run_quantum_fused(self, thread: JavaThread, budget: int) -> int:
-        """Superinstruction engine: fused blocks with per-handler gaps.
-
-        Identical stretch structure to the fast path above, but at each
-        pc the driver first consults the method's fused table: a
+        At each pc the driver first consults the method's fused table: a
         ``(closure, count)`` entry means a whole basic block can run as
         one call, charging ``count`` instructions.  Entries are ``None``
         off block leaders (including jumps into block interiors), and a
@@ -260,6 +169,8 @@ class Interpreter:
         Fault accounting inside a block arrives via ``thread.fused_fault``
         (see :func:`repro.jvm.dispatch.compile_fused`).
         """
+        if not self.fastpath:
+            return self._run_quantum_legacy(thread, budget)
         executed = 0
         runnable = ThreadState.RUNNABLE
         frames = thread.frames
@@ -269,6 +180,12 @@ class Interpreter:
         while executed < budget and thread.state is runnable:
             frame = frames[-1]
             runtime = frame.runtime
+            # Table choice is per stretch: the observed variants keep
+            # frame.pc current for async unwinds whenever a sampler is
+            # armed or accesses are recorded; otherwise the unobserved
+            # variants skip those dead stores.  Observation state only
+            # changes through subscribe/open_sampler, which take effect
+            # here on the next stretch.
             if bus.sampling or bus._accesses_wanted:
                 table = runtime.dispatch_table_observed
                 if table is None:
@@ -291,6 +208,9 @@ class Interpreter:
                     fused = compile_fused(machine, runtime, table,
                                           observed=False)
                     runtime.fused_table = fused
+            # cpi is constant within a stretch: it only changes when a
+            # JIT compile fires, which requires an INVOKE — and INVOKE
+            # always ends the stretch.
             cpi = runtime.cycles_per_instruction_cached
             code_len = len(table)
             pc = frame.pc
@@ -301,6 +221,9 @@ class Interpreter:
             try:
                 while done < limit:
                     if pc >= code_len:
+                        # Raised below, after charging the instructions
+                        # that did execute — the legacy path charges
+                        # nothing for the missing instruction either.
                         trap = TrapError(
                             f"{runtime.method.qualified_name}: pc {pc} "
                             f"past end (missing return?)")
@@ -328,6 +251,9 @@ class Interpreter:
                 thread.cycles += cpi * done
                 thread.instructions += done
                 fusion.fused_executions += fb
+                # INVOKE manages frame.pc itself (legacy reports against
+                # the already-stored return address); everywhere else
+                # the legacy interpreter leaves pc at the faulting bci.
                 if runtime.method.code[pc].op is not Op.INVOKE:
                     frame.pc = pc
                 raise
@@ -353,6 +279,8 @@ class Interpreter:
                 frame.pc = pc
                 raise trap
             if pc >= 0:
+                # Budget exhausted mid-method: persist the resume point.
+                # On frame switches (-1) the handler already stored it.
                 frame.pc = pc
         return executed
 

@@ -81,9 +81,11 @@ class MachineConfig:
     #: Collector flavour: "mark-compact" (sliding) or "semispace"
     #: (copying; halves the usable heap, moves every survivor).
     gc_policy: str = "mark-compact"
-    #: Compiled-dispatch interpreter + pooled L1 fast path.  False runs
-    #: the legacy one-step-at-a-time engine (the ``--no-fastpath`` flag);
-    #: both produce identical results and event streams.
+    #: Production engine (fused superinstruction blocks over compiled
+    #: dispatch tables) + pooled L1 fast path.  False runs the legacy
+    #: one-step-at-a-time engine, the semantic oracle; both produce
+    #: identical results and event streams.  A hook for tests and the
+    #: bench, not a user-facing option.
     fastpath: bool = True
     #: Deterministic skip-ahead PMU counting: pay per sample, not per
     #: access (combo-table classification + bulk countdown decrements).
@@ -91,12 +93,6 @@ class MachineConfig:
     #: the differential suite's reference arm.  Sample streams are
     #: bit-identical either way.
     skip_ahead: bool = True
-    #: Superinstruction fusion: compile straight-line handler runs into
-    #: single-closure blocks executed with one call (and, when observed,
-    #: one skip-ahead PMU guard).  Requires ``fastpath``; False keeps
-    #: the per-handler compiled-dispatch engine.  Traces, samples and
-    #: results are bit-identical either way.
-    fused: bool = True
     seed: int = 12345
 
 
@@ -190,8 +186,7 @@ class Machine:
         #: Superinstruction counters; created before the interpreter so
         #: fused-table compilation can always bind it.
         self.fusion = FusionStats()
-        self.interpreter = Interpreter(self, fastpath=cfg.fastpath,
-                                       fused=cfg.fused)
+        self.interpreter = Interpreter(self, fastpath=cfg.fastpath)
         self.rng = random.Random(cfg.seed)
         self._fastpath = cfg.fastpath
         self._line_size = cfg.hierarchy.line_size
@@ -303,7 +298,7 @@ class Machine:
         pinning any sample to its precise line address, and bulk
         walking resumes with the re-armed budget.  The resulting sample
         stream is bit-identical to per-line counting.  Raw-access
-        recording, ``--no-fastpath`` and ``skip_ahead=False`` degrade
+        recording, ``fastpath=False`` and ``skip_ahead=False`` degrade
         to one observed :meth:`memory_access` per line throughout.
         """
         bus = self.bus
@@ -491,14 +486,13 @@ class Machine:
     # Warm-up
     # ------------------------------------------------------------------
     def warm_dispatch(self) -> None:
-        """Precompile every registered method's dispatch tables (both
-        observation variants) — and, on the fused engine, both fused
-        superinstruction tables — so timed runs measure execution rather
-        than table building.  No-op on the legacy engine."""
+        """Precompile every registered method's dispatch and fused
+        superinstruction tables (both observation variants) so timed
+        runs measure execution rather than table building.  No-op on
+        the legacy engine."""
         if not self._fastpath:
             return
         from repro.jvm.dispatch import compile_dispatch, compile_fused
-        fused = self.interpreter.fused
         for runtime in self.method_table.runtimes():
             if runtime.dispatch_table is None:
                 runtime.dispatch_table = compile_dispatch(
@@ -506,15 +500,13 @@ class Machine:
             if runtime.dispatch_table_observed is None:
                 runtime.dispatch_table_observed = compile_dispatch(
                     self, runtime, observed=True)
-            if fused:
-                if runtime.fused_table is None:
-                    runtime.fused_table = compile_fused(
-                        self, runtime, runtime.dispatch_table,
-                        observed=False)
-                if runtime.fused_table_observed is None:
-                    runtime.fused_table_observed = compile_fused(
-                        self, runtime, runtime.dispatch_table_observed,
-                        observed=True)
+            if runtime.fused_table is None:
+                runtime.fused_table = compile_fused(
+                    self, runtime, runtime.dispatch_table, observed=False)
+            if runtime.fused_table_observed is None:
+                runtime.fused_table_observed = compile_fused(
+                    self, runtime, runtime.dispatch_table_observed,
+                    observed=True)
 
     # ------------------------------------------------------------------
     # Thread lifecycle & scheduling

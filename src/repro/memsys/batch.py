@@ -11,30 +11,11 @@ arithmetic on addresses; all actual state mutation stays in
 :mod:`repro.memsys.cache` / :mod:`repro.memsys.tlb` /
 :mod:`repro.memsys.hierarchy`, which keeps the bit-identical-stats
 argument local to those modules.
-
-numpy is optional: large-range planning vectorises through it when it
-is importable, and every helper has a pure-Python implementation that
-produces identical output.  Set ``REPRO_NO_NUMPY=1`` to force the pure
-fallback (the CI matrix runs the whole suite both ways).
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Tuple
-
-try:
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError("numpy disabled via REPRO_NO_NUMPY")
-    import numpy as _np
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-    HAVE_NUMPY = False
-
-#: Minimum number of lines before the numpy planner pays for itself;
-#: below this the pure loop is faster (and most walks are one page).
-_NUMPY_MIN_LINES = 256
 
 
 def page_runs(start: int, end: int, line_size: int,
@@ -47,14 +28,6 @@ def page_runs(start: int, end: int, line_size: int,
     at a time.  ``start`` need not be line-aligned; the stream of line
     addresses is identical to the sequential ``addr += line_size`` loop.
     """
-    if (HAVE_NUMPY and end - start >= _NUMPY_MIN_LINES * line_size):
-        addrs = _np.arange(start, end, line_size, dtype=_np.int64)
-        pages = addrs // page_size
-        cuts = _np.flatnonzero(pages[1:] != pages[:-1]) + 1
-        starts = _np.concatenate(([0], cuts))
-        stops = _np.concatenate((cuts, [len(addrs)]))
-        return [(int(addrs[s]), int(e - s))
-                for s, e in zip(starts, stops)]
     runs: List[Tuple[int, int]] = []
     addr = start
     while addr < end:

@@ -17,7 +17,7 @@ importantly — *verifies* the edit before anyone keeps it:
      the baseline's;
    * *engine differential*: the transformed program must produce an
      identical :class:`~repro.jvm.machine.MachineResult` under the
-     legacy interpreter, the compiled-dispatch path and the fused
+     legacy interpreter (the semantic oracle) and the production fused
      engine (``MachineResult`` deliberately excludes engine-private
      counters so dataclass equality is exactly "same observables");
    * *profile delta* (the PR-5 regress engine run in reverse): the
@@ -52,11 +52,11 @@ ACCEPTED = "accepted"
 REJECTED = "rejected"
 NO_CANDIDATE = "no-candidate"
 
-#: The three execution engines every accepted rewrite must agree on.
+#: The two execution engines every accepted rewrite must agree on: the
+#: legacy oracle and the production (fused) engine.
 ENGINE_VARIANTS: Tuple[Tuple[str, Dict[str, bool]], ...] = (
-    ("legacy", {"fastpath": False, "fused": False}),
-    ("compiled", {"fastpath": True, "fused": False}),
-    ("fused", {"fastpath": True, "fused": True}),
+    ("legacy", {"fastpath": False}),
+    ("fused", {"fastpath": True}),
 )
 
 

@@ -345,17 +345,21 @@ class Fleet:
 
     # -- merged views ---------------------------------------------------
     def status(self, job_id: str) -> Optional[dict]:
-        """Lifecycle state of a job on whichever shard holds it."""
+        """Lifecycle state of a job on whichever shard holds it.
+
+        States are read in lifecycle order (pending → running →
+        done/failed) with no separate existence check: a claim or
+        completion that lands mid-lookup moves the job file *forward*,
+        into a state read later, so a file that vanishes is skipped
+        rather than served as an error or a spurious miss.
+        """
         for shard, queue in enumerate(self._queues):
-            outcome = queue.outcome(job_id)
-            if outcome is not None:
-                state = "done" if "result" in outcome else "failed"
-                return {"state": state, "shard": shard, "job": outcome}
-            for spool_state in ("running", "pending"):
-                path = queue._path(spool_state, job_id)
-                if os.path.exists(path):
-                    return {"state": spool_state, "shard": shard,
-                            "job": queue._read(path)}
+            for state in ("pending", "running", "done", "failed"):
+                try:
+                    job = queue._read(queue._path(state, job_id))
+                except FileNotFoundError:
+                    continue
+                return {"state": state, "shard": shard, "job": job}
         return None
 
     def history(self, workload: Optional[str] = None,

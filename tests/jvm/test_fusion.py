@@ -10,12 +10,13 @@ Three layers of coverage:
   exactly at block starts and ``None`` everywhere else, and
   ``warm_dispatch`` precompiles both observation variants;
 * equivalence — for arithmetic, array, field, static and branchy
-  programs the fused engine, the per-handler compiled-dispatch engine
-  and the legacy one-step interpreter produce identical MachineResults
-  across scheduling quanta, traps surface with identical messages and
-  partial-progress accounting, and the bulk-budget guard's bailout
-  path (forced by disabling skip-ahead under an armed sampler) falls
-  back to per-handler execution without changing any observable.
+  programs the production (fused) engine and the legacy one-step
+  interpreter, the semantic oracle, produce identical MachineResults
+  and memory-system state across scheduling quanta, traps surface with
+  identical messages and partial-progress accounting, and the
+  bulk-budget guard's bailout path (forced by disabling skip-ahead
+  under an armed sampler) falls back to per-handler execution without
+  changing any observable.
 """
 
 import pytest
@@ -198,12 +199,6 @@ class TestFusedTable:
                 assert callable(closure)
                 assert k == end - start
 
-    def test_compiled_dispatch_engine_skips_fused_tables(self):
-        machine, _ = _run(arith_program, fused=False)
-        runtime = machine.method_table.runtime("main")
-        assert runtime.fused_table is None
-        assert runtime.fused_table_observed is None
-
     def test_counters_track_execution(self):
         machine, _ = _run(arith_program)
         assert machine.fusion.blocks_fused > 0
@@ -212,34 +207,31 @@ class TestFusedTable:
 
 
 # ----------------------------------------------------------------------
-# Three-engine equivalence
+# Production engine vs legacy oracle
 # ----------------------------------------------------------------------
 
 class TestEquivalence:
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    def test_three_engines_agree(self, name):
+    def test_engines_agree(self, name):
         factory = PROGRAMS[name]
         _, fused = _run(factory)
-        _, compiled = _run(factory, fused=False)
         _, legacy = _run(factory, fastpath=False)
-        assert fused == compiled, f"{name}: fused vs compiled diverged"
         assert fused == legacy, f"{name}: fused vs legacy diverged"
 
     @pytest.mark.parametrize("quantum", [1, 2, 3, 5, 500])
     def test_quantum_sweep(self, quantum):
         # Tiny quanta make stretch budgets expire mid-block-chain;
         # fused block entry must honour the remaining budget exactly
-        # like per-handler dispatch does.
+        # like one-step execution does.
         _, fused = _run(mixed_program, quantum=quantum)
-        _, compiled = _run(mixed_program, fused=False, quantum=quantum)
-        assert fused == compiled
+        _, legacy = _run(mixed_program, fastpath=False, quantum=quantum)
+        assert fused == legacy
 
     def test_memory_state_identical(self):
         m_fused, _ = _run(array_program)
-        m_comp, _ = _run(array_program, fused=False)
-        for mf, mc in ((m_fused, m_comp),):
-            f, c = mf.hierarchy.stats, mc.hierarchy.stats
-            assert vars(f) == vars(c)
+        m_legacy, _ = _run(array_program, fastpath=False)
+        assert vars(m_fused.hierarchy.stats) == \
+            vars(m_legacy.hierarchy.stats)
 
 
 # ----------------------------------------------------------------------
@@ -284,25 +276,26 @@ class TestTrapParity:
     def test_identical_trap_messages(self, name):
         factory = TRAPS[name]
         messages = {}
-        for label, kw in (("fused", {}), ("compiled", {"fused": False}),
-                          ("legacy", {"fastpath": False})):
+        for label, kw in (("fused", {}), ("legacy", {"fastpath": False})):
             machine = Machine(factory(), MachineConfig(**kw))
             with pytest.raises(TrapError) as excinfo:
                 machine.run()
             messages[label] = str(excinfo.value)
-        assert messages["fused"] == messages["compiled"]
         assert messages["fused"] == messages["legacy"]
 
     def test_partial_progress_accounting_matches(self):
         # The accesses and cycles charged before the faulting bci must
-        # match per-handler execution exactly (fault protocol).
+        # match one-step execution exactly (fault protocol), down to
+        # the faulting thread's cycle and instruction counters.
         stats = {}
-        for label, kw in (("fused", {}), ("compiled", {"fused": False})):
+        for label, kw in (("fused", {}), ("legacy", {"fastpath": False})):
             machine = Machine(loop_trap_program(), MachineConfig(**kw))
             with pytest.raises(TrapError):
                 machine.run()
-            stats[label] = vars(machine.hierarchy.stats)
-        assert stats["fused"] == stats["compiled"]
+            thread = machine.threads[0]
+            stats[label] = (vars(machine.hierarchy.stats), thread.cycles,
+                            thread.instructions, thread.frames[-1].pc)
+        assert stats["fused"] == stats["legacy"]
 
 
 # ----------------------------------------------------------------------
@@ -322,12 +315,12 @@ class TestGuardBailout:
         # With an armed sampler and skip_ahead off, the bulk-budget
         # guard can never pass: every observed fused-block entry must
         # bail to the per-handler chain — and the run must still be
-        # indistinguishable from the compiled-dispatch engine.
+        # indistinguishable from the legacy engine.
         m_bail, r_bail = _profiled_result(array_program, skip_ahead=False)
         assert m_bail.fusion.guard_bailouts > 0
-        m_comp, r_comp = _profiled_result(array_program, skip_ahead=False,
-                                          fused=False)
-        assert r_bail == r_comp
+        _, r_legacy = _profiled_result(array_program, skip_ahead=False,
+                                       fastpath=False)
+        assert r_bail == r_legacy
 
     def test_skip_ahead_run_matches_bailout_run(self):
         _, r_fast = _profiled_result(array_program, skip_ahead=True)

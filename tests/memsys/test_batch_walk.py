@@ -13,10 +13,7 @@ per-line AccessResults would classify to.
 
 The twin-hierarchy property test drives both engines through the same
 walk schedule on identical geometries and compares full state
-snapshots after every walk.  The whole suite runs twice: once with the
-planner's numpy path available and once forced onto the pure-Python
-fallback (the CI matrix additionally runs the entire test suite with
-``REPRO_NO_NUMPY=1``).
+snapshots after every walk.
 """
 
 import pytest
@@ -123,22 +120,10 @@ SCHEDULES = [
 ]
 
 
-@pytest.fixture(params=["planner-numpy", "planner-pure"])
-def planner(request, monkeypatch):
-    """Run every test against both planner implementations."""
-    if request.param == "planner-pure":
-        monkeypatch.setattr(batch, "HAVE_NUMPY", False)
-    elif not batch.HAVE_NUMPY:
-        pytest.skip("numpy not available")
-    # Make the numpy path actually engage on test-sized ranges.
-    monkeypatch.setattr(batch, "_NUMPY_MIN_LINES", 4)
-    return request.param
-
-
 class TestBatchedWalkEquivalence:
     @pytest.mark.parametrize(
         "label,walks", SCHEDULES, ids=[s[0] for s in SCHEDULES])
-    def test_state_identical_to_per_line_loop(self, planner, label, walks):
+    def test_state_identical_to_per_line_loop(self, label, walks):
         batched, looped = make_twins()
         line = batched.config.line_size
         for cpu, start, n_lines, is_write in walks:
@@ -154,7 +139,7 @@ class TestBatchedWalkEquivalence:
             assert snapshot(batched) == snapshot(looped), \
                 f"{label}: state diverged after walk {cpu, start, n_lines}"
 
-    def test_interleaved_single_accesses_see_same_world(self, planner):
+    def test_interleaved_single_accesses_see_same_world(self):
         # After a bulk walk, individual accesses (the interpreter's
         # normal traffic) must observe identical hit/miss behaviour.
         batched, looped = make_twins()
@@ -167,7 +152,7 @@ class TestBatchedWalkEquivalence:
                 (rl.level, rl.latency, rl.tlb_misses, rl.remote)
         assert snapshot(batched) == snapshot(looped)
 
-    def test_unaligned_start_falls_back_identically(self, planner):
+    def test_unaligned_start_falls_back_identically(self):
         # A start whose 8-byte access straddles a line boundary fails
         # the fused preconditions: counting callers get -1 *before any
         # state changes*, non-counting callers get the per-line path.
@@ -184,7 +169,7 @@ class TestBatchedWalkEquivalence:
 
 
 class TestPlannerPrimitives:
-    def test_page_runs_matches_sequential_walk(self, planner):
+    def test_page_runs_matches_sequential_walk(self):
         for start, end, line, page in [
             (0, 4096 * 3, 64, 4096),
             (100, 9000, 64, 4096),
@@ -203,21 +188,6 @@ class TestPlannerPrimitives:
                 stream.extend(addrs)
             expect = list(range(start, end, line))
             assert stream == expect, (start, end)
-
-    def test_numpy_and_pure_planners_agree(self):
-        if not batch.HAVE_NUMPY:
-            pytest.skip("numpy not available")
-        cases = [(0, 4096 * 5, 64, 4096), (123, 50000, 64, 4096),
-                 (4000, 4200, 64, 4096)]
-        for case in cases:
-            with_np = batch.page_runs(*case)
-            saved = batch.HAVE_NUMPY
-            try:
-                batch.HAVE_NUMPY = False
-                pure = batch.page_runs(*case)
-            finally:
-                batch.HAVE_NUMPY = saved
-            assert with_np == pure, case
 
     @pytest.mark.parametrize("occupied,incoming,assoc", [
         (0, 0, 4), (0, 4, 4), (2, 1, 4), (2, 2, 4), (4, 4, 4),

@@ -44,7 +44,7 @@ class TestAccepted:
     def test_differential_safety_across_engines(self, accepted_verdict):
         v = accepted_verdict
         assert v.output_equal is True
-        assert v.engines_checked == ("legacy", "compiled", "fused")
+        assert v.engines_checked == ("legacy", "fused")
 
     def test_round_trips_through_dict(self, accepted_verdict):
         data = accepted_verdict.to_dict()

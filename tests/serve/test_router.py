@@ -1,8 +1,15 @@
 """Tests for shard placement, the fleet dedupe index, and the fleet."""
 
+import os
+
 import pytest
 
-from repro.serve.queue import FairnessPolicy, JobSpec, QuotaExceeded
+from repro.serve.queue import (
+    FairnessPolicy,
+    JobSpec,
+    QuotaExceeded,
+    SpoolQueue,
+)
 from repro.serve.router import (
     Fleet,
     FleetIndex,
@@ -214,6 +221,71 @@ class TestFleetExternalWorkers:
             assert status["state"] == "pending"
             assert status["shard"] == shard
             assert fleet._queues[shard].counts()["pending"] == 1
+
+    @staticmethod
+    def _race_on_read(monkeypatch, state, transition):
+        """Run ``transition`` just before the first read of a job file
+        in ``state`` — a worker acting between the lookup's steps."""
+        real_read = SpoolQueue._read
+        fired = []
+
+        def racing_read(path):
+            if not fired and os.path.basename(os.path.dirname(path)) \
+                    == state:
+                fired.append(path)
+                transition()
+            return real_read(path)
+
+        monkeypatch.setattr(SpoolQueue, "_read", staticmethod(racing_read))
+        return fired
+
+    def test_status_survives_claim_mid_lookup(self, tmp_path, monkeypatch):
+        """A claim renaming pending → running between the lookup's steps
+        is reported as running, not as a 500 or a miss."""
+        with Fleet(str(tmp_path / "fleet"), shards=2,
+                   workers="external") as fleet:
+            submitted, shard = fleet.submit(spec())
+            queue = fleet._queues[shard]
+            fired = self._race_on_read(monkeypatch, "pending", queue.claim)
+            status = fleet.status(submitted.job_id)
+            assert fired
+            assert status["state"] == "running"
+            assert status["shard"] == shard
+            assert status["job"]["job_id"] == submitted.job_id
+
+    def test_status_survives_completion_mid_lookup(self, tmp_path,
+                                                   monkeypatch):
+        """A completion moving running → done between the lookup's
+        steps is reported as done."""
+        with Fleet(str(tmp_path / "fleet"), shards=2,
+                   workers="external") as fleet:
+            submitted, shard = fleet.submit(spec())
+            queue = fleet._queues[shard]
+            claimed = queue.claim()
+            fired = self._race_on_read(
+                monkeypatch, "running",
+                lambda: queue.complete(claimed, {"ok": True}))
+            status = fleet.status(submitted.job_id)
+            assert fired
+            assert status["state"] == "done"
+            assert status["job"]["result"] == {"ok": True}
+
+    def test_status_survives_claim_and_completion_mid_lookup(
+            self, tmp_path, monkeypatch):
+        """Claim and completion both landing inside one lookup still
+        find the outcome."""
+        with Fleet(str(tmp_path / "fleet"), shards=2,
+                   workers="external") as fleet:
+            submitted, shard = fleet.submit(spec())
+            queue = fleet._queues[shard]
+
+            def claim_and_fail():
+                queue.fail(queue.claim(), "boom")
+
+            self._race_on_read(monkeypatch, "pending", claim_and_fail)
+            status = fleet.status(submitted.job_id)
+            assert status["state"] == "failed"
+            assert status["job"]["error"] == "boom"
 
     def test_external_worker_process_roundtrip(self, tmp_path):
         """Claim + complete through a second bare queue (standing in
