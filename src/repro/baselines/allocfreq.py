@@ -109,17 +109,7 @@ class AllocFrequencyProfiler(Collector):
                                total_allocations=self.total_allocations)
 
     def frame_resolver(self) -> FrameResolver:
-        from repro.core.profile import ResolvedFrame
-
         env = self.env
         if env is None:
             raise RuntimeError("profiler not attached")
-
-        def resolve(frame) -> ResolvedFrame:
-            method_id, bci = frame
-            info = env.get_method_info(method_id)
-            table = env.get_line_number_table(method_id)
-            return ResolvedFrame(info.class_name, info.method_name,
-                                 info.source_file, table.get(bci, 0))
-
-        return resolve
+        return env.frame_resolver()

@@ -586,7 +586,7 @@ def _fleet_in_process(args, policy) -> int:
             await door.start()
             print(f"fleet: {args.shards} shard(s) under {args.root}, "
                   f"listening on http://{door.host}:{door.port} "
-                  f"(SIGINT/SIGTERM stops)")
+                  f"(SIGINT/SIGTERM stops)", flush=True)
             if args.max_seconds is not None:
                 try:
                     await asyncio.wait_for(stop.wait(), args.max_seconds)
@@ -939,7 +939,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 1.0)")
     p_serve.add_argument("--timeout", type=float, default=300.0,
                          help="per-job attempt timeout in seconds "
-                              "(default 300)")
+                              "(default 300); enforced only when "
+                              "--jobs > 1 — serial jobs run in-process "
+                              "and cannot be killed")
     p_serve.add_argument("--max-polls", type=int, default=None,
                          help="stop after this many polls (default: "
                               "run until signalled)")
@@ -972,7 +974,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "shard, before backoff (default 0.5)")
     p_fleet.add_argument("--timeout", type=float, default=300.0,
                          help="per-job attempt timeout in seconds "
-                              "(default 300)")
+                              "(default 300); enforced only when "
+                              "--jobs > 1 — serial jobs run in-process "
+                              "and cannot be killed")
     p_fleet.add_argument("--tenant-pending", type=int, default=32,
                          help="pending jobs one tenant may queue per "
                               "shard before 429 (default 32)")

@@ -32,6 +32,14 @@ fed a recorded trace batch-by-batch (see :mod:`repro.obs.replay`),
 rebuilding profiles without a simulation, and accepts sampler ids from
 :class:`~repro.obs.events.SamplerOpenEvent` records whose owner matches
 its label.
+
+The profiler families (:mod:`repro.families`) subclass this agent, so
+this class is the only implementation of object attribution.  A
+subclass changes it only through class attributes — ``payload_type``,
+``default_costs`` (families pay no NUMA query), ``inserts_unknown_moves``
+— and, when ``object_hooks`` is set, the :meth:`DjxJvmtiAgent._tracked`,
+:meth:`DjxJvmtiAgent._moved` and :meth:`DjxJvmtiAgent._finalized` hooks.
+The agent itself sets no hook, so its per-event path makes no extra call.
 """
 
 from __future__ import annotations
@@ -49,7 +57,6 @@ from repro.obs.events import (
     GcNotifyEvent,
     SampleEvent,
     SamplerOpenEvent,
-    ThreadEndEvent,
     ThreadStartEvent,
 )
 from repro.pmu.events import PmuEvent
@@ -68,6 +75,10 @@ class AgentCostModel:
     sample_base: int = 300              # signal + splay lookup + CCT
     sample_per_frame: int = 12
     numa_query: int = 60                # move_pages syscall
+    #: Per-access shadow-state update paid by the value-aware families
+    #: (JXPerf's watchpoint/shadow-memory cost); the agent itself never
+    #: reads the access stream.
+    access_check: int = 9
     memmove_record: int = 15            # append to relocation map
     gc_batch_per_entry: int = 40        # splay delete+insert
     finalize_remove: int = 30
@@ -77,6 +88,8 @@ class AgentCostModel:
 class AgentStats:
     allocations_seen: int = 0
     allocations_filtered: int = 0       # below the size threshold S
+    accesses_seen: int = 0              # families only
+    accesses_untracked: int = 0         # no tracked object / no value
     samples_handled: int = 0
     samples_unknown: int = 0
     relocations_applied: int = 0
@@ -94,6 +107,16 @@ class DjxJvmtiAgent(Collector):
     #: collectors are attached.
     wants_accesses = False
     wants_allocs = True
+    #: Splay payload built for each tracked allocation.
+    payload_type = TrackedObject
+    #: Cost model used when the constructor is given none.
+    default_costs = AgentCostModel()
+    #: A move of an object the agent never saw allocated inserts an
+    #: unknown interval at its destination (paper §4.5).
+    inserts_unknown_moves = True
+    #: Route every payload through the ``_tracked``/``_moved``/
+    #: ``_finalized`` hooks (families keep per-object shadow state).
+    object_hooks = False
 
     def __init__(self, machine, events: List[PmuEvent],
                  sample_period: int, size_threshold: int,
@@ -107,7 +130,7 @@ class DjxJvmtiAgent(Collector):
         self.size_threshold = size_threshold
         self.track_numa = track_numa
         self.collect_access_contexts = collect_access_contexts
-        self.costs = costs or AgentCostModel()
+        self.costs = costs or self.default_costs
         self.stats = AgentStats()
 
         #: Shared across threads (spin-lock protected in the paper; the
@@ -129,8 +152,9 @@ class DjxJvmtiAgent(Collector):
     def start(self) -> None:
         """Subscribe to the bus and arm PMUs (agent OnLoad/OnAttach)."""
         if self.machine is None:
-            raise RuntimeError("offline agent (machine=None) cannot start; "
-                               "feed it trace batches instead")
+            raise RuntimeError(f"offline {self.label} collector "
+                               f"(machine=None) cannot start; feed it "
+                               f"trace batches instead")
         self.enabled = True
         bus = self.machine.bus
         bus.subscribe(self)
@@ -173,10 +197,6 @@ class DjxJvmtiAgent(Collector):
             return
         self.profile_of(event.tid)
 
-    def on_thread_end(self, event: ThreadEndEvent) -> None:
-        # Counter disarm is handled by the bus; profiles stay readable.
-        pass
-
     def on_sampler_open(self, event: SamplerOpenEvent) -> None:
         # Offline replay: adopt the recorded sampler ids that belonged
         # to the live DJXPerf agent.
@@ -203,9 +223,12 @@ class DjxJvmtiAgent(Collector):
         self.charge(event.thread,
                     self.costs.alloc_hook_base
                     + self.costs.alloc_hook_per_frame * len(path))
-        tracked = TrackedObject(alloc_path=path, alloc_tid=event.tid,
-                                type_name=event.type_name, size=event.size)
+        tracked = self.payload_type(alloc_path=path, alloc_tid=event.tid,
+                                    type_name=event.type_name,
+                                    size=event.size)
         self.splay.insert(event.addr, event.end, tracked)
+        if self.object_hooks:
+            self._tracked(tracked, event.addr)
         self.profile_of(event.tid).site(path).record_allocation(
             event.type_name, event.size)
 
@@ -261,6 +284,7 @@ class DjxJvmtiAgent(Collector):
         if not self._relocation_map:
             return
         thread = self._gc_thread()
+        hooks = self.object_hooks
         cost = 0
         # Apply moves in ascending destination order: the collector slides
         # objects downward, so this order never tramples a pending source.
@@ -268,18 +292,21 @@ class DjxJvmtiAgent(Collector):
         for src, (dst, size) in moves:
             payload = self.splay.remove_start(src)
             cost += self.costs.gc_batch_per_entry
-            if payload is None:
+            if payload is not None:
+                self.splay.insert(dst, dst + size, payload)
+                self.stats.relocations_applied += 1
+                if hooks:
+                    self._moved(payload, dst)
+                continue
+            self.stats.relocations_unknown += 1
+            if self.inserts_unknown_moves:
                 # Attach mode can miss the allocation; insert the moved
                 # interval anyway so future samples at least match an
                 # (unknown) object rather than nothing (paper §4.5).
-                self.stats.relocations_unknown += 1
                 self.splay.insert(dst, dst + size,
                                   TrackedObject(alloc_path=(), alloc_tid=-1,
                                                 type_name="<moved>",
                                                 size=size, known=False))
-            else:
-                self.splay.insert(dst, dst + size, payload)
-                self.stats.relocations_applied += 1
         self._relocation_map.clear()
         self.charge(thread, cost)
 
@@ -288,12 +315,27 @@ class DjxJvmtiAgent(Collector):
         if not self.enabled:
             return
         removed = self.splay.remove_start(event.addr)
-        if removed is not None:
-            self.stats.finalized_removed += 1
-            self.charge(self._gc_thread(), self.costs.finalize_remove)
         # The object may also have a pending relocation entry; a reclaimed
         # object must not be re-inserted at GC end.
         self._relocation_map.pop(event.addr, None)
+        if removed is None:
+            return
+        self.stats.finalized_removed += 1
+        self.charge(self._gc_thread(), self.costs.finalize_remove)
+        if self.object_hooks:
+            self._finalized(removed)
+
+    # ------------------------------------------------------------------
+    # Object hooks (called only when ``object_hooks`` is set)
+    # ------------------------------------------------------------------
+    def _tracked(self, obj: TrackedObject, addr: int) -> None:
+        """Hook: ``obj`` entered the splay tree at ``addr``."""
+
+    def _moved(self, obj: TrackedObject, dst: int) -> None:
+        """Hook: a GC batch moved ``obj`` to ``dst``."""
+
+    def _finalized(self, obj: TrackedObject) -> None:
+        """Hook: ``obj``'s lifetime ended (it left the splay tree)."""
 
     # ------------------------------------------------------------------
     # Memory footprint (for the memory-overhead experiments)
@@ -304,13 +346,20 @@ class DjxJvmtiAgent(Collector):
     _CONTEXT_BYTES = 48
     _RELOC_ENTRY_BYTES = 24
     _PMU_BYTES = 256
+    _SHADOW_CELL_BYTES = 24
+
+    def _shadow_cells(self) -> int:
+        """Hook: number of per-object shadow cells currently held."""
+        return 0
 
     def memory_footprint(self) -> int:
         """Estimated profiler memory in bytes."""
         total = len(self.splay) * self._SPLAY_NODE_BYTES
         total += len(self._relocation_map) * self._RELOC_ENTRY_BYTES
-        # One armed PMU per thread the agent has seen.
-        total += len(self.profiles) * self._PMU_BYTES
+        total += self._shadow_cells() * self._SHADOW_CELL_BYTES
+        if self.events:
+            # One armed PMU per thread the agent has seen.
+            total += len(self.profiles) * self._PMU_BYTES
         for profile in self.profiles.values():
             total += len(profile.sites) * self._SITE_BYTES
             for stats in profile.sites.values():

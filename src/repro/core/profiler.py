@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 from repro.core.analyzer import AnalysisResult, analyze_profiles
 from repro.core.javaagent import ALLOC_HOOK, instrument_program
 from repro.core.jvmtiagent import AgentCostModel, DjxJvmtiAgent
-from repro.core.profile import FrameResolver, ResolvedFrame, ThreadProfile
+from repro.core.profile import FrameResolver, ThreadProfile
 from repro.jvm.classfile import JProgram
 from repro.jvm.machine import Machine
 from repro.jvmti.agent_iface import JvmtiEnv
@@ -131,19 +131,7 @@ class DJXPerf:
     def frame_resolver(self) -> FrameResolver:
         """Resolver mapping raw (method_id, bci) frames to source terms."""
         self._require_agent()
-        env = JvmtiEnv(self.machine)
-
-        def resolve(frame) -> ResolvedFrame:
-            method_id, bci = frame
-            info = env.get_method_info(method_id)
-            table = env.get_line_number_table(method_id)
-            return ResolvedFrame(
-                class_name=info.class_name,
-                method_name=info.method_name,
-                source_file=info.source_file,
-                line=table.get(bci, 0))
-
-        return resolve
+        return JvmtiEnv(self.machine).frame_resolver()
 
     def analyze(self, event: Optional[str] = None) -> AnalysisResult:
         """Run the offline analyzer over all thread profiles."""

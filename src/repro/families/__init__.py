@@ -3,7 +3,8 @@
 DJXPerf's attribution substrate — allocation-site call paths, the
 interval splay tree over live object ranges, GC relocation handling and
 the offline analyzer — generalises past memory bloat.  This package
-hosts the sibling-paper families that reuse it:
+hosts the sibling-paper families; each subclasses the DJXPerf agent
+(:class:`~repro.families.base.ObjectFamilyProfiler`):
 
 * :class:`ReplicaProfiler` — OJXPerf-style object replica detection:
   objects whose written payloads are byte-identical are grouped, and
@@ -21,7 +22,7 @@ events somebody asked for, and both run **offline** against recorded
 traces (:func:`replay_family`) exactly as they run live.
 """
 
-from repro.families.base import FamilyCostModel, ObjectFamilyProfiler
+from repro.families.base import ObjectFamilyProfiler
 from repro.families.redundancy import RedundancyProfiler
 from repro.families.replica import ReplicaProfiler
 
@@ -36,8 +37,7 @@ FAMILY_CHOICES = ("djxperf",) + tuple(sorted(FAMILIES))
 
 
 def make_family(name: str, machine=None, sample_period: int = 64,
-                size_threshold: int = 0,
-                charge_overhead: bool = True) -> ObjectFamilyProfiler:
+                size_threshold: int = 0) -> ObjectFamilyProfiler:
     """Construct a family profiler by registry name."""
     try:
         cls = FAMILIES[name]
@@ -45,8 +45,7 @@ def make_family(name: str, machine=None, sample_period: int = 64,
         raise KeyError(f"unknown profiler family {name!r}; "
                        f"have {sorted(FAMILIES)}") from None
     return cls(machine=machine, sample_period=sample_period,
-               size_threshold=size_threshold,
-               charge_overhead=charge_overhead)
+               size_threshold=size_threshold)
 
 
 def replay_family(trace_path: str, family: str, sample_period: int = 64,
@@ -68,8 +67,7 @@ def replay_family(trace_path: str, family: str, sample_period: int = 64,
             f"analyzers need them — record with include_accesses=True")
     collector = make_family(family, machine=None,
                             sample_period=sample_period,
-                            size_threshold=size_threshold,
-                            charge_overhead=False)
+                            size_threshold=size_threshold)
     collector.enabled = True
     reader = replay_events(trace_path, [collector])
     return collector.analyze(reader.frame_resolver())
@@ -78,7 +76,6 @@ def replay_family(trace_path: str, family: str, sample_period: int = 64,
 __all__ = [
     "FAMILIES",
     "FAMILY_CHOICES",
-    "FamilyCostModel",
     "ObjectFamilyProfiler",
     "RedundancyProfiler",
     "ReplicaProfiler",

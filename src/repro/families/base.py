@@ -1,81 +1,50 @@
-"""Shared machinery for object-centric profiler families.
+"""Shared base for object-centric profiler families.
 
 Every family in this package answers the same shape of question DJXPerf
 answers for bloat: *which allocation site produced the objects behind
-this inefficiency?*  The answer machinery is therefore shared with
-:class:`~repro.core.jvmtiagent.DjxJvmtiAgent` — per-thread
-:class:`~repro.core.profile.ThreadProfile` keyed by allocation call
-path, an interval splay tree over live object ranges, the GC
-relocation-map protocol, and :func:`~repro.core.analyzer.analyze_profiles`
-for the merged, ranked result.  What differs per family is the *signal*:
-which event stream it consumes and how it turns events into per-site
-metrics.  Subclasses override the ``on_access``/``on_sample`` handlers
-and the :meth:`ObjectFamilyProfiler._rank` hook; everything else —
-attach/detach, object tracking, relocation, offline replay adoption —
-lives here.
+this inefficiency?*  So every family **is** a DJXPerf agent:
+:class:`ObjectFamilyProfiler` subclasses
+:class:`~repro.core.jvmtiagent.DjxJvmtiAgent` and inherits its
+attribution protocol unchanged — the allocation-size filter feeding the
+interval splay tree, sample attribution to allocation call paths, the
+GC relocation map, finalize handling, offline sampler adoption and the
+cycle cost model.  What differs per family is the *signal*: which event
+stream it consumes and how it turns events into per-site metrics.
 
-Unlike the sampling-only DJXPerf agent, families may set
-``wants_accesses`` and read the raw access stream (the JXPerf/OJXPerf
-papers use PEBS with precise loads *and* stores; the simulator gives the
-exact stream instead).  The bus still constructs those events only while
-a subscriber wants them, so machines running DJXPerf alone keep the
+This class adds only what families need on top of the agent:
+
+* a :class:`FamilyObject` payload that carries its current base address
+  (updated on each GC relocation) and an ``alive`` flag, through the
+  agent's object hooks;
+* ``_objects``, every tracked object in allocation order;
+* the per-access ``access_check`` charge for subclasses'
+  ``on_access`` handlers;
+* the ``_finalized``, ``_derive_metrics`` and ``_rank`` hooks and
+  :meth:`ObjectFamilyProfiler.analyze`.
+
+It departs from the agent's defaults in three declared ways: a move of
+an untracked object is dropped rather than inserted as an unknown
+interval (without the allocation event there is no shadow state to
+maintain), samples pay no NUMA query, and the payload type differs.
+
+Unlike the sampling-only DJXPerf agent, families set ``wants_accesses``
+and read the raw access stream (the JXPerf/OJXPerf papers use PEBS with
+precise loads *and* stores; the simulator gives the exact stream
+instead).  The bus still constructs those events only while a
+subscriber wants them, so machines running DJXPerf alone keep the
 demand-driven skip path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.core.analyzer import AnalysisResult, analyze_profiles
-from repro.core.profile import FrameResolver, ThreadProfile, TrackedObject
-from repro.core.splay import IntervalSplayTree
-from repro.obs.collector import Collector
-from repro.obs.events import (
-    AllocEvent,
-    GcFinalizeEvent,
-    GcMoveEvent,
-    GcNotifyEvent,
-    SampleEvent,
-    SamplerOpenEvent,
-    ThreadStartEvent,
-)
-
-
-@dataclass(frozen=True)
-class FamilyCostModel:
-    """Cycle cost of a family profiler's own work.
-
-    Alloc/sample/GC costs mirror :class:`~repro.core.jvmtiagent
-    .AgentCostModel` — the hooks are the same native machinery.  The
-    extra ``access_check`` is the per-access shadow-state update that
-    value-aware families pay (JXPerf's watchpoint/shadow-memory costs),
-    which is why their overhead scales with access volume rather than
-    sample count.
-    """
-
-    alloc_hook_dispatch: int = 50
-    alloc_hook_base: int = 120
-    alloc_hook_per_frame: int = 12
-    access_check: int = 9
-    sample_base: int = 300
-    sample_per_frame: int = 12
-    memmove_record: int = 15
-    gc_batch_per_entry: int = 40
-    finalize_remove: int = 30
-
-
-@dataclass
-class FamilyStats:
-    allocations_seen: int = 0
-    allocations_filtered: int = 0
-    accesses_seen: int = 0
-    accesses_untracked: int = 0      # tracked-address misses / no value
-    samples_handled: int = 0
-    samples_unknown: int = 0
-    relocations_applied: int = 0
-    relocations_unknown: int = 0
-    finalized_removed: int = 0
+from repro.core.jvmtiagent import AgentCostModel, DjxJvmtiAgent
+from repro.core.profile import FrameResolver, TrackedObject
+from repro.jvmti.agent_iface import JvmtiEnv
+from repro.pmu.events import PmuEvent
 
 
 @dataclass
@@ -93,7 +62,7 @@ class FamilyObject(TrackedObject):
     alive: bool = True
 
 
-class ObjectFamilyProfiler(Collector):
+class ObjectFamilyProfiler(DjxJvmtiAgent):
     """Base collector for the profiler families.
 
     Live use::
@@ -113,188 +82,47 @@ class ObjectFamilyProfiler(Collector):
     wants_allocs = True
     #: Metric name the family ranks by; also ``AnalysisResult.primary_event``.
     primary_metric = "family"
+    #: PMU events sampled while attached (default: none).
+    events: Tuple[PmuEvent, ...] = ()
+    payload_type = FamilyObject
+    default_costs = AgentCostModel(numa_query=0)
+    inserts_unknown_moves = False
+    object_hooks = True
 
     def __init__(self, machine=None, sample_period: int = 64,
-                 size_threshold: int = 0, charge_overhead: bool = True,
-                 costs: Optional[FamilyCostModel] = None) -> None:
-        super().__init__()
-        self.machine = machine
-        self.sample_period = sample_period
-        self.size_threshold = size_threshold
-        self.charge_overhead = charge_overhead
-        self.costs = costs or FamilyCostModel()
-        self.stats = FamilyStats()
-        self.splay = IntervalSplayTree()
-        self.profiles: Dict[int, ThreadProfile] = {}
+                 size_threshold: int = 0,
+                 costs: Optional[AgentCostModel] = None) -> None:
+        super().__init__(machine, self.events, sample_period,
+                         size_threshold, costs=costs)
         #: Every tracked object ever, in allocation order (dead ones
         #: keep their shadow state) — the unit replica grouping walks.
         self._objects: List[FamilyObject] = []
-        self._sampler_ids: Set[int] = set()
-        self._relocation_map: Dict[int, Tuple[int, int]] = {}
-        self.enabled = False
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def attach(self, machine=None) -> "ObjectFamilyProfiler":
         """Subscribe to the bus (and open any samplers the family uses)."""
         if machine is not None:
             self.machine = machine
-        if self.machine is None:
-            raise RuntimeError(
-                "offline profiler (machine=None) cannot attach; feed it "
-                "trace batches via repro.families.replay_family instead")
-        self.enabled = True
-        bus = self.machine.bus
-        bus.subscribe(self)
-        self._open_samplers(bus)
-        for thread in self.machine.threads:
-            if thread.alive:
-                self.profile_of(thread.tid)
+        self.start()
         return self
 
     def detach(self) -> None:
         """Stop collecting.  Profiles and tracked state stay readable."""
-        self.enabled = False
-        if self.bus is not None:
-            for sampler_id in self._sampler_ids:
-                self.bus.close_sampler(sampler_id)
-            self.bus.unsubscribe(self)
-
-    def _open_samplers(self, bus) -> None:
-        """Hook: open PMU samplers at attach time (default: none)."""
-
-    def profile_of(self, tid: int) -> ThreadProfile:
-        profile = self.profiles.get(tid)
-        if profile is None:
-            profile = ThreadProfile(tid)
-            self.profiles[tid] = profile
-        return profile
-
-    def _gc_thread(self):
-        if self.machine is None:
-            return None
-        return self.machine._current_thread
-
-    def on_thread_start(self, event: ThreadStartEvent) -> None:
-        if self.enabled:
-            self.profile_of(event.tid)
+        self.stop()
 
     # ------------------------------------------------------------------
-    # Offline sampler adoption (trace replay)
+    # Object hooks
     # ------------------------------------------------------------------
-    def on_sampler_open(self, event: SamplerOpenEvent) -> None:
-        if self.machine is None and event.owner == self.label:
-            self._sampler_ids.add(event.sampler_id)
-
-    def accept_sampler(self, sampler_id: int) -> None:
-        """Manually accept a sampler id (offline resampling)."""
-        self._sampler_ids.add(sampler_id)
-
-    # ------------------------------------------------------------------
-    # Object tracking
-    # ------------------------------------------------------------------
-    def _make_payload(self, event: AllocEvent) -> FamilyObject:
-        """Hook: build the family's payload for one fresh object."""
-        return FamilyObject(alloc_path=event.path, alloc_tid=event.tid,
-                            type_name=event.type_name, size=event.size,
-                            addr=event.addr)
-
-    def on_alloc(self, event: AllocEvent) -> None:
-        if not self.enabled:
-            return
-        self.stats.allocations_seen += 1
-        if self.charge_overhead:
-            self.charge(event.thread, self.costs.alloc_hook_dispatch)
-        if event.size < self.size_threshold:
-            self.stats.allocations_filtered += 1
-            return
-        path = event.path
-        if self.charge_overhead:
-            self.charge(event.thread,
-                        self.costs.alloc_hook_base
-                        + self.costs.alloc_hook_per_frame * len(path))
-        obj = self._make_payload(event)
-        self.splay.insert(event.addr, event.end, obj)
+    def _tracked(self, obj: FamilyObject, addr: int) -> None:
+        obj.addr = addr
         self._objects.append(obj)
-        self.profile_of(event.tid).site(path).record_allocation(
-            event.type_name, event.size)
 
-    def _lookup(self, address: int) -> Optional[FamilyObject]:
-        """The tracked object covering ``address``, if any."""
-        obj = self.splay.lookup(address)
-        if isinstance(obj, FamilyObject):
-            return obj
-        return None
-
-    # ------------------------------------------------------------------
-    # PMU overflow samples (families that open samplers)
-    # ------------------------------------------------------------------
-    def on_sample(self, event: SampleEvent) -> None:
-        if not self.enabled or event.sampler_id not in self._sampler_ids:
-            return
-        profile = self.profile_of(event.tid)
-        profile.record_total(event.event)
-        self.stats.samples_handled += 1
-        if self.charge_overhead:
-            self.charge(event.thread,
-                        self.costs.sample_base
-                        + self.costs.sample_per_frame * len(event.path))
-        obj = self._lookup(event.address)
-        if obj is None:
-            profile.record_unknown(event.event)
-            self.stats.samples_unknown += 1
-            return
-        profile.site(obj.alloc_path).record_sample(
-            event.event, event.path, event.remote)
-
-    # ------------------------------------------------------------------
-    # GC handling — the DJXPerf relocation-map protocol (paper §4.5),
-    # with one difference: families never insert unknown moved
-    # intervals, because without the allocation event there is no shadow
-    # state to maintain.
-    # ------------------------------------------------------------------
-    def on_gc_move(self, event: GcMoveEvent) -> None:
-        if not self.enabled:
-            return
-        self._relocation_map[event.src] = (event.dst, event.size)
-        if self.charge_overhead:
-            self.charge(self._gc_thread(), self.costs.memmove_record)
-
-    def on_gc_notification(self, event: GcNotifyEvent) -> None:
-        if not self.enabled or not self._relocation_map:
-            return
-        cost = 0
-        moves = sorted(self._relocation_map.items(), key=lambda kv: kv[1][0])
-        for src, (dst, size) in moves:
-            payload = self.splay.remove_start(src)
-            cost += self.costs.gc_batch_per_entry
-            if payload is None:
-                self.stats.relocations_unknown += 1
-                continue
-            payload.addr = dst
-            self.splay.insert(dst, dst + size, payload)
-            self.stats.relocations_applied += 1
-        self._relocation_map.clear()
-        if self.charge_overhead:
-            self.charge(self._gc_thread(), cost)
-
-    def on_gc_finalize(self, event: GcFinalizeEvent) -> None:
-        if not self.enabled:
-            return
-        removed = self.splay.remove_start(event.addr)
-        self._relocation_map.pop(event.addr, None)
-        if removed is None:
-            return
-        self.stats.finalized_removed += 1
-        if self.charge_overhead:
-            self.charge(self._gc_thread(), self.costs.finalize_remove)
-        if isinstance(removed, FamilyObject):
-            removed.alive = False
-            self._finalized(removed)
+    def _moved(self, obj: FamilyObject, dst: int) -> None:
+        obj.addr = dst
 
     def _finalized(self, obj: FamilyObject) -> None:
-        """Hook: the object's lifetime ended (shadow state is final)."""
+        """Hook: the object's lifetime ended (shadow state is final).
+        Subclasses extend it and call ``super()._finalized(obj)``."""
+        obj.alive = False
 
     # ------------------------------------------------------------------
     # Analysis
@@ -321,45 +149,8 @@ class ObjectFamilyProfiler(Collector):
         return result
 
     def frame_resolver(self) -> FrameResolver:
-        from repro.core.profile import ResolvedFrame
-        from repro.jvmti.agent_iface import JvmtiEnv
-
         if self.machine is None:
             raise RuntimeError(
                 "offline profiler has no machine; resolve frames with the "
                 "trace reader's frame_resolver()")
-        env = JvmtiEnv(self.machine)
-
-        def resolve(frame) -> ResolvedFrame:
-            method_id, bci = frame
-            info = env.get_method_info(method_id)
-            table = env.get_line_number_table(method_id)
-            return ResolvedFrame(info.class_name, info.method_name,
-                                 info.source_file, table.get(bci, 0))
-
-        return resolve
-
-    # ------------------------------------------------------------------
-    # Memory footprint (rough, mirrors the agent's estimate)
-    # ------------------------------------------------------------------
-    _SPLAY_NODE_BYTES = 64
-    _SITE_BYTES = 96
-    _CONTEXT_BYTES = 48
-    _RELOC_ENTRY_BYTES = 24
-    _SHADOW_CELL_BYTES = 24
-
-    def _shadow_cells(self) -> int:
-        """Hook: number of per-object shadow cells currently held."""
-        return 0
-
-    def memory_footprint(self) -> int:
-        total = len(self.splay) * self._SPLAY_NODE_BYTES
-        total += len(self._relocation_map) * self._RELOC_ENTRY_BYTES
-        total += self._shadow_cells() * self._SHADOW_CELL_BYTES
-        for profile in self.profiles.values():
-            total += len(profile.sites) * self._SITE_BYTES
-            for stats in profile.sites.values():
-                total += len(stats.access_contexts) * self._CONTEXT_BYTES
-                total += (len(stats.path) + sum(
-                    len(p) for p in stats.access_contexts)) * 16
-        return total
+        return JvmtiEnv(self.machine).frame_resolver()

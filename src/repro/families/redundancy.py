@@ -35,7 +35,7 @@ from typing import Dict, List
 from repro.core.analyzer import AnalysisResult
 from repro.core.profile import ObjectSiteStats, ThreadProfile
 from repro.families.base import FamilyObject, ObjectFamilyProfiler
-from repro.obs.events import AccessEvent, AllocEvent
+from repro.obs.events import AccessEvent
 
 #: Distinct-from-everything marker for "cell never seen" (stored values
 #: are canonicalised primitives, so ``None`` is not usable — it never
@@ -62,10 +62,7 @@ class RedundancyProfiler(ObjectFamilyProfiler):
     wants_allocs = True
     primary_metric = "redundancy"
 
-    def _make_payload(self, event: AllocEvent) -> RedundancyObject:
-        return RedundancyObject(alloc_path=event.path, alloc_tid=event.tid,
-                                type_name=event.type_name, size=event.size,
-                                addr=event.addr)
+    payload_type = RedundancyObject
 
     # ------------------------------------------------------------------
     # Shadow-cell state machine
@@ -74,13 +71,12 @@ class RedundancyProfiler(ObjectFamilyProfiler):
         if not self.enabled:
             return
         self.stats.accesses_seen += 1
-        if self.charge_overhead:
-            self.charge(event.thread, self.costs.access_check)
+        self.charge(event.thread, self.costs.access_check)
         value = event.value
         if value is None:
             self.stats.accesses_untracked += 1
             return
-        obj = self._lookup(event.address)
+        obj = self.splay.lookup(event.address)
         if obj is None:
             self.stats.accesses_untracked += 1
             return
@@ -114,6 +110,7 @@ class RedundancyProfiler(ObjectFamilyProfiler):
         profile.record_total("redundancy")
 
     def _finalized(self, obj: RedundancyObject) -> None:
+        super()._finalized(obj)
         # Stores still pending when the object dies were never loaded:
         # dead by the free-before-load rule.  (Pending stores on objects
         # still live at program end are NOT counted — the program could

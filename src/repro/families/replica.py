@@ -31,8 +31,8 @@ from typing import Dict
 
 from repro.core.analyzer import AnalysisResult
 from repro.families.base import FamilyObject, ObjectFamilyProfiler
-from repro.obs.events import AccessEvent, AllocEvent
-from repro.pmu.events import L1_MISS, PmuEvent
+from repro.obs.events import AccessEvent
+from repro.pmu.events import L1_MISS
 
 
 @dataclass
@@ -55,18 +55,9 @@ class ReplicaProfiler(ObjectFamilyProfiler):
     wants_allocs = True
     primary_metric = "replica-score"
 
-    #: PMU event used as the cost weight.
-    sample_event: PmuEvent = L1_MISS
-
-    def _open_samplers(self, bus) -> None:
-        self._sampler_ids.add(
-            bus.open_sampler(self.sample_event, self.sample_period,
-                             owner=self.label))
-
-    def _make_payload(self, event: AllocEvent) -> ReplicaObject:
-        return ReplicaObject(alloc_path=event.path, alloc_tid=event.tid,
-                             type_name=event.type_name, size=event.size,
-                             addr=event.addr)
+    #: The sampled PMU event is the cost weight.
+    events = (L1_MISS,)
+    payload_type = ReplicaObject
 
     # ------------------------------------------------------------------
     # Content shadow
@@ -75,11 +66,10 @@ class ReplicaProfiler(ObjectFamilyProfiler):
         if not self.enabled:
             return
         self.stats.accesses_seen += 1
-        if self.charge_overhead:
-            self.charge(event.thread, self.costs.access_check)
+        self.charge(event.thread, self.costs.access_check)
         if not event.is_write or event.value is None:
             return
-        obj = self._lookup(event.address)
+        obj = self.splay.lookup(event.address)
         if obj is None:
             self.stats.accesses_untracked += 1
             return
@@ -109,7 +99,7 @@ class ReplicaProfiler(ObjectFamilyProfiler):
             metrics["replicas"] = metrics.get("replicas", 0) + 1
 
     def _rank(self, result: AnalysisResult) -> AnalysisResult:
-        miss_event = self.sample_event.name
+        miss_event = self.events[0].name
         total_bytes = total_score = total_replicas = 0
         for site in result.sites:
             replica_bytes = site.metrics.get("replica-bytes", 0)

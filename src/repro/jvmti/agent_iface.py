@@ -114,8 +114,22 @@ class JvmtiEnv:
 
     def line_of(self, frame: CallFrame) -> int:
         """Source line of one call-trace frame."""
-        table = self.get_line_number_table(frame.method_id)
-        return table.get(frame.bci, 0)
+        return self.frame_resolver()((frame.method_id, frame.bci)).line
+
+    def frame_resolver(self):
+        """A :data:`~repro.core.profile.FrameResolver` mapping raw
+        ``(method_id, bci)`` frames to source terms — the one resolver
+        every live profiler hands to its analyzer."""
+        from repro.core.profile import ResolvedFrame
+
+        def resolve(frame) -> ResolvedFrame:
+            method_id, bci = frame
+            info = self.get_method_info(method_id)
+            table = self.get_line_number_table(method_id)
+            return ResolvedFrame(info.class_name, info.method_name,
+                                 info.source_file, table.get(bci, 0))
+
+        return resolve
 
     def live_threads(self) -> List[JavaThread]:
         return [t for t in self.machine.threads if t.alive]

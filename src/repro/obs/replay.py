@@ -44,8 +44,15 @@ def replay_events(trace_path: str, collectors: List[Collector],
     afterwards, so ``reader.frame_resolver()`` works).
     """
     reader = TraceReader(trace_path)
+    _feed(reader.events(), collectors, batch_size)
+    return reader
+
+
+def _feed(events: Iterable, collectors: List[Collector],
+          batch_size: int = _BATCH) -> None:
+    """Deliver ``events`` to every collector in flush-sized batches."""
     batch: list = []
-    for event in reader.events():
+    for event in events:
         batch.append(event)
         if len(batch) >= batch_size:
             for collector in collectors:
@@ -54,7 +61,6 @@ def replay_events(trace_path: str, collectors: List[Collector],
     if batch:
         for collector in collectors:
             collector.handle_batch(batch)
-    return reader
 
 
 class _Resampler:
@@ -141,14 +147,7 @@ def replay_analyze(trace_path: str, config=None, resample: bool = False):
             agent.accept_sampler(sampler_id)
         stream = resampler.transform(stream)
 
-    batch: list = []
-    for event in stream:
-        batch.append(event)
-        if len(batch) >= _BATCH:
-            agent.handle_batch(batch)
-            batch = []
-    if batch:
-        agent.handle_batch(batch)
+    _feed(stream, [agent])
 
     if resample and resampler.accesses_seen == 0:
         raise ValueError(

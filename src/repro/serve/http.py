@@ -13,7 +13,9 @@ because the protocol surface is five JSON endpoints:
     ``(workload, program-hash)`` to a shard and enqueues.  Returns
     202 with ``{"job_id", "shard"}``; 429 with a ``Retry-After``
     header when the tenant's quota or the shard's queue depth is
-    exceeded; 400 on unknown workloads or malformed JSON.
+    exceeded; 400 on unknown workloads, malformed JSON or a
+    non-numeric ``Content-Length``; 413, without reading the body, when
+    the declared body exceeds ``MAX_BODY_BYTES`` (1 MiB).
 ``GET /status/<job_id>``
     Lifecycle state (``pending``/``running``/``done``/``failed``) and,
     once finished, the full job record including the verdict.
@@ -45,7 +47,12 @@ from repro.serve.router import Fleet
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            429: "Too Many Requests", 500: "Internal Server Error"}
+            413: "Payload Too Large", 429: "Too Many Requests",
+            500: "Internal Server Error"}
+
+#: Largest request body the front door reads; a submission is a few
+#: hundred bytes of JSON.
+MAX_BODY_BYTES = 1 << 20
 
 #: Submission fields accepted from the wire, with coercions.
 _SUBMIT_FIELDS = {
@@ -137,7 +144,13 @@ class HttpFrontDoor:
                 break
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise HttpError(400, f"bad Content-Length {declared!r}")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise HttpError(413, f"body of {length} bytes exceeds "
+                                 f"{MAX_BODY_BYTES}")
         body = await reader.readexactly(length) if length else b""
         return method, target, body
 

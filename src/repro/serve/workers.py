@@ -17,7 +17,12 @@ pieces:
   fails only the tasks that were in flight; the pool is rebuilt and the
   rest of the batch proceeds;
 * **graceful drain** — :meth:`WorkerPool.shutdown` finishes accepted
-  work before returning (``wait=True``) or abandons it (``wait=False``).
+  work before returning (``wait=True``) or abandons it (``wait=False``);
+* **no inherited descriptors** — workers start from a ``forkserver``,
+  never by forking the caller.  The pool is built lazily, often inside
+  a process that is already serving HTTP; a forked worker would hold
+  every open client socket, and a client whose connection the front
+  door closed would never see EOF.
 
 Used by the serving daemon (:mod:`repro.serve.service`) and by the
 suite runner (:func:`repro.workloads.runner.measure_suite_overheads`).
@@ -25,6 +30,7 @@ suite runner (:func:`repro.workloads.runner.measure_suite_overheads`).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, wait
@@ -91,7 +97,9 @@ class WorkerPool:
         if self._closed:
             raise RuntimeError("worker pool is shut down")
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                mp_context=multiprocessing.get_context("forkserver"))
         return self._pool
 
     def _recycle(self) -> None:

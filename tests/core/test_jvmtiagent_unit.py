@@ -2,13 +2,16 @@
 
 These call the agent's typed event handlers directly (the same entry
 points :meth:`~repro.obs.collector.Collector.handle_batch` dispatches
-to), simulating GC activity by hand.
+to), simulating GC activity by hand.  The profiler families subclass
+the agent, so the shared-protocol tests run over every family too.
 """
 
 import pytest
 
 from repro.core import DJXPerf, DjxConfig
-from repro.core.jvmtiagent import AgentCostModel
+from repro.core.jvmtiagent import AgentCostModel, DjxJvmtiAgent
+from repro.families.redundancy import RedundancyProfiler
+from repro.families.replica import ReplicaProfiler
 from repro.heap.layout import Kind
 from repro.jvm import JProgram, Machine, MachineConfig, MethodBuilder
 from repro.obs.events import (
@@ -21,7 +24,11 @@ from repro.obs.events import (
 from tests.jvm.helpers import counting_loop
 
 
-def attached_agent(iterations=5, heap=1024 * 1024, threshold=0):
+#: Every collector that runs the agent's attribution protocol.
+COLLECTORS = [DjxJvmtiAgent, ReplicaProfiler, RedundancyProfiler]
+
+
+def alloc_program(iterations=5):
     p = JProgram()
     b = MethodBuilder("C", "main")
     counting_loop(b, iterations, 0,
@@ -29,11 +36,28 @@ def attached_agent(iterations=5, heap=1024 * 1024, threshold=0):
     b.ret()
     p.add_builder(b)
     p.add_entry("main")
+    return p
+
+
+def attached_agent(iterations=5, heap=1024 * 1024, threshold=0):
     profiler = DJXPerf(DjxConfig(sample_period=64, size_threshold=threshold))
-    machine = Machine(profiler.instrument(p),
+    machine = Machine(profiler.instrument(alloc_program(iterations)),
                       MachineConfig(heap_size=heap))
     profiler.attach(machine)
     return profiler, machine
+
+
+def ran_collector(cls):
+    """A ``cls`` collector attached to a finished run, and its machine."""
+    if cls is DjxJvmtiAgent:
+        profiler, machine = attached_agent()
+        machine.run()
+        return profiler.agent, machine
+    machine = Machine(DJXPerf().instrument(alloc_program()),
+                      MachineConfig(heap_size=1024 * 1024))
+    collector = cls(machine, sample_period=64).attach()
+    machine.run()
+    return collector, machine
 
 
 def gc_notify(gc_id=1, reclaimed_objects=0, reclaimed_bytes=0,
@@ -46,10 +70,9 @@ def gc_notify(gc_id=1, reclaimed_objects=0, reclaimed_bytes=0,
 
 
 class TestRelocationMap:
-    def test_memmove_buffered_until_notification(self):
-        profiler, machine = attached_agent()
-        machine.run()
-        agent = profiler.agent
+    @pytest.mark.parametrize("cls", COLLECTORS)
+    def test_memmove_buffered_until_notification(self, cls):
+        agent, _machine = ran_collector(cls)
         # Simulate GC activity by hand: one tracked object "moves".
         start, end, payload = next(iter(agent.splay))
         size = end - start
@@ -76,10 +99,9 @@ class TestRelocationMap:
         assert tracked.known is False
         assert agent.stats.relocations_unknown == 1
 
-    def test_finalize_cancels_pending_relocation(self):
-        profiler, machine = attached_agent()
-        machine.run()
-        agent = profiler.agent
+    @pytest.mark.parametrize("cls", COLLECTORS)
+    def test_finalize_cancels_pending_relocation(self, cls):
+        agent, _machine = ran_collector(cls)
         start, end, _payload = next(iter(agent.splay))
         size = end - start
         agent.on_gc_move(GcMoveEvent(oid=0, src=start, dst=0xA000,
@@ -111,12 +133,11 @@ class TestRelocationMap:
             remote=False, path=(), thread=thread))
         assert agent.stats.samples_unknown == before + 1
 
-    def test_foreign_sampler_ignored(self):
-        profiler, machine = attached_agent()
-        machine.run()
-        agent = profiler.agent
+    @pytest.mark.parametrize("cls", COLLECTORS)
+    def test_foreign_sampler_ignored(self, cls):
+        agent, machine = ran_collector(cls)
         thread = machine.threads[0]
-        foreign = max(agent._sampler_ids) + 1000
+        foreign = max(agent._sampler_ids, default=0) + 1000
         before = agent.stats.samples_handled
         agent.on_sample(SampleEvent(
             sampler_id=foreign, event="MEM_LOAD_UOPS_RETIRED:L1_MISS",
@@ -127,11 +148,10 @@ class TestRelocationMap:
 
 
 class TestDisabledAgent:
-    def test_events_ignored_after_stop(self):
-        profiler, machine = attached_agent()
-        machine.run()
-        agent = profiler.agent
-        agent.stop()
+    @pytest.mark.parametrize("cls", COLLECTORS)
+    def test_events_ignored_after_stop(self, cls):
+        agent, _machine = ran_collector(cls)
+        getattr(agent, "detach", agent.stop)()   # families: detach
         before = len(agent.splay)
         agent.on_gc_move(GcMoveEvent(oid=0, src=0x1, dst=0x2, size=8))
         assert agent._relocation_map == {}

@@ -30,7 +30,7 @@ def _resolver(frame):
 
 
 def _offline(cls, **kwargs):
-    profiler = cls(machine=None, charge_overhead=False, **kwargs)
+    profiler = cls(machine=None, **kwargs)
     profiler.enabled = True
     return profiler
 
@@ -159,8 +159,8 @@ class TestRedundancyStateMachine:
         site = _site(p.analyze(_resolver), 10)
         assert site.metrics["silent-loads"] == 1
         assert p.stats.relocations_applied == 1
-        assert p._lookup(2008) is p._lookup(2000)
-        assert p._lookup(1008) is None
+        assert p.splay.lookup(2008) is p.splay.lookup(2000)
+        assert p.splay.lookup(1008) is None
 
 
 class TestReplicaGrouping:

@@ -10,17 +10,17 @@ import asyncio
 
 import pytest
 
-from repro.serve.http import HttpFrontDoor, http_request
+from repro.serve.http import MAX_BODY_BYTES, HttpFrontDoor, http_request
 from repro.serve.queue import FairnessPolicy
 from repro.serve.router import Fleet
 
 WORKLOAD = "objectlayout"
 
 
-def drive(tmp_path, coro_fn, policy=None, shards=2):
+def drive(tmp_path, coro_fn, policy=None, shards=2, jobs=1):
     """Run ``coro_fn(fleet, door)`` against a started front door."""
     async def runner():
-        with Fleet(str(tmp_path / "fleet"), shards=shards,
+        with Fleet(str(tmp_path / "fleet"), shards=shards, jobs=jobs,
                    queue_policy=policy) as fleet:
             door = HttpFrontDoor(fleet)
             await door.start()
@@ -82,6 +82,37 @@ class TestSubmit:
             status_line = (await reader.readline()).decode()
             writer.close()
             assert " 400 " in status_line
+        drive(tmp_path, scenario)
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1e3"])
+    def test_bad_content_length_is_400(self, tmp_path, length):
+        async def scenario(fleet, door):
+            reader, writer = await asyncio.open_connection(
+                door.host, door.port)
+            writer.write(
+                (f"POST /submit HTTP/1.1\r\nHost: x\r\n"
+                 f"Content-Length: {length}\r\n\r\n").encode())
+            await writer.drain()
+            status_line = (await reader.readline()).decode()
+            writer.close()
+            assert " 400 " in status_line
+        drive(tmp_path, scenario)
+
+    def test_oversized_body_is_413_without_reading_it(self, tmp_path):
+        async def scenario(fleet, door):
+            reader, writer = await asyncio.open_connection(
+                door.host, door.port)
+            # Only the headers are sent: the verdict must not wait for
+            # the declared body.
+            writer.write(
+                (f"POST /submit HTTP/1.1\r\nHost: x\r\n"
+                 f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+                 ).encode())
+            await writer.drain()
+            status_line = (await asyncio.wait_for(reader.readline(),
+                                                  10.0)).decode()
+            writer.close()
+            assert " 413 " in status_line
         drive(tmp_path, scenario)
 
     def test_get_submit_is_405(self, tmp_path):
@@ -167,3 +198,35 @@ class TestStatusAndViews:
                 door.host, door.port, "GET", "/history?limit=banana")
             assert status == 400
         drive(tmp_path, scenario)
+
+
+class TestPooledFleet:
+    def test_held_connection_sees_eof_after_pool_starts(self, tmp_path):
+        """Worker processes must not inherit the front door's sockets.
+
+        Connection A is accepted before the shard's process pool
+        starts; if a worker inherited A's socket, closing it on the
+        server side would never reach the client as EOF.
+        """
+        async def scenario(fleet, door):
+            reader, writer = await asyncio.open_connection(
+                door.host, door.port)
+            writer.write(b"GET /fleet HTTP/1.1\r\n")
+            await writer.drain()
+            # Let the front door accept A before the pool starts.
+            await asyncio.sleep(0.2)
+            _s, accepted, _h = await http_request(
+                door.host, door.port, "POST", "/submit",
+                submit_payload(seed=3))
+            # The pool starts inside this drain (jobs=2 runs in workers).
+            await asyncio.to_thread(fleet.services[0].drain)
+            status, data, _h = await http_request(
+                door.host, door.port, "GET",
+                f"/status/{accepted['job_id']}")
+            assert (status, data["state"]) == (200, "done")
+            writer.write(b"Host: x\r\nConnection: close\r\n\r\n")
+            await writer.drain()
+            response = await asyncio.wait_for(reader.read(), 10.0)
+            writer.close()
+            assert response.startswith(b"HTTP/1.1 200 ")
+        drive(tmp_path, scenario, shards=1, jobs=2)
