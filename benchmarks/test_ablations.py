@@ -5,7 +5,9 @@ prose; each ablation quantifies one of them on this implementation:
 
 * **splay tree vs linear lookup** (§4.2): PMU-sample address lookup is
   the hot operation; the self-adjusting tree beats a linear scan of the
-  object table by orders of magnitude at realistic object counts.
+  object table by orders of magnitude at realistic object counts.  At
+  threshold 0 every allocation is also an insert, so insert churn with
+  address reuse is timed too.
 * **sampling period** (§5.3): cheaper sampling costs accuracy — the top
   object's measured share stays stable across periods while overhead
   falls.
@@ -72,6 +74,29 @@ def test_ablation_linear_lookup(benchmark):
 
     hits = benchmark(linear_lookups)
     assert hits == LOOKUPS
+
+
+CHURN_INSERTS = 4000
+
+
+def test_ablation_splay_insert_churn(benchmark):
+    """Threshold-0 allocation churn: every allocation is an insert, and
+    an object over a reused address range evicts the dead ones there."""
+
+    def churn():
+        tree = IntervalSplayTree()
+        for i in range(NUM_OBJECTS):
+            tree.insert(i * 128, i * 128 + 96, i)
+        for k in range(CHURN_INSERTS):
+            start = (k * 37 % NUM_OBJECTS) * 128 + (k % 3) * 48
+            tree.insert(start, start + 96, NUM_OBJECTS + k)
+        return tree
+
+    tree = benchmark(churn)
+    tree.check_invariants()
+    assert tree.stats.inserts == NUM_OBJECTS + CHURN_INSERTS
+    assert tree.stats.evictions > CHURN_INSERTS // 2
+    assert len(tree) == tree.stats.inserts - tree.stats.evictions
 
 
 # ----------------------------------------------------------------------

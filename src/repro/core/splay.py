@@ -114,6 +114,20 @@ class IntervalSplayTree:
         t.right = header.left
         return t
 
+    def _floor(self, key: int) -> Optional[_Node]:
+        """Splay at ``key``; return the node with the greatest start <= key.
+
+        Top-down splay leaves either that floor node or its successor at
+        the root; in the second case the floor is the maximum of the
+        root's left subtree (whose right spine this splay just built).
+        """
+        node = self._root = self._splay(self._root, key)
+        if node is not None and node.start > key:
+            node = node.left
+            while node is not None and node.right is not None:
+                node = node.right
+        return node
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -130,17 +144,8 @@ class IntervalSplayTree:
             stats.cache_hits += 1
             return hot.payload
         stats.cache_misses += 1
-        if self._root is None:
-            return None
-        self._root = self._splay(self._root, address)
-        node = self._root
-        if node.start > address:
-            # Root is the smallest node > address; predecessor is the
-            # maximum of the left subtree.
-            node = node.left
-            while node is not None and node.right is not None:
-                node = node.right
-        if node is not None and node.start <= address < node.end:
+        node = self._floor(address)
+        if node is not None and address < node.end:
             stats.hits += 1
             # Bring the hit to the root (the self-adjusting payoff).
             self._root = self._splay(self._root, node.start)
@@ -150,15 +155,8 @@ class IntervalSplayTree:
 
     def interval_at(self, address: int) -> Optional[Tuple[int, int]]:
         """(start, end) of the interval containing ``address``, if any."""
-        if self._root is None:
-            return None
-        self._root = self._splay(self._root, address)
-        node = self._root
-        if node.start > address:
-            node = node.left
-            while node is not None and node.right is not None:
-                node = node.right
-        if node is not None and node.start <= address < node.end:
+        node = self._floor(address)
+        if node is not None and address < node.end:
             return (node.start, node.end)
         return None
 
@@ -174,33 +172,40 @@ class IntervalSplayTree:
             yield (node.start, node.end, node.payload)
             node = node.right
 
-    def overlapping(self, start: int, end: int) -> List[Tuple[int, int, object]]:
-        """All intervals intersecting ``[start, end)``."""
-        out = []
-        for s, e, payload in self:
-            if s >= end:
-                break
-            if e > start:
-                out.append((s, e, payload))
-        return out
-
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
     def insert(self, start: int, end: int, payload) -> None:
-        """Insert ``[start, end)``, evicting any overlapping intervals."""
+        """Insert ``[start, end)``, evicting any overlapping intervals.
+
+        Amortised O(log n + k) for k evictions: only the floor of
+        ``start`` and its successor can overlap, so each round splays at
+        ``start`` and evicts whichever of the two does.
+        """
         if end <= start:
             raise ValueError(f"empty interval [{start:#x}, {end:#x})")
         self._hot = None
-        for s, _e, _p in self.overlapping(start, end):
-            self._remove_exact(s)
+        while True:
+            node = self._floor(start)
+            if node is None or node.end <= start:
+                # The floor does not overlap; try its successor.  That is
+                # the root itself, or, when the root is the floor, the
+                # minimum of its right subtree, which splaying lifts up.
+                root = self._root
+                if root is not None and root.start <= start:
+                    root.right = self._splay(root.right, start)
+                    node = root.right
+                else:
+                    node = root
+                if node is None or node.start >= end:
+                    break
+            self._remove_exact(node.start)
             self.stats.evictions += 1
+        # The tree is splayed at ``start``: the root is its floor or its
+        # successor.
         node = _Node(start, end, payload)
-        if self._root is None:
-            self._root = node
-        else:
-            self._root = self._splay(self._root, start)
-            root = self._root
+        root = self._root
+        if root is not None:
             if start < root.start:
                 node.left = root.left
                 node.right = root
@@ -209,7 +214,7 @@ class IntervalSplayTree:
                 node.right = root.right
                 node.left = root
                 root.right = None
-            self._root = node
+        self._root = node
         self._size += 1
         self.stats.inserts += 1
 

@@ -33,6 +33,11 @@ because the protocol surface is five JSON endpoints:
 Responses always close the connection (``Connection: close``) — the
 load generator and CLI clients open one connection per request, which
 keeps the parser honest and the server state-free.
+
+Every request, on any route, is answered 414 when its request line and
+431 when a header line exceeds the stream reader's 64 KiB line limit,
+431 when it carries more than ``MAX_HEADERS`` headers, and 408 when it
+is not fully received within ``READ_DEADLINE_S`` seconds.
 """
 
 from __future__ import annotations
@@ -47,12 +52,21 @@ from repro.serve.router import Fleet
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            413: "Payload Too Large", 429: "Too Many Requests",
+            408: "Request Timeout", 413: "Payload Too Large",
+            414: "URI Too Long", 429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error"}
 
 #: Largest request body the front door reads; a submission is a few
 #: hundred bytes of JSON.
 MAX_BODY_BYTES = 1 << 20
+
+#: Most header lines one request may carry; clients send a handful.
+MAX_HEADERS = 100
+
+#: Seconds a client has to deliver its whole request, so an idle or
+#: trickling connection cannot hold the server open indefinitely.
+READ_DEADLINE_S = 60.0
 
 #: Submission fields accepted from the wire, with coercions.
 _SUBMIT_FIELDS = {
@@ -75,6 +89,15 @@ class HttpError(Exception):
         self.status = status
         self.message = message
         self.headers = headers or {}
+
+
+async def _read_line(reader: asyncio.StreamReader, status: int,
+                     what: str) -> bytes:
+    """One CRLF-terminated line; ``status`` if it overruns the limit."""
+    try:
+        return await reader.readline()
+    except ValueError:  # the reader's LimitOverrunError, re-raised
+        raise HttpError(status, f"{what} too long") from None
 
 
 class HttpFrontDoor:
@@ -106,7 +129,12 @@ class HttpFrontDoor:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             try:
-                method, target, body = await self._read_request(reader)
+                try:
+                    method, target, body = await asyncio.wait_for(
+                        self._read_request(reader), READ_DEADLINE_S)
+                except asyncio.TimeoutError:
+                    raise HttpError(408, f"request not received within "
+                                         f"{READ_DEADLINE_S:g} s") from None
                 status, payload, headers = await self._route(
                     method, target, body)
             except HttpError as exc:
@@ -131,17 +159,22 @@ class HttpFrontDoor:
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader
                             ) -> Tuple[str, str, bytes]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
+        line = await _read_line(reader, 414, "request line")
+        request_line = line.decode("latin-1").strip()
         parts = request_line.split()
         if len(parts) != 3:
             raise HttpError(400, f"malformed request line "
                                  f"{request_line!r}")
         method, target, _version = parts
         headers: Dict[str, str] = {}
+        count = 0
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader, 431, "header line")
             if line in (b"\r\n", b"\n", b""):
                 break
+            count += 1
+            if count > MAX_HEADERS:
+                raise HttpError(431, f"more than {MAX_HEADERS} headers")
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         declared = headers.get("content-length", "0") or "0"

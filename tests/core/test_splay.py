@@ -117,6 +117,42 @@ class TestOverlapEviction:
         assert len(tree) == 2
         assert tree.lookup(199) == "a"
         assert tree.lookup(200) == "b"
+        assert tree.stats.evictions == 0
+
+    def test_adjacent_below_does_not_evict(self):
+        tree = IntervalSplayTree()
+        tree.insert(200, 300, "b")
+        tree.insert(100, 200, "a")
+        assert [s for s, _, _ in tree] == [100, 200]
+        assert tree.stats.evictions == 0
+
+    def test_equal_start_evicts(self):
+        tree = IntervalSplayTree()
+        tree.insert(100, 200, "old")
+        tree.insert(300, 400, "keep")
+        tree.insert(100, 110, "new")
+        assert list(tree) == [(100, 110, "new"), (300, 400, "keep")]
+        assert tree.stats.evictions == 1
+
+    def test_insert_spanning_three_evicts_all_three(self):
+        tree = IntervalSplayTree()
+        for start, tag in ((10, "a"), (30, "b"), (50, "c"), (70, "d")):
+            tree.insert(start, start + 10, tag)
+        # Overlaps the tail of "a", all of "b" and the head of "c".
+        tree.insert(15, 55, "span")
+        assert list(tree) == [(15, 55, "span"), (70, 80, "d")]
+        assert tree.stats.evictions == 3
+        tree.check_invariants()
+
+    def test_insert_below_every_start_evicts_covered(self):
+        tree = IntervalSplayTree()
+        for start in (100, 120, 140, 160):
+            tree.insert(start, start + 10, start)
+        tree.insert(0, 125, "low")
+        assert list(tree) == [(0, 125, "low"), (140, 150, 140),
+                              (160, 170, 160)]
+        assert tree.stats.evictions == 2
+        tree.check_invariants()
 
 
 class TestSplayBehaviour:
@@ -159,11 +195,13 @@ class NaiveIntervalMap:
 
     def __init__(self):
         self.intervals = []  # (start, end, payload)
+        self.evictions = 0
 
     def insert(self, start, end, payload):
-        self.intervals = [(s, e, p) for (s, e, p) in self.intervals
-                          if e <= start or s >= end]
-        self.intervals.append((start, end, payload))
+        kept = [(s, e, p) for (s, e, p) in self.intervals
+                if e <= start or s >= end]
+        self.evictions += len(self.intervals) - len(kept)
+        self.intervals = kept + [(start, end, payload)]
 
     def lookup(self, addr):
         for s, e, p in self.intervals:
@@ -178,13 +216,24 @@ class NaiveIntervalMap:
                 return p
         return None
 
+    def remove_containing(self, addr):
+        for i, (s, e, p) in enumerate(self.intervals):
+            if s <= addr < e:
+                del self.intervals[i]
+                return p
+        return None
+
 
 operations = st.lists(
     st.one_of(
         st.tuples(st.just("insert"), st.integers(0, 400),
                   st.integers(1, 40)),
+        # Long enough to evict two or more intervals at once.
+        st.tuples(st.just("insert"), st.integers(0, 400),
+                  st.integers(40, 120)),
         st.tuples(st.just("lookup"), st.integers(0, 450)),
         st.tuples(st.just("remove"), st.integers(0, 400)),
+        st.tuples(st.just("remove_containing"), st.integers(0, 450)),
     ),
     min_size=1, max_size=120)
 
@@ -204,8 +253,13 @@ class TestPropertyVsModel:
                 model.insert(start, start + length, tag)
             elif op[0] == "lookup":
                 assert tree.lookup(op[1]) == model.lookup(op[1])
-            else:
+            elif op[0] == "remove":
                 assert tree.remove_start(op[1]) == model.remove_start(op[1])
+            else:
+                assert (tree.remove_containing(op[1])
+                        == model.remove_containing(op[1]))
+            assert list(tree) == sorted(model.intervals)
+            assert tree.stats.evictions == model.evictions
         tree.check_invariants()
         assert len(tree) == len(model.intervals)
         # Full sweep equivalence at the end.
@@ -299,3 +353,27 @@ class TestHotCache:
         assert tree.lookup(0x1080) == "obj@new"
         assert tree.lookup(0x1000) is None
         tree.check_invariants()
+
+
+class TestInsertComplexity:
+    """Insert must not scan the live intervals (the paper's O(log n))."""
+
+    def test_insert_never_walks_the_tree(self, monkeypatch):
+        tree = IntervalSplayTree()
+        # Descending starts keep the build cheap even for a scanning insert.
+        for i in reversed(range(20_000)):
+            tree.insert(i * 16, i * 16 + 8, i)
+
+        def no_scan(_self):
+            raise AssertionError("insert walked the whole tree")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(IntervalSplayTree, "__iter__", no_scan)
+            for k in range(1_000):
+                # Strided starts and lengths: gaps, single and multiple
+                # evictions, inserts above and below the root.
+                start = (k * 7919) % 320_000
+                tree.insert(start, start + 1 + (k % 5) * 10, -k)
+        tree.check_invariants()
+        assert tree.stats.evictions > 0
+        assert len(tree) == 21_000 - tree.stats.evictions

@@ -10,7 +10,9 @@ import asyncio
 
 import pytest
 
-from repro.serve.http import MAX_BODY_BYTES, HttpFrontDoor, http_request
+from repro.serve import http
+from repro.serve.http import (MAX_BODY_BYTES, MAX_HEADERS, HttpFrontDoor,
+                              http_request)
 from repro.serve.queue import FairnessPolicy
 from repro.serve.router import Fleet
 
@@ -138,6 +140,54 @@ class TestSubmit:
             assert headers["retry-after"] == "0.5"
             assert "quota" in data["error"]
         drive(tmp_path, scenario, policy=policy)
+
+
+async def raw_status_line(door, request: bytes) -> str:
+    """Send raw request bytes; return the reply's status line."""
+    reader, writer = await asyncio.open_connection(door.host, door.port)
+    writer.write(request)
+    await writer.drain()
+    status_line = (await asyncio.wait_for(reader.readline(), 10.0)).decode()
+    writer.close()
+    return status_line
+
+
+class TestRequestLimits:
+    """Hostile request framing gets a 4xx, never a 500 or a hang."""
+
+    def test_overlong_request_line_is_414(self, tmp_path):
+        async def scenario(fleet, door):
+            target = "/status/" + "a" * 70_000
+            return await raw_status_line(
+                door, f"GET {target} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+        assert " 414 " in drive(tmp_path, scenario)
+
+    def test_overlong_header_line_is_431(self, tmp_path):
+        async def scenario(fleet, door):
+            return await raw_status_line(
+                door, (f"GET /fleet HTTP/1.1\r\nX-A: {'a' * 70_000}\r\n"
+                       f"\r\n").encode())
+        assert " 431 " in drive(tmp_path, scenario)
+
+    @pytest.mark.parametrize("count, status", [
+        (MAX_HEADERS, " 200 "), (MAX_HEADERS + 1, " 431 ")])
+    def test_header_count_cap(self, tmp_path, count, status):
+        async def scenario(fleet, door):
+            headers = "".join(f"X-{i}: v\r\n" for i in range(count))
+            return await raw_status_line(
+                door, f"GET /fleet HTTP/1.1\r\n{headers}\r\n".encode())
+        assert status in drive(tmp_path, scenario)
+
+    @pytest.mark.parametrize("partial", [
+        b"", b"GET /fleet HTTP/1.1\r\nHost: x\r\n",
+        b"POST /submit HTTP/1.1\r\nContent-Length: 10\r\n\r\n{",
+    ], ids=["idle", "headers", "body"])
+    def test_stalled_request_is_408(self, tmp_path, monkeypatch, partial):
+        monkeypatch.setattr(http, "READ_DEADLINE_S", 0.3)
+
+        async def scenario(fleet, door):
+            return await raw_status_line(door, partial)
+        assert " 408 " in drive(tmp_path, scenario)
 
 
 class TestStatusAndViews:
