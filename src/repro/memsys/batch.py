@@ -1,16 +1,11 @@
-"""Batched walk planning for the memory hierarchy.
+"""Page-run splitting for the memory hierarchy's bulk walk.
 
-:meth:`~repro.memsys.hierarchy.MemoryHierarchy.touch_range` used to walk
-its range strictly line by line.  The batched engine instead *plans* the
-walk — splits the range into per-page line runs and computes each
-cache set's eviction effect in closed form — so the common bulk cases
-(a fresh allocation's zeroing walk missing everything to DRAM, a warm
-re-stream hitting L1 throughout) execute one grouped operation per page
-run instead of one full stack walk per line.  The plan is pure
-arithmetic on addresses; all actual state mutation stays in
-:mod:`repro.memsys.cache` / :mod:`repro.memsys.tlb` /
-:mod:`repro.memsys.hierarchy`, which keeps the bit-identical-stats
-argument local to those modules.
+:meth:`~repro.memsys.hierarchy.MemoryHierarchy.touch_range` walks a
+range one line at a time, but does its page-table touch and TLB step
+once per page: :func:`page_runs` splits the range into per-page line
+runs so that per-page work is done once per run.  The split is pure
+arithmetic on addresses; all state mutation stays in
+:mod:`repro.memsys.hierarchy` and :mod:`repro.memsys.tlb`.
 """
 
 from __future__ import annotations
@@ -38,26 +33,3 @@ def page_runs(start: int, end: int, line_size: int,
         addr += n * line_size
     return runs
 
-
-def eviction_plan(occupied: int, incoming: int,
-                  associativity: int) -> Tuple[int, int, int]:
-    """Closed-form effect of inserting ``incoming`` distinct absent
-    lines into a set holding ``occupied`` lines, LRU-evicting on each
-    full insert — the per-set arithmetic of a bulk fill.
-
-    Returns ``(evictions, pop_existing, skip_new)``:
-
-    * ``evictions`` — total LRU evictions the sequential inserts would
-      perform (``max(0, occupied + incoming - associativity)``);
-    * ``pop_existing`` — how many of those come from the set's current
-      lines, oldest first;
-    * ``skip_new`` — how many of the *incoming* lines get inserted and
-      then evicted again before the fill completes (only when the run
-      overwhelms the set); the bulk fill never materialises them, but
-      must account their eviction (and writeback, if inserted dirty).
-    """
-    evictions = occupied + incoming - associativity
-    if evictions <= 0:
-        return 0, 0, 0
-    pop_existing = occupied if evictions > occupied else evictions
-    return evictions, pop_existing, evictions - pop_existing

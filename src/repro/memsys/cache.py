@@ -142,47 +142,6 @@ class Cache:
         cset[line] = dirty
         return victim
 
-    def bulk_fill(self, first_line: int, count: int, dirty: bool) -> None:
-        """Install ``count`` consecutive *absent* lines in one grouped
-        pass — the batched walk's fill step.
-
-        Equivalent, set by set, to calling :meth:`fill` on each line of
-        ``first_line .. first_line + count`` in ascending order: same
-        final OrderedDict contents and LRU order, same eviction and
-        writeback counts.  Consecutive lines stride the sets round-robin,
-        so each set's share is a ``range(line0, last, num_sets)`` whose
-        eviction effect :func:`repro.memsys.batch.eviction_plan` gives in
-        closed form — the oldest existing lines are popped LRU-first, and
-        when the run overwhelms a set, its earliest incoming lines are
-        never materialised at all (their eviction and, if ``dirty``,
-        writeback still count).  Callers must guarantee every line is
-        currently absent; the hierarchy's all-miss bulk path establishes
-        that with a non-mutating membership pre-pass.
-        """
-        from repro.memsys.batch import eviction_plan
-
-        nsets = self.num_sets
-        assoc = self.associativity
-        sets = self._sets
-        stats = self.stats
-        last = first_line + count
-        for j in range(count if count < nsets else nsets):
-            line0 = first_line + j
-            cset = sets[line0 % nsets]
-            incoming = -(-(last - line0) // nsets)
-            evictions, pop_existing, skip_new = eviction_plan(
-                len(cset), incoming, assoc)
-            if evictions:
-                stats.evictions += evictions
-                for _ in range(pop_existing):
-                    _victim, victim_dirty = cset.popitem(last=False)
-                    if victim_dirty:
-                        stats.writebacks += 1
-                if dirty:
-                    stats.writebacks += skip_new
-            for line in range(line0 + skip_new * nsets, last, nsets):
-                cset[line] = dirty
-
     def invalidate(self, address: int) -> bool:
         """Drop ``address``'s line if resident; returns True if dropped."""
         line = address // self.line_size

@@ -481,10 +481,13 @@ class MemoryHierarchy:
         """Fused bulk walk: one 8-byte access per line of ``[start, end)``.
 
         State- and statistics-identical to looping
-        ``access(cpu, addr, 8, is_write)`` line by line, but with the
-        per-page work (page-table touch, TLB lookup) done once per page
-        run and every per-level attribute lookup hoisted out of the
-        loop.  Returns the summed latency; no AccessResults are built,
+        ``access(cpu, addr, 8, is_write)`` line by line.  The range is
+        split into per-page line runs (:func:`~repro.memsys.batch.page_runs`);
+        each run takes one page-table touch and one TLB step, then walks
+        its lines in order, each with its own L1/L2/L3 probe, recency
+        and dirty update and inline LRU fills.  Statistics, latency and
+        outcome combos accumulate in locals and are applied once per
+        call.  Returns the summed latency; no AccessResults are built,
         so this is for pooled callers only (allocation zeroing,
         arraycopy, the streaming natives) — anything that needs per-line
         outcomes must loop :meth:`access` itself.
@@ -525,8 +528,7 @@ class MemoryHierarchy:
                 addr += line_size
             return total
         page_size = self._page_size
-        pt = self.page_table
-        page_node = pt._page_node
+        page_node = self.page_table._page_node
         pt_stats = self._pt_stats
         cpu_node = self._node_of_cpu[cpu]
         tlb = self.tlb[cpu]
@@ -534,33 +536,22 @@ class MemoryHierarchy:
         l1_sets = l1._sets
         l1_nsets = l1.num_sets
         l1_assoc = l1.associativity
-        l1_stats = l1.stats
         l2 = self.l2[cpu]
         l2_sets = l2._sets
         l2_nsets = l2.num_sets
         l2_assoc = l2.associativity
-        l2_stats = l2.stats
         l3 = self.l3[cpu_node]
         l3_sets = l3._sets
         l3_nsets = l3.num_sets
         l3_assoc = l3.associativity
-        l3_stats = l3.stats
-        lat_l1 = self._l1_hit_latency
-        lat_l2 = self._l2_hit_latency
-        lat_l3 = self._l3_hit_latency
-        total = 0
-        n = 0
         counting = combo_counts is not None
         wbase = 2 if is_write else 0
-        # The walk is planned per page run (repro.memsys.batch): each
-        # run's page-table touch and TLB traffic collapse to one step,
-        # and the two overwhelmingly common line-run outcomes — every
-        # line already in L1 (warm re-stream) or every line missing all
-        # the way to DRAM (fresh-allocation zeroing) — execute as bulk
-        # recency/dirty updates or closed-form per-set fills.  Runs with
-        # mixed per-line outcomes take the sequential walk below; every
-        # path leaves stats, LRU order and dirty bits exactly as the
-        # per-line loop would.
+        n = 0
+        # Lines served by L1 / L2 / L3 / DRAM (and remote DRAM), and
+        # evictions and writebacks per level, over the whole call.
+        h1 = h2 = h3 = hd = hd_remote = 0
+        ev1 = ev2 = ev3 = wb1 = wb2 = wb3 = 0
+        total = 0
         for run_addr, nlines in page_runs(start, end, line_size, page_size):
             page = run_addr // page_size
             home_node = page_node.get(page)
@@ -575,114 +566,93 @@ class MemoryHierarchy:
             tlb_missed = tlb.touch_run(page, nlines)
             if tlb_missed:
                 total += self._tlb_penalty
-            # Low combo bits shared by the run's lines (write + remote);
-            # only the first line carries the TLB-missed bit, as the
-            # per-line walk's results would.
-            base = wbase + 1 if remote else wbase
             line0 = run_addr // line_size
-            run_end = line0 + nlines
             n += nlines
-            l1_resident = 0
-            for line in range(line0, run_end):
-                if line in l1_sets[line % l1_nsets]:
-                    l1_resident += 1
-            if l1_resident == nlines:
-                # Bulk all-L1-hit: per-line work is recency + dirty only.
-                for line in range(line0, run_end):
-                    cset = l1_sets[line % l1_nsets]
-                    cset.move_to_end(line)
-                    if is_write:
-                        cset[line] = True
-                l1_stats.hits += nlines
-                total += lat_l1 * nlines
-                if counting:
-                    combo_counts[base] += nlines - 1
-                    combo_counts[base + 4 if tlb_missed else base] += 1
-                continue
-            if l1_resident == 0 and not any(
-                    line in l2_sets[line % l2_nsets]
-                    or line in l3_sets[line % l3_nsets]
-                    for line in range(line0, run_end)):
-                # Bulk all-miss-to-DRAM: the membership pre-pass above is
-                # non-mutating and stays valid under the fills (run lines
-                # are distinct and fills only insert run lines), so each
-                # level takes its misses and its grouped per-set fill in
-                # one step.
-                l1_stats.misses += nlines
-                l2_stats.misses += nlines
-                l3_stats.misses += nlines
-                l3.bulk_fill(line0, nlines, False)
-                l2.bulk_fill(line0, nlines, False)
-                l1.bulk_fill(line0, nlines, is_write)
-                total += (self._dram_remote_latency if remote
-                          else self._dram_local_latency) * nlines
-                if counting:
-                    combo_counts[24 + base] += nlines - 1
-                    combo_counts[24 + (base + 4 if tlb_missed else base)] += 1
-                continue
-            # Mixed run: sequential per-line walk, TLB/page work done.
-            cb = base + 4 if tlb_missed else base
-            for line in range(line0, run_end):
+            rd = hd
+            if counting:
+                r1, r2, r3 = h1, h2, h3
+                if tlb_missed:
+                    # The run's first line carries the TLB-missed bit;
+                    # its level is what the stack holds before the walk.
+                    if line0 in l1_sets[line0 % l1_nsets]:
+                        first = 0
+                    elif line0 in l2_sets[line0 % l2_nsets]:
+                        first = 8
+                    elif line0 in l3_sets[line0 % l3_nsets]:
+                        first = 16
+                    else:
+                        first = 24
+            for line in range(line0, line0 + nlines):
                 cset = l1_sets[line % l1_nsets]
                 if line in cset:
                     cset.move_to_end(line)
                     if is_write:
                         cset[line] = True
-                    l1_stats.hits += 1
-                    total += lat_l1
-                    if counting:
-                        combo_counts[cb] += 1
+                    h1 += 1
+                    continue
+                l2set = l2_sets[line % l2_nsets]
+                if line in l2set:
+                    l2set.move_to_end(line)
+                    if is_write:
+                        l2set[line] = True
+                    h2 += 1
                 else:
-                    l1_stats.misses += 1
-                    l2set = l2_sets[line % l2_nsets]
-                    if line in l2set:
-                        l2set.move_to_end(line)
+                    l3set = l3_sets[line % l3_nsets]
+                    if line in l3set:
+                        l3set.move_to_end(line)
                         if is_write:
-                            l2set[line] = True
-                        l2_stats.hits += 1
-                        total += lat_l2
-                        if counting:
-                            combo_counts[8 + cb] += 1
+                            l3set[line] = True
+                        h3 += 1
                     else:
-                        l2_stats.misses += 1
-                        l3set = l3_sets[line % l3_nsets]
-                        if line in l3set:
-                            l3set.move_to_end(line)
-                            if is_write:
-                                l3set[line] = True
-                            l3_stats.hits += 1
-                            total += lat_l3
-                            if counting:
-                                combo_counts[16 + cb] += 1
-                        else:
-                            l3_stats.misses += 1
-                            if counting:
-                                combo_counts[24 + cb] += 1
-                            # L3 fill (just missed L3: plain insert).
-                            if len(l3set) >= l3_assoc:
-                                _v, v_dirty = l3set.popitem(last=False)
-                                l3_stats.evictions += 1
-                                if v_dirty:
-                                    l3_stats.writebacks += 1
-                            l3set[line] = False
-                            total += (self._dram_remote_latency if remote
-                                      else self._dram_local_latency)
-                        # L2 fill, clean (the line just missed L2).
-                        if len(l2set) >= l2_assoc:
-                            _v, v_dirty = l2set.popitem(last=False)
-                            l2_stats.evictions += 1
-                            if v_dirty:
-                                l2_stats.writebacks += 1
-                        l2set[line] = False
-                    # L1 fill, inlined (the line just missed, so this is
-                    # a plain insert-with-eviction).
-                    if len(cset) >= l1_assoc:
-                        _victim, victim_dirty = cset.popitem(last=False)
-                        l1_stats.evictions += 1
-                        if victim_dirty:
-                            l1_stats.writebacks += 1
-                    cset[line] = is_write
-                cb = base
+                        hd += 1
+                        # L3 fill (the line just missed L3: plain insert).
+                        if len(l3set) >= l3_assoc:
+                            ev3 += 1
+                            if l3set.popitem(last=False)[1]:
+                                wb3 += 1
+                        l3set[line] = False
+                    # L2 fill, clean (the line just missed L2).
+                    if len(l2set) >= l2_assoc:
+                        ev2 += 1
+                        if l2set.popitem(last=False)[1]:
+                            wb2 += 1
+                    l2set[line] = False
+                # L1 fill (the line just missed L1).
+                if len(cset) >= l1_assoc:
+                    ev1 += 1
+                    if cset.popitem(last=False)[1]:
+                        wb1 += 1
+                cset[line] = is_write
+            if remote:
+                hd_remote += hd - rd
+            if counting:
+                base = wbase + 1 if remote else wbase
+                combo_counts[base] += h1 - r1
+                combo_counts[8 + base] += h2 - r2
+                combo_counts[16 + base] += h3 - r3
+                combo_counts[24 + base] += hd - rd
+                if tlb_missed:
+                    combo_counts[first + base] -= 1
+                    combo_counts[first + base + 4] += 1
+        l1_stats = l1.stats
+        l1_stats.hits += h1
+        l1_stats.misses += n - h1
+        l1_stats.evictions += ev1
+        l1_stats.writebacks += wb1
+        l2_stats = l2.stats
+        l2_stats.hits += h2
+        l2_stats.misses += n - h1 - h2
+        l2_stats.evictions += ev2
+        l2_stats.writebacks += wb2
+        l3_stats = l3.stats
+        l3_stats.hits += h3
+        l3_stats.misses += hd
+        l3_stats.evictions += ev3
+        l3_stats.writebacks += wb3
+        total += (self._l1_hit_latency * h1 + self._l2_hit_latency * h2
+                  + self._l3_hit_latency * h3
+                  + self._dram_local_latency * (hd - hd_remote)
+                  + self._dram_remote_latency * hd_remote)
         stats = self.stats
         stats.accesses += n
         if is_write:

@@ -193,12 +193,6 @@ def _machine_config(workload: Workload,
     return config
 
 
-def _run_engine(program, machine_config: MachineConfig,
-                overrides: Dict[str, bool]) -> MachineResult:
-    config = dataclasses.replace(machine_config, **overrides)
-    return Machine(program.clone(), config).run()
-
-
 def _site_metric(analysis, advice: Advice, event: str) -> int:
     leaf = advice.site.leaf
     if leaf is None:
@@ -317,10 +311,14 @@ def optimize_workload(workload: Union[str, Workload],
         return verdict
 
     # Gate 2: engine differential — identical observables everywhere.
+    # An engine whose config is the one Gate 0 ran is not run again:
+    # the simulation is deterministic, so ``native_opt`` is its result.
     reference: Optional[MachineResult] = None
     for engine_name, overrides in ENGINE_VARIANTS:
+        engine_config = dataclasses.replace(mconfig, **overrides)
         try:
-            result = _run_engine(applied.program, mconfig, overrides)
+            result = (native_opt if engine_config == mconfig else
+                      Machine(applied.program.clone(), engine_config).run())
         except Exception as exc:
             verdict.status = REJECTED
             verdict.rolled_back = True

@@ -1,20 +1,24 @@
-"""Batched bulk walks vs per-line accesses: bit-identical state.
+"""Bulk walks vs per-line accesses: bit-identical state.
 
-:meth:`MemoryHierarchy.touch_range` plans its walk through
-:mod:`repro.memsys.batch` (per-page line runs, closed-form eviction
-arithmetic) instead of walking line by line.  The refactor's contract
-is *bit-identical observable state*: for any range, write mix and
-revisit pattern, a batched walk must leave every cache set's
+:meth:`MemoryHierarchy.touch_range` walks a range one page run at a
+time (one page-table touch and one TLB step per run, then each line in
+order) instead of issuing one full :meth:`~MemoryHierarchy.access` per
+line.  The contract is *bit-identical observable state*: for any range,
+write mix and revisit pattern, a bulk walk must leave every cache set's
 OrderedDict (contents, LRU order, dirty bits), every stats object, the
 TLB's recency order, the page table and the summed latency exactly
 where the equivalent ``access(cpu, addr, 8, is_write)`` loop would —
 and, when counting, produce exactly the outcome-combo histogram the
 per-line AccessResults would classify to.
 
-The twin-hierarchy property test drives both engines through the same
-walk schedule on identical geometries and compares full state
-snapshots after every walk.
+The twin-hierarchy property tests drive both through the same walk
+schedule on identical geometries and compare full state after every
+walk, on a small geometry (where a page run can have more lines than
+a cache has sets) and on the default one.
 """
+
+import copy
+import random
 
 import pytest
 
@@ -39,13 +43,15 @@ def make_twins(cfg=None, num_nodes=2, cpus_per_node=2):
 
 
 def cache_state(cache):
-    """Stats plus every set's full (line, dirty) sequence in LRU order."""
-    return (vars(cache.stats),
-            [list(cset.items()) for cset in cache._sets])
+    """Stats plus every set's OrderedDict.  OrderedDict equality is
+    order-sensitive, so comparing two of these compares each set's
+    (line, dirty) sequence in LRU order."""
+    return vars(cache.stats), cache._sets
 
 
 def snapshot(h):
-    """Every observable the equivalence contract covers."""
+    """Every observable the equivalence contract covers, as live views
+    (``copy.deepcopy`` one to keep it across later walks)."""
     return {
         "l1": [cache_state(c) for c in h.l1],
         "l2": [cache_state(c) for c in h.l2],
@@ -92,8 +98,9 @@ SCHEDULES = [
         (0, 0x10000 + 63 * 64, 3, True),
     ]),
     ("set-overwhelm", [
-        # 256 lines through a 16-set 2-way L1: every set overwhelmed,
-        # exercising the closed-form eviction plan's skip_new arm.
+        # 256 lines through a 16-set 2-way L1: a page run has more
+        # lines than the cache has sets, so one run evicts its own
+        # earlier lines.
         (0, 0x40000, 256, False),
         (0, 0x40000, 256, True),
     ]),
@@ -120,24 +127,109 @@ SCHEDULES = [
 ]
 
 
+# Default geometry (``HierarchyConfig()``): L1 / L2 / L3 hold 512 /
+# 4096 / 491 520 lines in 64 / 512 / 24 576 sets, so every line of a
+# 64-line page run lands in its own set at every level.
+
+#: Lines this many bytes apart share an L1, an L2 and an L3 set.
+L3_SPAN = 24576 * 64
+
+DIRTY_A, DIRTY_B, DIRTY_C = 0x3000000, 0x4000000, 0x5000000
+
+DEFAULT_SCHEDULES = [
+    ("l2-restream", [
+        # 128 KiB: larger than L1, so the re-streams hit L2 throughout.
+        (0, 0x1000000, 2048, False),
+        (0, 0x1000000, 2048, False),
+        (0, 0x1000000, 2048, True),
+    ]),
+    ("l3-restream", [
+        # 384 KiB: larger than L2, so the re-streams hit L3 throughout.
+        (0, 0x2000000, 6144, False),
+        (0, 0x2000000, 6144, False),
+        (0, 0x2000000, 6144, True),
+    ]),
+    ("dirty-writeback", [
+        # A write that hits L2 dirties L2 (and L1); one that hits L3
+        # dirties L3.  Each later read pass evicts dirty lines from L1
+        # and L2, and the walks one L3 span apart overfill the L3 sets
+        # of DIRTY_B's first page, whose lines are dirty there.
+        (0, DIRTY_A, 2048, False),
+        (0, DIRTY_A, 2048, True),
+        (0, DIRTY_B, 6144, False),
+        (0, DIRTY_B, 6144, True),
+        (0, DIRTY_C, 6144, False),
+    ] + [(0, DIRTY_B + k * L3_SPAN, 64, False) for k in range(1, 22)]),
+    ("remote-node", [
+        # Pages placed on node 0, then streamed from cpu 2 (node 1).
+        (0, 0x6000000, 128, True),
+        (2, 0x6000000, 128, False),
+        (2, 0x6000000 + 32 * 64, 200, True),
+    ]),
+]
+
+
+def random_schedule(seed, walks=240):
+    """Seeded walks over a few shared regions: mixed CPUs and write
+    classes, starts anywhere in a page (and anywhere in a line that an
+    8-byte access fits), lengths from one line to several pages, and
+    some starts one L3 span apart so sets fill and evict."""
+    rng = random.Random(seed)
+    regions = [0x8000000 + i * 0x20000 for i in range(6)]
+    regions += [0x8000000 + k * L3_SPAN for k in range(1, 4)]
+    schedule = []
+    for _ in range(walks):
+        start = (rng.choice(regions) + rng.randrange(1024) * 64
+                 + rng.choice((0, 0, 0, 8, 56)))
+        n_lines = rng.choice((1, 2, rng.randint(3, 64),
+                              rng.randint(65, 400)))
+        schedule.append((rng.randrange(4), start, n_lines,
+                         rng.random() < 0.5))
+    return schedule
+
+
+def run_twins(batched, looped, walks, label):
+    """Drive both hierarchies through ``walks``; compare latency,
+    combos and full state after every walk."""
+    line = batched.config.line_size
+    for cpu, start, n_lines, is_write in walks:
+        end = start + n_lines * line
+        combos = [0] * NUM_COMBOS
+        got = batched.touch_range(cpu, start, end, is_write,
+                                  combo_counts=combos)
+        assert got != -1, f"{label}: fused preconditions failed"
+        want, want_combos = reference_walk(looped, cpu, start, end,
+                                           is_write)
+        assert got == want, f"{label}: latency diverged"
+        assert combos == want_combos, f"{label}: combos diverged"
+        assert snapshot(batched) == snapshot(looped), \
+            f"{label}: state diverged after walk {cpu, start, n_lines}"
+
+
 class TestBatchedWalkEquivalence:
     @pytest.mark.parametrize(
         "label,walks", SCHEDULES, ids=[s[0] for s in SCHEDULES])
     def test_state_identical_to_per_line_loop(self, label, walks):
-        batched, looped = make_twins()
-        line = batched.config.line_size
-        for cpu, start, n_lines, is_write in walks:
-            end = start + n_lines * line
-            combos = [0] * NUM_COMBOS
-            got = batched.touch_range(cpu, start, end, is_write,
-                                      combo_counts=combos)
-            assert got != -1, f"{label}: fused preconditions failed"
-            want, want_combos = reference_walk(looped, cpu, start, end,
-                                               is_write)
-            assert got == want, f"{label}: latency diverged"
-            assert combos == want_combos, f"{label}: combos diverged"
-            assert snapshot(batched) == snapshot(looped), \
-                f"{label}: state diverged after walk {cpu, start, n_lines}"
+        run_twins(*make_twins(), walks, label)
+
+    @pytest.mark.parametrize(
+        "label,walks", DEFAULT_SCHEDULES,
+        ids=[s[0] for s in DEFAULT_SCHEDULES])
+    def test_default_geometry_identical_to_per_line_loop(self, label,
+                                                         walks):
+        batched, looped = make_twins(HierarchyConfig())
+        run_twins(batched, looped, walks, label)
+        if label == "dirty-writeback":
+            for cache in (looped.l1[0], looped.l2[0], looped.l3[0]):
+                assert cache.stats.writebacks > 0, cache.name
+
+    def test_default_geometry_random_schedule(self):
+        batched, looped = make_twins(HierarchyConfig())
+        run_twins(batched, looped, random_schedule(seed=16), "random")
+        # The schedule reaches every level of the stack.
+        assert sum(c.stats.hits for c in looped.l2) > 0
+        assert sum(c.stats.hits for c in looped.l3) > 0
+        assert sum(c.stats.evictions for c in looped.l2) > 0
 
     def test_interleaved_single_accesses_see_same_world(self):
         # After a bulk walk, individual accesses (the interpreter's
@@ -158,7 +250,7 @@ class TestBatchedWalkEquivalence:
         # state changes*, non-counting callers get the per-line path.
         batched, looped = make_twins()
         start, end = 0x5000 + 60, 0x5000 + 60 + 6 * 64
-        before = snapshot(batched)
+        before = copy.deepcopy(snapshot(batched))
         assert batched.touch_range(0, start, end, False,
                                    combo_counts=[0] * NUM_COMBOS) == -1
         assert snapshot(batched) == before
@@ -188,31 +280,3 @@ class TestPlannerPrimitives:
                 stream.extend(addrs)
             expect = list(range(start, end, line))
             assert stream == expect, (start, end)
-
-    @pytest.mark.parametrize("occupied,incoming,assoc", [
-        (0, 0, 4), (0, 4, 4), (2, 1, 4), (2, 2, 4), (4, 4, 4),
-        (3, 10, 4), (0, 9, 2), (1, 1, 1), (8, 3, 8), (2, 100, 2),
-    ])
-    def test_eviction_plan_matches_sequential_inserts(
-            self, occupied, incoming, assoc):
-        # Simulate the LRU inserts the plan summarises.
-        from collections import OrderedDict
-        cset = OrderedDict((f"old{i}", False) for i in range(occupied))
-        evictions = pop_existing = 0
-        inserted = []
-        for i in range(incoming):
-            if len(cset) >= assoc:
-                victim, _ = cset.popitem(last=False)
-                evictions += 1
-                if victim.startswith("old"):
-                    pop_existing += 1
-                else:
-                    inserted.remove(victim)
-            cset[f"new{i}"] = False
-            inserted.append(f"new{i}")
-        want = (evictions, pop_existing,
-                evictions - pop_existing)
-        assert batch.eviction_plan(occupied, incoming, assoc) == want
-        # skip_new really is the count of incoming lines that did not
-        # survive the fill.
-        assert incoming - len(inserted) == want[2]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.jvm import Machine
 from repro.optim.engine import (
     ACCEPTED,
     NO_CANDIDATE,
@@ -45,6 +46,28 @@ class TestAccepted:
         v = accepted_verdict
         assert v.output_equal is True
         assert v.engines_checked == ("legacy", "fused")
+
+    def test_verification_runs_the_rewrite_once_per_engine(
+            self, accepted_verdict, monkeypatch):
+        # Gate 0 already ran the rewrite on the production engine, so
+        # Gate 2 runs only the legacy oracle against that result.  The
+        # runs are: baseline, baseline profile, Gate 0, Gate 2 legacy,
+        # Gate 3 profile — one fewer than when Gate 2 re-ran the
+        # production engine, with the same verdict.
+        engines = []
+        run = Machine.run
+
+        def counting_run(machine):
+            engines.append(machine.config.fastpath)
+            return run(machine)
+
+        monkeypatch.setattr(Machine, "run", counting_run)
+        v = optimize_workload("unsized-growth")
+        assert engines == [True, True, True, False, True]
+        assert v == accepted_verdict
+        assert (v.baseline_cycles, v.optimized_cycles) == (3312590, 2633100)
+        assert (v.metric_total_before, v.metric_total_after) == (84, 48)
+        assert (v.site_metric_before, v.site_metric_after) == (84, 0)
 
     def test_round_trips_through_dict(self, accepted_verdict):
         data = accepted_verdict.to_dict()
