@@ -732,12 +732,16 @@ def fused_blocks(code) -> List["tuple[int, int]"]:
 class _FusedArtifact:
     """Machine-independent half of a fused compilation.
 
-    ``code`` is the compiled superinstruction module (None when the
-    method has no fusable blocks), ``consts`` the machine-independent
-    name bindings the module needs (Instruction objects, non-inlinable
-    constants), ``chain_bcis`` the bytecode indices whose plain
-    handlers the observed bailout chain calls — those are bound per
-    machine at instantiation time.
+    ``code`` holds one compiled code object per entry of ``blocks``,
+    each defining that block's ``_sf_<start>`` (empty when the method
+    has no fusable blocks).  Blocks compile separately because
+    ``compile()``'s transient memory grows with the module: one
+    191 KB module for a 153-block method peaked at 19 MB.
+    ``consts`` holds the machine-independent name bindings the code
+    needs (Instruction objects, non-inlinable constants),
+    ``chain_bcis`` the bytecode indices whose plain handlers the
+    observed bailout chain calls — those are bound per machine at
+    instantiation time.
     """
 
     __slots__ = ("code", "consts", "blocks", "chain_bcis")
@@ -757,9 +761,11 @@ class FusedCodegenCache:
     bytecode, the observation variant, and line-size fast-path
     eligibility — never on the machine.  A long-lived shard daemon
     therefore generates each (method, variant) once and replays the
-    compiled module for every later job; fleet placement pins a
+    per-block code objects for every later job; fleet placement pins a
     program to one shard, so repeat traffic is almost all warm hits.
-    Bounded LRU: eviction only costs a regeneration.
+    Bounded LRU: eviction only costs a regeneration.  Arguments are
+    keyed by type and ``repr``, not equality: ``0.0`` and ``-0.0``
+    bind different constants, and a rebuilt NaN must still hit.
     """
 
     def __init__(self, capacity: int = 1024):
@@ -770,8 +776,11 @@ class FusedCodegenCache:
 
     @staticmethod
     def key_for(method, observed: bool, fast_ok: bool) -> tuple:
-        sig = tuple((ins.op, ins.args) for ins in method.code)
-        return (method.qualified_name, bool(observed), bool(fast_ok), sig)
+        code = method.code
+        return (method.qualified_name, bool(observed), bool(fast_ok),
+                tuple([ins.op for ins in code]),
+                tuple([type(a) for ins in code for a in ins.args]),
+                repr([ins.args for ins in code]))
 
     def get(self, method, observed: bool, fast_ok: bool) -> _FusedArtifact:
         key = self.key_for(method, observed, fast_ok)
@@ -811,12 +820,12 @@ def reset_warm_cache() -> None:
 
 def _generate_fused(method, observed: bool,
                     fast_ok: bool) -> _FusedArtifact:
-    """Generate and compile a method's superinstruction module.
+    """Generate and compile a method's superinstructions, block by block.
 
     Everything here is machine-independent; :func:`compile_fused`
     finishes the job per machine by layering its bound closures (heap
     deref, hierarchy access, event bus, plain-handler chain) on top of
-    ``consts`` and exec-ing the module.
+    ``consts`` and exec-ing each block's code object.
     """
     code = method.code
     qname = method.qualified_name
@@ -1117,11 +1126,9 @@ def _generate_fused(method, observed: bool,
         return pro + out
 
     blocks = fused_blocks(code)
-    if not blocks:
-        return _FusedArtifact(None, consts, [], ())
-
-    src: List[str] = []
+    codes = []
     for start, end in blocks:
+        src: List[str] = []
         block = code[start:end]
         accesses = [ins.op in _WRITE_OPS for ins in block
                     if ins.op in _ACCESS_OPS]
@@ -1171,10 +1178,9 @@ def _generate_fused(method, observed: bool,
         src.append(f"        thread.fused_fault = "
                    f"({start} + ipc, ipc + 1)")
         src.append("        raise")
-        src.append("")
+        codes.append(compile("\n".join(src), f"<fused:{qname}>", "exec"))
 
-    module = compile("\n".join(src), f"<fused:{qname}>", "exec")
-    return _FusedArtifact(module, consts, blocks,
+    return _FusedArtifact(tuple(codes), consts, blocks,
                           tuple(sorted(chain_bcis)))
 
 
@@ -1191,9 +1197,9 @@ def compile_fused(machine, runtime, table: List[Handler],
     The expensive codegen half is machine-independent and served from
     the process-wide :class:`FusedCodegenCache`; this function only
     builds the per-machine namespace (heap/bus/hierarchy closures plus
-    the plain-handler chain bindings) and execs the cached module —
-    which is why a warm shard daemon skips recompilation for repeat
-    programs.
+    the plain-handler chain bindings) and execs the cached per-block
+    code objects into it — which is why a warm shard daemon skips
+    recompilation for repeat programs.
     """
     from repro.jvm.interpreter import (
         ArithmeticTrap,
@@ -1214,7 +1220,7 @@ def compile_fused(machine, runtime, table: List[Handler],
 
     fused: List[FusedEntry] = [None] * len(method.code)
     art = _CODEGEN_CACHE.get(method, observed, fast_ok)
-    if art.code is None:
+    if not art.code:
         return fused
 
     def deref(ref, bci: int, ins: Instruction):
@@ -1242,7 +1248,8 @@ def compile_fused(machine, runtime, table: List[Handler],
     for bci in art.chain_bcis:
         ns[f"_h{bci}"] = table[bci]
 
-    exec(art.code, ns)
+    for block_code in art.code:
+        exec(block_code, ns)
     for start, end in art.blocks:
         fused[start] = (ns[f"_sf_{start}"], end - start)
     machine.fusion.blocks_fused += len(art.blocks)

@@ -156,14 +156,6 @@ class Cache:
         for cset in self._sets:
             cset.clear()
 
-    def line_set(self, address: int) -> "tuple[OrderedDict, int]":
-        """The live per-set OrderedDict holding ``address``'s line, plus
-        the line number — the hierarchy's L1 fast path keys its resident
-        set on these so hits can update LRU/dirty state without a call.
-        """
-        line = address // self.line_size
-        return self._sets[line % self.num_sets], line
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

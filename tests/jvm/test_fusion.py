@@ -435,3 +435,65 @@ class TestWarmCodegenCache:
         reset_warm_cache()
         assert warm_cache_stats() == {"hits": 0, "misses": 0,
                                       "entries": 0}
+
+    def test_equal_but_distinct_constants_do_not_share_artifacts(self):
+        """0.0 == -0.0, but a fused block binds the constant by name:
+        an artifact compiled for one must not serve the other."""
+        import math
+
+        def stored(c, **cfg):
+            b = MethodBuilder("Fuse", "main")
+            b.fconst(c).fconst(c).add().putstatic("out")
+            b.ret()
+            machine = Machine(single_method_program(b, statics={"out": 1.0}),
+                              MachineConfig(**cfg))
+            machine.run()
+            return machine.get_static("out")
+
+        for c in (0.0, -0.0):
+            fused = stored(c)
+            legacy = stored(c, fastpath=False)
+            assert math.copysign(1.0, fused) == math.copysign(1.0, legacy)
+            assert math.copysign(1.0, fused) == math.copysign(1.0, c)
+
+    def test_rebuilt_nan_constant_hits_the_cache(self):
+        from repro.jvm.dispatch import FusedCodegenCache
+
+        def method():
+            b = MethodBuilder("Fuse", "main")
+            b.fconst(float("nan")).fconst(1.0).add().putstatic("out")
+            b.ret()
+            return single_method_program(b).methods["main"]
+
+        cache = FusedCodegenCache()
+        cache.get(method(), True, True)
+        cache.get(method(), True, True)
+        assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
+
+
+# ----------------------------------------------------------------------
+# Codegen memory: one code object per block, not one large module
+# ----------------------------------------------------------------------
+
+def test_large_method_codegen_peak_memory_is_bounded():
+    """compile()'s transient memory grows with the module it compiles;
+    compiling each fused block on its own keeps mnemonics.run (1063
+    instructions, 153 blocks) far below the ~19 MB a single module
+    needs."""
+    import tracemalloc
+
+    from repro.jvm.dispatch import FusedCodegenCache
+    from repro.workloads import get_workload
+
+    program = get_workload("mnemonics").build_verified("baseline")
+    method = program.methods["run"]
+    assert len(method.code) == 1063
+    cache = FusedCodegenCache(capacity=1)
+    tracemalloc.start()
+    try:
+        art = cache.get(method, observed=True, fast_ok=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1024 * 1024, f"codegen peaked at {peak} bytes"
+    assert len(art.code) == len(fused_blocks(method.code))
