@@ -18,7 +18,13 @@ prose; each ablation quantifies one of them on this implementation:
 * **allocation zeroing walk** (repro implementation): the per-line cost
   of ``touch_range`` zeroing fresh memory on the default geometry, the
   bulk walk that dominates access-bound profiling runs.
+* **legacy-engine dispatch** (repro implementation): the per-instruction
+  cost of the semantic oracle (``fastpath=False``) on an arithmetic
+  kernel with no memory accesses, where decode and dispatch are all the
+  work there is.
 """
+
+import dataclasses
 
 import pytest
 
@@ -131,6 +137,29 @@ def test_ablation_touch_range_zeroing(benchmark):
     h = zero(fresh_hierarchy())
     assert h.l3[0].stats.misses == lines
     assert h.l1[0].stats.evictions == lines - 512
+
+
+# ----------------------------------------------------------------------
+# Legacy-engine dispatch: the oracle's cost per instruction
+# ----------------------------------------------------------------------
+
+def test_ablation_legacy_dispatch(benchmark):
+    """kernel-arith (1.56 M instructions, no memory accesses) on the
+    legacy engine: every instruction is one decoded-handler call, and
+    the result must equal the production engine's."""
+    workload = get_workload("kernel-arith")
+    config = workload.machine_config()
+    legacy_config = dataclasses.replace(config, fastpath=False)
+
+    result = benchmark.pedantic(
+        run_native, args=(workload,),
+        kwargs={"machine_config": legacy_config}, rounds=3)
+    ns_per_instr = (benchmark.stats.stats.median
+                    / result.total_instructions * 1e9)
+    print(f"\nlegacy dispatch: {ns_per_instr:.0f} ns/instruction (median)")
+    assert result.total_instructions == 1_560_010
+    assert result.loads == result.stores == 0
+    assert result == run_native(workload, machine_config=config)
 
 
 # ----------------------------------------------------------------------

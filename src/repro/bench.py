@@ -10,7 +10,7 @@ instructions per wall-clock second (ips) and memory accesses per second
     closures), the hierarchy's pooled L1 fast path and the batched
     memory-system walk; no profilers attached.
 ``legacy``
-    The original one-step-at-a-time interpreter and composed hierarchy
+    The per-instruction decoded interpreter and composed hierarchy
     walk (``MachineConfig.fastpath=False``), the semantic oracle.
     Measured against ``fastpath`` as ``speedup_vs_legacy``; the two
     arms' MachineResults are compared on every run, so the bench

@@ -26,7 +26,7 @@ Commands
 ``bench``
     Measure simulator throughput (simulated instructions/sec and
     accesses/sec) on both engines — the production fused engine and
-    the legacy stepper — and optionally write/check the tracked
+    the legacy oracle — and optionally write/check the tracked
     ``BENCH_throughput.json`` baseline.
 ``fuzz``
     Differential fuzzing: run seeded random programs under every

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.heap.allocator import Ref
 from repro.heap.layout import Kind
@@ -143,8 +143,11 @@ class Interpreter:
       compiled dispatch table (:func:`repro.jvm.dispatch.
       compile_dispatch`) off block leaders and on guard bailouts;
     * the **legacy engine** (``MachineConfig.fastpath=False``) decodes
-      every instruction through :meth:`step`'s if/elif chain, one at a
-      time.  It is the semantic oracle.
+      each method once into ``(handler, instruction)`` pairs, one plain
+      per-opcode function from :data:`LEGACY_HANDLERS` per bytecode, and
+      calls one handler per instruction, keeping ``frame.pc`` and the
+      cycle counters current at every instruction boundary.  It shares
+      no code with the compiled tables and is the semantic oracle.
 
     The differential-equivalence suite runs every workload through both
     and asserts byte-identical event traces.
@@ -285,283 +288,459 @@ class Interpreter:
         return executed
 
     def _run_quantum_legacy(self, thread: JavaThread, budget: int) -> int:
-        """Reference engine: one :meth:`step` per instruction."""
+        """Reference engine: one :data:`LEGACY_HANDLERS` call per
+        instruction over the method's decoded table.
+
+        Each stretch runs one frame.  The frame, its decoded table and
+        its cycles-per-instruction are re-read after every INVOKE,
+        RETURN, IRETURN and NATIVE (the handlers that return ``-1``):
+        only those push or pop frames, park or finish the thread, or
+        (through a JIT compile) change the cycle cost.
+        """
         executed = 0
         runnable = ThreadState.RUNNABLE
-        step = self.step
+        frames = thread.frames
+        machine = self.machine
         while executed < budget and thread.state is runnable:
-            step(thread)
-            executed += 1
+            frame = frames[-1]
+            runtime = frame.runtime
+            decoded = runtime.legacy_table
+            if decoded is None:
+                decoded = [(LEGACY_HANDLERS[ins.op], ins)
+                           for ins in runtime.method.code]
+                runtime.legacy_table = decoded
+            cpi = runtime.cycles_per_instruction_cached
+            code_len = len(decoded)
+            pc = frame.pc
+            try:
+                while executed < budget:
+                    if pc >= code_len:
+                        raise TrapError(
+                            f"{runtime.method.qualified_name}: pc {pc} "
+                            f"past end (missing return?)")
+                    handler, ins = decoded[pc]
+                    thread.cycles += cpi
+                    thread.instructions += 1
+                    executed += 1
+                    # frame.pc holds the executing bci while the handler
+                    # runs: async unwinds read it mid-instruction.
+                    pc = handler(machine, thread, frame, ins, pc)
+                    if pc < 0:
+                        break
+                    frame.pc = pc
+            except TrapError:
+                raise
+            except Exception as exc:  # decorate with location
+                raise TrapError(
+                    f"{runtime.method.qualified_name} bci {frame.pc} "
+                    f"({ins!r}): {exc}") from exc
         return executed
 
-    def step(self, thread: JavaThread) -> None:
-        """Execute exactly one instruction of ``thread``."""
-        frame = thread.frames[-1]
-        runtime = frame.runtime
-        code = runtime.method.code
-        if frame.pc >= len(code):
-            raise TrapError(
-                f"{runtime.method.qualified_name}: pc {frame.pc} past end "
-                f"(missing return?)")
-        ins = code[frame.pc]
-        thread.cycles += runtime.cycles_per_instruction_cached
-        thread.instructions += 1
-        try:
-            self._execute(thread, frame, ins)
-        except TrapError:
-            raise
-        except Exception as exc:  # decorate with location for debuggability
-            raise TrapError(
-                f"{runtime.method.qualified_name} bci {frame.pc} "
-                f"({ins!r}): {exc}") from exc
 
-    # ------------------------------------------------------------------
-    def _execute(self, thread: JavaThread, frame: Frame,
-                 ins: Instruction) -> None:
-        op = ins.op
-        stack = frame.stack
-        machine = self.machine
-        next_pc = frame.pc + 1
+# ----------------------------------------------------------------------
+# Legacy-engine handlers: ``handler(machine, thread, frame, ins, pc)``
+# returns the next bci, or -1 when the stretch must end (the handler has
+# then stored ``frame.pc`` itself if the frame lives on).  They share no
+# code with :mod:`repro.jvm.dispatch`, which they are the oracle for.
+# ----------------------------------------------------------------------
 
-        # Dispatch is ordered hottest-first (measured on the workload
-        # suite): locals, array access, loop bookkeeping, then the rest.
-        if op is Op.LOAD:
-            locals_ = frame.locals
-            index = ins.args[0]
-            stack.append(locals_[index] if index < len(locals_) else None)
-        elif op is Op.ICONST or op is Op.FCONST:
-            stack.append(ins.args[0])
-        elif op is Op.ALOAD:
-            index = stack.pop()
-            ref = stack.pop()
-            obj = self._deref(ref, frame, ins)
-            address = obj.element_address(index)
-            value = obj.get_element(index)
-            machine.memory_access(thread, address, obj.elem_size(),
-                                  is_write=False, value=value)
-            stack.append(value)
-        elif op is Op.IINC:
-            index, delta = ins.args
-            frame.set_local(index, frame.local(index) + delta)
-        elif op is Op.IF_ICMPGE:
-            b, a = stack.pop(), stack.pop()
-            if a >= b:
-                next_pc = ins.args[0]
-        elif op is Op.GOTO:
-            next_pc = ins.args[0]
-        elif op is Op.POP:
-            stack.pop()
-        elif op is Op.STORE:
-            frame.set_local(ins.args[0], stack.pop())
-        elif op is Op.ASTORE:
-            value = stack.pop()
-            index = stack.pop()
-            ref = stack.pop()
-            obj = self._deref(ref, frame, ins)
-            machine.memory_access(thread, obj.element_address(index),
-                                  obj.elem_size(), is_write=True,
-                                  value=value)
-            obj.set_element(index, value)
-        elif op is Op.ACONST_NULL:
-            stack.append(None)
-        elif op is Op.DUP:
-            stack.append(stack[-1])
-        elif op is Op.SWAP:
-            stack[-1], stack[-2] = stack[-2], stack[-1]
+def _deref(machine, ref, frame: Frame, ins: Instruction):
+    if not isinstance(ref, Ref):
+        raise NullPointerError(
+            f"{frame.method.qualified_name} bci {frame.pc} "
+            f"({ins!r}): dereferencing {ref!r}")
+    return machine.heap.get(ref)
 
-        elif op is Op.ADD:
-            b, a = stack.pop(), stack.pop()
-            stack.append(a + b)
-        elif op is Op.SUB:
-            b, a = stack.pop(), stack.pop()
-            stack.append(a - b)
-        elif op is Op.MUL:
-            b, a = stack.pop(), stack.pop()
-            stack.append(a * b)
-        elif op is Op.DIV:
-            b, a = stack.pop(), stack.pop()
-            if isinstance(a, float) or isinstance(b, float):
-                if b == 0:
-                    raise ArithmeticTrap("float division by zero")
-                stack.append(a / b)
-            else:
-                stack.append(_int_div(a, b))
-        elif op is Op.REM:
-            b, a = stack.pop(), stack.pop()
-            stack.append(_int_rem(a, b) if isinstance(a, int)
-                         and isinstance(b, int) else a % b)
-        elif op is Op.NEG:
-            stack.append(-stack.pop())
-        elif op is Op.SHL:
-            b, a = stack.pop(), stack.pop()
-            stack.append(a << b)
-        elif op is Op.SHR:
-            b, a = stack.pop(), stack.pop()
-            stack.append(a >> b)
-        elif op is Op.AND:
-            b, a = stack.pop(), stack.pop()
-            stack.append(a & b)
-        elif op is Op.OR:
-            b, a = stack.pop(), stack.pop()
-            stack.append(a | b)
-        elif op is Op.XOR:
-            b, a = stack.pop(), stack.pop()
-            stack.append(a ^ b)
-        elif op is Op.I2F:
-            stack.append(float(stack.pop()))
-        elif op is Op.F2I:
-            stack.append(int(stack.pop()))
 
-        elif op is Op.IF_ICMPLT:
-            b, a = stack.pop(), stack.pop()
-            if a < b:
-                next_pc = ins.args[0]
-        elif op is Op.IF_ICMPEQ:
-            b, a = stack.pop(), stack.pop()
-            if a == b:
-                next_pc = ins.args[0]
-        elif op is Op.IF_ICMPNE:
-            b, a = stack.pop(), stack.pop()
-            if a != b:
-                next_pc = ins.args[0]
-        elif op is Op.IF_ICMPGT:
-            b, a = stack.pop(), stack.pop()
-            if a > b:
-                next_pc = ins.args[0]
-        elif op is Op.IF_ICMPLE:
-            b, a = stack.pop(), stack.pop()
-            if a <= b:
-                next_pc = ins.args[0]
-        elif op is Op.IF_EQ:
-            if stack.pop() == 0:
-                next_pc = ins.args[0]
-        elif op is Op.IF_NE:
-            if stack.pop() != 0:
-                next_pc = ins.args[0]
-        elif op is Op.IF_LT:
-            if stack.pop() < 0:
-                next_pc = ins.args[0]
-        elif op is Op.IF_GE:
-            if stack.pop() >= 0:
-                next_pc = ins.args[0]
-        elif op is Op.IF_GT:
-            if stack.pop() > 0:
-                next_pc = ins.args[0]
-        elif op is Op.IF_LE:
-            if stack.pop() <= 0:
-                next_pc = ins.args[0]
-        elif op is Op.IF_NULL:
-            if stack.pop() is None:
-                next_pc = ins.args[0]
-        elif op is Op.IF_NONNULL:
-            if stack.pop() is not None:
-                next_pc = ins.args[0]
+def _op_load(machine, thread, frame, ins, pc):
+    locals_ = frame.locals
+    index = ins.args[0]
+    frame.stack.append(locals_[index] if index < len(locals_) else None)
+    return pc + 1
 
-        elif op is Op.INVOKE:
-            method_name, argc = ins.args
-            args = _pop_args(stack, argc)
-            frame.pc = next_pc            # return address
-            self._push_frame(thread, method_name, args)
-            return
-        elif op is Op.NATIVE:
-            name, argc, has_result = ins.args[0], ins.args[1], ins.args[2]
-            consts = ins.args[3:]
-            args = _pop_args(stack, argc)
-            result = machine.call_native(name, thread, args, consts)
-            if has_result:
-                stack.append(result)
-            # A native may have parked the thread (await_static): keep pc
-            # pointing past the native either way; the value is pushed.
-        elif op is Op.RETURN:
-            self._pop_frame(thread, None)
-            return
-        elif op is Op.IRETURN:
-            self._pop_frame(thread, stack.pop())
-            return
 
-        elif op is Op.NEW:
-            jclass = machine.program.jclass(ins.args[0])
-            ref = machine.allocate_instance(jclass, thread)
-            stack.append(ref)
-        elif op is Op.NEWARRAY:
-            length = stack.pop()
-            ref = machine.allocate_array(ins.args[0], length, thread)
-            stack.append(ref)
-        elif op is Op.ANEWARRAY:
-            length = stack.pop()
-            ref = machine.allocate_array(Kind.REF, length, thread)
-            stack.append(ref)
-        elif op is Op.MULTIANEWARRAY:
-            elem_kind, dims = ins.args
-            lengths = [stack.pop() for _ in range(dims)][::-1]
-            ref = machine.allocate_multi_array(elem_kind, lengths, thread)
-            stack.append(ref)
+def _op_const(machine, thread, frame, ins, pc):
+    frame.stack.append(ins.args[0])
+    return pc + 1
 
-        elif op is Op.GETFIELD:
-            ref = stack.pop()
-            obj = self._deref(ref, frame, ins)
-            value = obj.get_field(ins.args[0])
-            machine.memory_access(thread, obj.field_address(ins.args[0]), 8,
-                                  is_write=False, value=value)
-            stack.append(value)
-        elif op is Op.PUTFIELD:
-            value, ref = stack.pop(), stack.pop()
-            obj = self._deref(ref, frame, ins)
-            machine.memory_access(thread, obj.field_address(ins.args[0]), 8,
-                                  is_write=True, value=value)
-            obj.set_field(ins.args[0], value)
-        elif op is Op.GETSTATIC:
-            address = machine.static_address(ins.args[0])
-            value = machine.get_static(ins.args[0])
-            machine.memory_access(thread, address, 8, is_write=False,
-                                  value=value)
-            stack.append(value)
-        elif op is Op.PUTSTATIC:
-            address = machine.static_address(ins.args[0])
-            value = stack.pop()
-            machine.memory_access(thread, address, 8, is_write=True,
-                                  value=value)
-            machine.set_static(ins.args[0], value)
-        elif op is Op.ARRAYLENGTH:
-            ref = stack.pop()
-            obj = self._deref(ref, frame, ins)
-            # length lives in the header's second word
-            machine.memory_access(thread, obj.addr + 8, 8, is_write=False,
-                                  value=obj.length)
-            stack.append(obj.length)
-        elif op is Op.NOP:
-            pass
-        else:  # pragma: no cover - exhaustive over Op
-            raise TrapError(f"unimplemented opcode {op}")
 
-        frame.pc = next_pc
+def _op_store(machine, thread, frame, ins, pc):
+    frame.set_local(ins.args[0], frame.stack.pop())
+    return pc + 1
 
-    # ------------------------------------------------------------------
-    def _deref(self, ref, frame: Frame, ins: Instruction):
-        if not isinstance(ref, Ref):
-            raise NullPointerError(
-                f"{frame.method.qualified_name} bci {frame.pc} "
-                f"({ins!r}): dereferencing {ref!r}")
-        return self.machine.heap.get(ref)
 
-    def _push_frame(self, thread: JavaThread, method_name: str,
-                    args: List) -> None:
-        machine = self.machine
-        runtime = machine.method_table.runtime(method_name)
-        pause = machine.method_table.on_invoke(runtime)
-        if pause:
-            thread.cycles += pause
-        thread.frames.append(Frame(runtime, args))
+def _op_iinc(machine, thread, frame, ins, pc):
+    index, delta = ins.args
+    frame.set_local(index, frame.local(index) + delta)
+    return pc + 1
 
-    def _pop_frame(self, thread: JavaThread, value) -> None:
-        thread.frames.pop()
-        if thread.frames:
-            # INVOKE always expects one pushed result (None for void).
-            thread.current_frame.stack.append(value)
-        else:
-            thread.result = value
-            thread.state = ThreadState.FINISHED
-            self.machine.on_thread_finished(thread)
+
+def _op_aconst_null(machine, thread, frame, ins, pc):
+    frame.stack.append(None)
+    return pc + 1
+
+
+def _op_pop(machine, thread, frame, ins, pc):
+    frame.stack.pop()
+    return pc + 1
+
+
+def _op_dup(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    stack.append(stack[-1])
+    return pc + 1
+
+
+def _op_swap(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    stack[-1], stack[-2] = stack[-2], stack[-1]
+    return pc + 1
+
+
+def _op_nop(machine, thread, frame, ins, pc):
+    return pc + 1
+
+
+def _op_add(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    b, a = stack.pop(), stack.pop()
+    stack.append(a + b)
+    return pc + 1
+
+
+def _op_sub(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    b, a = stack.pop(), stack.pop()
+    stack.append(a - b)
+    return pc + 1
+
+
+def _op_mul(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    b, a = stack.pop(), stack.pop()
+    stack.append(a * b)
+    return pc + 1
+
+
+def _op_div(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    b, a = stack.pop(), stack.pop()
+    if isinstance(a, float) or isinstance(b, float):
+        if b == 0:
+            raise ArithmeticTrap("float division by zero")
+        stack.append(a / b)
+    else:
+        stack.append(_int_div(a, b))
+    return pc + 1
+
+
+def _op_rem(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    b, a = stack.pop(), stack.pop()
+    stack.append(_int_rem(a, b) if isinstance(a, int)
+                 and isinstance(b, int) else a % b)
+    return pc + 1
+
+
+def _op_neg(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    stack.append(-stack.pop())
+    return pc + 1
+
+
+def _op_shl(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    b, a = stack.pop(), stack.pop()
+    stack.append(a << b)
+    return pc + 1
+
+
+def _op_shr(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    b, a = stack.pop(), stack.pop()
+    stack.append(a >> b)
+    return pc + 1
+
+
+def _op_and(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    b, a = stack.pop(), stack.pop()
+    stack.append(a & b)
+    return pc + 1
+
+
+def _op_or(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    b, a = stack.pop(), stack.pop()
+    stack.append(a | b)
+    return pc + 1
+
+
+def _op_xor(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    b, a = stack.pop(), stack.pop()
+    stack.append(a ^ b)
+    return pc + 1
+
+
+def _op_i2f(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    stack.append(float(stack.pop()))
+    return pc + 1
+
+
+def _op_f2i(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    stack.append(int(stack.pop()))
+    return pc + 1
+
+
+def _op_goto(machine, thread, frame, ins, pc):
+    return ins.args[0]
+
+
+def _op_if_icmpge(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    b, a = stack.pop(), stack.pop()
+    return ins.args[0] if a >= b else pc + 1
+
+
+def _op_if_icmplt(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    b, a = stack.pop(), stack.pop()
+    return ins.args[0] if a < b else pc + 1
+
+
+def _op_if_icmpeq(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    b, a = stack.pop(), stack.pop()
+    return ins.args[0] if a == b else pc + 1
+
+
+def _op_if_icmpne(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    b, a = stack.pop(), stack.pop()
+    return ins.args[0] if a != b else pc + 1
+
+
+def _op_if_icmpgt(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    b, a = stack.pop(), stack.pop()
+    return ins.args[0] if a > b else pc + 1
+
+
+def _op_if_icmple(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    b, a = stack.pop(), stack.pop()
+    return ins.args[0] if a <= b else pc + 1
+
+
+def _op_if_eq(machine, thread, frame, ins, pc):
+    return ins.args[0] if frame.stack.pop() == 0 else pc + 1
+
+
+def _op_if_ne(machine, thread, frame, ins, pc):
+    return ins.args[0] if frame.stack.pop() != 0 else pc + 1
+
+
+def _op_if_lt(machine, thread, frame, ins, pc):
+    return ins.args[0] if frame.stack.pop() < 0 else pc + 1
+
+
+def _op_if_ge(machine, thread, frame, ins, pc):
+    return ins.args[0] if frame.stack.pop() >= 0 else pc + 1
+
+
+def _op_if_gt(machine, thread, frame, ins, pc):
+    return ins.args[0] if frame.stack.pop() > 0 else pc + 1
+
+
+def _op_if_le(machine, thread, frame, ins, pc):
+    return ins.args[0] if frame.stack.pop() <= 0 else pc + 1
+
+
+def _op_if_null(machine, thread, frame, ins, pc):
+    return ins.args[0] if frame.stack.pop() is None else pc + 1
+
+
+def _op_if_nonnull(machine, thread, frame, ins, pc):
+    return ins.args[0] if frame.stack.pop() is not None else pc + 1
+
+
+def _op_invoke(machine, thread, frame, ins, pc):
+    method_name, argc = ins.args
+    args = _pop_args(frame.stack, argc)
+    frame.pc = pc + 1             # return address
+    runtime = machine.method_table.runtime(method_name)
+    pause = machine.method_table.on_invoke(runtime)
+    if pause:
+        thread.cycles += pause
+    thread.frames.append(Frame(runtime, args))
+    return -1
+
+
+def _op_native(machine, thread, frame, ins, pc):
+    name, argc, has_result = ins.args[0], ins.args[1], ins.args[2]
+    consts = ins.args[3:]
+    stack = frame.stack
+    args = _pop_args(stack, argc)
+    result = machine.call_native(name, thread, args, consts)
+    if has_result:
+        stack.append(result)
+    # A native may have parked the thread (await_static): keep pc
+    # pointing past the native either way; the value is pushed.
+    frame.pc = pc + 1
+    return -1
+
+
+def _op_return(machine, thread, frame, ins, pc):
+    _pop_frame(machine, thread, None)
+    return -1
+
+
+def _op_ireturn(machine, thread, frame, ins, pc):
+    _pop_frame(machine, thread, frame.stack.pop())
+    return -1
+
+
+def _op_new(machine, thread, frame, ins, pc):
+    jclass = machine.program.jclass(ins.args[0])
+    frame.stack.append(machine.allocate_instance(jclass, thread))
+    return pc + 1
+
+
+def _op_newarray(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    length = stack.pop()
+    stack.append(machine.allocate_array(ins.args[0], length, thread))
+    return pc + 1
+
+
+def _op_anewarray(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    length = stack.pop()
+    stack.append(machine.allocate_array(Kind.REF, length, thread))
+    return pc + 1
+
+
+def _op_multianewarray(machine, thread, frame, ins, pc):
+    elem_kind, dims = ins.args
+    stack = frame.stack
+    lengths = [stack.pop() for _ in range(dims)][::-1]
+    stack.append(machine.allocate_multi_array(elem_kind, lengths, thread))
+    return pc + 1
+
+
+def _op_aload(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    index = stack.pop()
+    ref = stack.pop()
+    obj = _deref(machine, ref, frame, ins)
+    address = obj.element_address(index)
+    value = obj.get_element(index)
+    machine.memory_access(thread, address, obj.elem_size(),
+                          is_write=False, value=value)
+    stack.append(value)
+    return pc + 1
+
+
+def _op_astore(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    value = stack.pop()
+    index = stack.pop()
+    ref = stack.pop()
+    obj = _deref(machine, ref, frame, ins)
+    machine.memory_access(thread, obj.element_address(index),
+                          obj.elem_size(), is_write=True, value=value)
+    obj.set_element(index, value)
+    return pc + 1
+
+
+def _op_getfield(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    obj = _deref(machine, stack.pop(), frame, ins)
+    value = obj.get_field(ins.args[0])
+    machine.memory_access(thread, obj.field_address(ins.args[0]), 8,
+                          is_write=False, value=value)
+    stack.append(value)
+    return pc + 1
+
+
+def _op_putfield(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    value, ref = stack.pop(), stack.pop()
+    obj = _deref(machine, ref, frame, ins)
+    machine.memory_access(thread, obj.field_address(ins.args[0]), 8,
+                          is_write=True, value=value)
+    obj.set_field(ins.args[0], value)
+    return pc + 1
+
+
+def _op_getstatic(machine, thread, frame, ins, pc):
+    address = machine.static_address(ins.args[0])
+    value = machine.get_static(ins.args[0])
+    machine.memory_access(thread, address, 8, is_write=False, value=value)
+    frame.stack.append(value)
+    return pc + 1
+
+
+def _op_putstatic(machine, thread, frame, ins, pc):
+    address = machine.static_address(ins.args[0])
+    value = frame.stack.pop()
+    machine.memory_access(thread, address, 8, is_write=True, value=value)
+    machine.set_static(ins.args[0], value)
+    return pc + 1
+
+
+def _op_arraylength(machine, thread, frame, ins, pc):
+    stack = frame.stack
+    obj = _deref(machine, stack.pop(), frame, ins)
+    # length lives in the header's second word
+    machine.memory_access(thread, obj.addr + 8, 8, is_write=False,
+                          value=obj.length)
+    stack.append(obj.length)
+    return pc + 1
+
+
+#: The legacy engine's decoder: one handler per opcode.  Every method is
+#: decoded once into ``MethodRuntime.legacy_table``, a per-bci list of
+#: ``(handler, instruction)`` pairs.
+LEGACY_HANDLERS: Dict[Op, Callable] = {
+    Op.LOAD: _op_load, Op.STORE: _op_store, Op.IINC: _op_iinc,
+    Op.ICONST: _op_const, Op.FCONST: _op_const,
+    Op.ACONST_NULL: _op_aconst_null,
+    Op.POP: _op_pop, Op.DUP: _op_dup, Op.SWAP: _op_swap, Op.NOP: _op_nop,
+    Op.ADD: _op_add, Op.SUB: _op_sub, Op.MUL: _op_mul, Op.DIV: _op_div,
+    Op.REM: _op_rem, Op.NEG: _op_neg, Op.SHL: _op_shl, Op.SHR: _op_shr,
+    Op.AND: _op_and, Op.OR: _op_or, Op.XOR: _op_xor,
+    Op.I2F: _op_i2f, Op.F2I: _op_f2i,
+    Op.GOTO: _op_goto,
+    Op.IF_ICMPGE: _op_if_icmpge, Op.IF_ICMPLT: _op_if_icmplt,
+    Op.IF_ICMPEQ: _op_if_icmpeq, Op.IF_ICMPNE: _op_if_icmpne,
+    Op.IF_ICMPGT: _op_if_icmpgt, Op.IF_ICMPLE: _op_if_icmple,
+    Op.IF_EQ: _op_if_eq, Op.IF_NE: _op_if_ne, Op.IF_LT: _op_if_lt,
+    Op.IF_GE: _op_if_ge, Op.IF_GT: _op_if_gt, Op.IF_LE: _op_if_le,
+    Op.IF_NULL: _op_if_null, Op.IF_NONNULL: _op_if_nonnull,
+    Op.INVOKE: _op_invoke, Op.NATIVE: _op_native,
+    Op.RETURN: _op_return, Op.IRETURN: _op_ireturn,
+    Op.NEW: _op_new, Op.NEWARRAY: _op_newarray,
+    Op.ANEWARRAY: _op_anewarray, Op.MULTIANEWARRAY: _op_multianewarray,
+    Op.ALOAD: _op_aload, Op.ASTORE: _op_astore,
+    Op.GETFIELD: _op_getfield, Op.PUTFIELD: _op_putfield,
+    Op.GETSTATIC: _op_getstatic, Op.PUTSTATIC: _op_putstatic,
+    Op.ARRAYLENGTH: _op_arraylength,
+}
+
+
+def _pop_frame(machine, thread: JavaThread, value) -> None:
+    thread.frames.pop()
+    if thread.frames:
+        # INVOKE always expects one pushed result (None for void).
+        thread.frames[-1].stack.append(value)
+    else:
+        thread.result = value
+        thread.state = ThreadState.FINISHED
+        machine.on_thread_finished(thread)
 
 
 def _pop_args(stack: List, argc: int) -> List:
@@ -570,5 +749,3 @@ def _pop_args(stack: List, argc: int) -> List:
     args = stack[-argc:]
     del stack[-argc:]
     return args
-
-

@@ -38,7 +38,7 @@ class MethodRuntime:
     __slots__ = ("method", "invocation_count", "compiled", "method_id",
                  "version", "cycles_per_instruction_cached",
                  "dispatch_table", "dispatch_table_observed",
-                 "fused_table", "fused_table_observed")
+                 "fused_table", "fused_table_observed", "legacy_table")
 
     def __init__(self, method: JMethod, method_id: int) -> None:
         self.method = method
@@ -66,6 +66,11 @@ class MethodRuntime:
         #: variants, same immutability argument.
         self.fused_table = None
         self.fused_table_observed = None
+        #: The legacy engine's decoded method (``fastpath=False``): one
+        #: ``(handler, instruction)`` pair per bytecode, built on first
+        #: entry by :meth:`repro.jvm.interpreter.Interpreter.run_quantum`.
+        #: Per runtime, so per machine: never shared across programs.
+        self.legacy_table = None
 
     @property
     def cycles_per_instruction(self) -> int:

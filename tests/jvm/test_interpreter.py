@@ -258,3 +258,46 @@ class TestObjects:
         b.ret()
         machine, result = run_method(b)
         assert result.stores > 64   # element stores + zeroing
+
+
+class TestLegacyDecoder:
+    def test_handler_table_covers_every_opcode(self):
+        from repro.jvm.bytecode import Op
+        from repro.jvm.interpreter import LEGACY_HANDLERS
+        assert set(LEGACY_HANDLERS) == set(Op)
+
+    def test_decode_cache_is_per_runtime(self):
+        """Programs whose methods share qualified names but not bytecode
+        (constants, loop bounds, branch targets) each run their own
+        decode, even when one build's freed objects are reused by the
+        next."""
+        import gc
+
+        from repro.jvm import JProgram, Machine
+
+        def build(k):
+            p = JProgram()
+            step = MethodBuilder("C", "step", num_args=1)
+            step.load(0).iconst(k).add().iret()
+            p.add_builder(step)
+            main = MethodBuilder("C", "main")
+            for _ in range(k % 3):     # shifts every branch target
+                main.nop()
+            main.iconst(k).store(0)
+            counting_loop(main, k, 1,
+                          lambda b: b.load(0).invoke("step", 1).store(0))
+            main.load(0).native("print", 1, False).ret()
+            p.add_builder(main)
+            p.add_entry("main")
+            return p
+
+        for k in range(1, 25):
+            gc.collect()
+            legacy = Machine(build(k), MachineConfig(fastpath=False))
+            result = legacy.run()
+            assert result.output == [str(k + k * k)]
+            assert result == Machine(build(k)).run()
+            for name in ("main", "step"):
+                runtime = legacy.method_table.runtime(name)
+                assert [ins for _, ins in runtime.legacy_table] \
+                    == runtime.method.code
