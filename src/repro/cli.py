@@ -43,10 +43,12 @@ Commands
 ``fleet``
     The sharded serving tier: N shard daemons (each its own spool +
     store) behind one asyncio HTTP front door, with the fleet-wide
-    dedupe index and per-tenant fairness quotas.  ``--max-seconds``
-    bounds the run for smoke tests.
+    dedupe index and per-tenant fairness quotas; SIGINT/SIGTERM stops
+    it.  ``--processes`` runs the shards and the front door as
+    supervised OS processes.
 ``submit``
-    Drop a profile/bench/fuzz job into the spool for the daemon.
+    Drop a profile job (or, with ``--optimize``, an optimize job) into
+    the spool for the daemon.
 ``history``
     List stored profiles (newest first) from the profile store.
 ``regress``
@@ -367,7 +369,6 @@ def cmd_bench(args) -> int:
 
 def cmd_fuzz(args) -> int:
     from repro.fuzz import ORACLE_NAMES, run_fuzz
-    from repro.fuzz.harness import DEFAULT_CORPUS_DIR
 
     if args.oracles:
         oracles = tuple(s.strip() for s in args.oracles.split(",")
@@ -383,9 +384,7 @@ def cmd_fuzz(args) -> int:
 
     report = run_fuzz(seed=args.seed, iterations=args.iterations,
                       time_budget=args.time_budget, oracles=oracles,
-                      shrink=args.shrink,
-                      corpus_dir=args.corpus_dir or DEFAULT_CORPUS_DIR,
-                      progress=progress)
+                      shrink=args.shrink, progress=progress)
     status = "OK" if report.ok else f"{len(report.failures)} FAILING"
     print(f"fuzz: {report.iterations_run} programs, seed {report.seed}, "
           f"oracles [{','.join(report.oracles)}]: {status} "
@@ -415,7 +414,6 @@ def cmd_serve(args) -> int:
                   f"(heartbeat {service.heartbeat_path}; "
                   f"SIGINT/SIGTERM drains and exits)")
             service.serve_forever(poll_interval=args.poll,
-                                  max_polls=args.max_polls,
                                   install_signal_handlers=True)
             print(f"stopped after {service.completed} job(s) "
                   f"({service.failed} failed, "
@@ -424,25 +422,19 @@ def cmd_serve(args) -> int:
 
 
 def cmd_fleet(args) -> int:
-    from repro.serve import FairnessPolicy
-
-    policy = FairnessPolicy(
-        max_pending_per_tenant=args.tenant_pending,
-        max_inflight_per_tenant=args.tenant_inflight,
-        max_queue_depth=args.queue_depth)
     if args.shard is not None and args.front_only:
         print("fleet: --shard and --front-only are mutually exclusive")
         return 2
     if args.processes:
         return _fleet_supervisor(args)
     if args.shard is not None:
-        return _fleet_worker(args, policy)
+        return _fleet_worker(args)
     if args.front_only:
-        return _fleet_front_door(args, policy)
-    return _fleet_in_process(args, policy)
+        return _fleet_front_door(args)
+    return _fleet_in_process(args)
 
 
-def _fleet_worker(args, policy) -> int:
+def _fleet_worker(args) -> int:
     """One shard's polling daemon in this process (``--shard K``).
 
     Shares the fleet root's spool dirs, WAL stores, and fleet index
@@ -451,7 +443,12 @@ def _fleet_worker(args, policy) -> int:
     """
     import os
 
-    from repro.serve import FleetIndex, ProfilingService, ShardRouter
+    from repro.serve import (
+        FLEET_POLICY,
+        FleetIndex,
+        ProfilingService,
+        ShardRouter,
+    )
 
     if not 0 <= args.shard < args.shards:
         print(f"fleet: --shard {args.shard} out of range "
@@ -463,7 +460,7 @@ def _fleet_worker(args, policy) -> int:
             router.spool_dir(args.shard), router.store_path(args.shard),
             jobs=args.jobs, job_timeout=args.timeout,
             fleet_index=index, shard_id=args.shard,
-            queue_policy=policy, retention=args.retention)
+            queue_policy=FLEET_POLICY, retention=args.retention)
         with service:
             print(f"fleet worker: shard {args.shard}/{args.shards} "
                   f"under {args.root} (pid {os.getpid()}; "
@@ -479,7 +476,7 @@ def _fleet_worker(args, policy) -> int:
         return 0 if service.failed == 0 else 1
 
 
-def _fleet_front_door(args, policy) -> int:
+def _fleet_front_door(args) -> int:
     """Router-only HTTP process (``--front-only``).
 
     Routes submissions into the shard spools and reads results from
@@ -490,12 +487,12 @@ def _fleet_front_door(args, policy) -> int:
     import asyncio
     import signal
 
-    from repro.serve import Fleet, HttpFrontDoor
+    from repro.serve import FLEET_POLICY, Fleet, HttpFrontDoor
     from repro.serve.supervisor import write_front_door_file
 
     async def _run() -> int:
         fleet = Fleet(args.root, shards=args.shards,
-                      queue_policy=policy, workers="external")
+                      queue_policy=FLEET_POLICY, workers="external")
         door = HttpFrontDoor(fleet, host=args.host, port=args.port)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
@@ -511,13 +508,7 @@ def _fleet_front_door(args, policy) -> int:
                   f"{args.root}, listening on "
                   f"http://{door.host}:{door.port} (router-only; "
                   f"SIGINT/SIGTERM stops)", flush=True)
-            if args.max_seconds is not None:
-                try:
-                    await asyncio.wait_for(stop.wait(), args.max_seconds)
-                except asyncio.TimeoutError:
-                    pass
-            else:
-                await stop.wait()
+            await stop.wait()
             await door.stop()
         print(f"front door stopped after {door.requests_served} "
               f"request(s)", flush=True)
@@ -536,11 +527,7 @@ def _fleet_supervisor(args) -> int:
     supervisor = FleetSupervisor(
         args.root, shards=args.shards, host=args.host, port=args.port,
         jobs=args.jobs, poll=args.poll, job_timeout=args.timeout,
-        retention=args.retention,
-        tenant_pending=args.tenant_pending,
-        tenant_inflight=args.tenant_inflight,
-        queue_depth=args.queue_depth,
-        stale_after=args.stale_after)
+        retention=args.retention, stale_after=args.stale_after)
     print(f"fleet supervisor: {args.shards} worker process(es) + "
           f"front door under {args.root}", flush=True)
 
@@ -553,7 +540,7 @@ def _fleet_supervisor(args) -> int:
 
     import threading
     threading.Thread(target=_report_front, daemon=True).start()
-    code = supervisor.run(max_seconds=args.max_seconds)
+    code = supervisor.run()
     info = read_front_door_file(args.root)
     served = f" ({info['port']})" if info else ""
     print(f"fleet supervisor stopped{served}: "
@@ -562,16 +549,16 @@ def _fleet_supervisor(args) -> int:
     return code
 
 
-def _fleet_in_process(args, policy) -> int:
+def _fleet_in_process(args) -> int:
     """Single-process fleet: shard daemons on threads (the default)."""
     import asyncio
     import signal
 
-    from repro.serve import Fleet, HttpFrontDoor
+    from repro.serve import FLEET_POLICY, Fleet, HttpFrontDoor
 
     async def _run() -> int:
         fleet = Fleet(args.root, shards=args.shards, jobs=args.jobs,
-                      job_timeout=args.timeout, queue_policy=policy,
+                      job_timeout=args.timeout, queue_policy=FLEET_POLICY,
                       retention=args.retention)
         door = HttpFrontDoor(fleet, host=args.host, port=args.port)
         stop = asyncio.Event()
@@ -587,13 +574,7 @@ def _fleet_in_process(args, policy) -> int:
             print(f"fleet: {args.shards} shard(s) under {args.root}, "
                   f"listening on http://{door.host}:{door.port} "
                   f"(SIGINT/SIGTERM stops)", flush=True)
-            if args.max_seconds is not None:
-                try:
-                    await asyncio.wait_for(stop.wait(), args.max_seconds)
-                except asyncio.TimeoutError:
-                    pass
-            else:
-                await stop.wait()
+            await stop.wait()
             await door.stop()
             stats = fleet.stats()
         completed = sum(s["completed"] for s in stats["shards"])
@@ -611,12 +592,10 @@ def _fleet_in_process(args, policy) -> int:
 def cmd_submit(args) -> int:
     from repro.serve import JobSpec, SpoolQueue
 
-    kind = "optimize" if args.optimize else args.kind
-    if kind in ("profile", "bench", "optimize"):
-        # Fail fast: the daemon would only discover a bad name after
-        # claiming the job (and burning its attempts).
-        from repro.workloads import get_workload
-        get_workload(args.workload)
+    kind = "optimize" if args.optimize else "profile"
+    # Fail fast: the daemon would only discover a bad name after
+    # claiming the job (and burning its attempts).
+    get_workload(args.workload)
     meta = {}
     if args.transform is not None:
         meta["transform"] = args.transform
@@ -641,7 +620,7 @@ def cmd_submit(args) -> int:
         job_id="", kind=kind, workload=args.workload,
         variant=args.variant, period=args.period,
         threshold=threshold, family=args.family, seed=args.seed,
-        timeout=args.timeout, force=args.force, meta=meta))
+        force=args.force, meta=meta))
     print(f"submitted {spec.job_id} "
           f"({spec.kind} {spec.workload}/{spec.variant}, "
           f"family {spec.family}, period {spec.period}, "
@@ -682,8 +661,7 @@ def cmd_regress(args) -> int:
 
     from repro.serve import ProfileStore, RegressPolicy, regress_records
 
-    policy = RegressPolicy(top_n=args.top, share_swing=args.swing,
-                           throughput_drop=args.drop)
+    policy = RegressPolicy(top_n=args.top)
     with ProfileStore(args.store) as store:
         if args.candidate_id is not None:
             candidate = store.get_record(args.candidate_id)
@@ -920,10 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: all)")
     p_fuzz.add_argument("--shrink", action="store_true",
                         help="minimise failing programs and pin them "
-                             "to the corpus directory")
-    p_fuzz.add_argument("--corpus-dir", metavar="DIR", default=None,
-                        help="where --shrink pins minimised failures "
-                             "(default tests/fuzz_corpus)")
+                             "to tests/fuzz_corpus")
     p_fuzz.set_defaults(fn=cmd_fuzz)
 
     p_serve = sub.add_parser(
@@ -942,9 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 300); enforced only when "
                               "--jobs > 1 — serial jobs run in-process "
                               "and cannot be killed")
-    p_serve.add_argument("--max-polls", type=int, default=None,
-                         help="stop after this many polls (default: "
-                              "run until signalled)")
     p_serve.add_argument("--drain", action="store_true",
                          help="process the current backlog and exit "
                               "instead of polling forever")
@@ -977,18 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 300); enforced only when "
                               "--jobs > 1 — serial jobs run in-process "
                               "and cannot be killed")
-    p_fleet.add_argument("--tenant-pending", type=int, default=32,
-                         help="pending jobs one tenant may queue per "
-                              "shard before 429 (default 32)")
-    p_fleet.add_argument("--tenant-inflight", type=int, default=4,
-                         help="in-flight jobs one tenant may hold per "
-                              "shard (default 4)")
-    p_fleet.add_argument("--queue-depth", type=int, default=512,
-                         help="total pending jobs per shard before "
-                              "429 (default 512)")
-    p_fleet.add_argument("--max-seconds", type=float, default=None,
-                         help="stop after this much wall time instead "
-                              "of waiting for a signal (smoke tests)")
     p_fleet.add_argument("--shard", type=int, default=None,
                          help="run ONLY shard K's polling daemon in "
                               "this process (a multi-process fleet "
@@ -1020,10 +980,9 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="enqueue a job for the serve daemon")
     p_submit.add_argument("workload")
     p_submit.add_argument("--variant", default="baseline")
-    p_submit.add_argument("--kind", default="profile",
-                          choices=["profile", "bench", "fuzz", "optimize"])
     p_submit.add_argument("--optimize", action="store_true",
-                          help="shorthand for --kind optimize")
+                          help="submit an optimize job instead of a "
+                               "profile job")
     p_submit.add_argument("--transform", default=None,
                           help="pin one catalog transform "
                                "(optimize jobs only)")
@@ -1032,8 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(optimize jobs only)")
     p_submit.add_argument("--seed", type=int, default=None,
                           help="machine seed (part of the store key)")
-    p_submit.add_argument("--timeout", type=float, default=None,
-                          help="per-attempt timeout for this job")
     p_submit.add_argument("--force", action="store_true",
                           help="re-simulate even when the store already "
                                "has this exact key")
@@ -1072,12 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_regress.add_argument("--top", type=int, default=5,
                            help="ranking depth for the new-top-site "
                                 "check (default 5)")
-    p_regress.add_argument("--swing", type=float, default=0.05,
-                           help="sample-share gain that flags a site "
-                                "(default 0.05)")
-    p_regress.add_argument("--drop", type=float, default=0.10,
-                           help="fractional wall-cycle growth that "
-                                "flags a slowdown (default 0.10)")
     p_regress.add_argument("--json", action="store_true",
                            help="print the verdict as JSON")
     p_regress.add_argument("--store", default=DEFAULT_STORE,

@@ -44,6 +44,7 @@ one-shot CLI profiler into a service:
 """
 
 from repro.serve.queue import (
+    FLEET_POLICY,
     FairnessPolicy,
     JobSpec,
     QuotaExceeded,
@@ -77,6 +78,7 @@ from repro.serve.loadgen import (
 from repro.serve.supervisor import FleetSupervisor
 
 __all__ = [
+    "FLEET_POLICY",
     "FairnessPolicy",
     "Fleet",
     "FleetIndex",

@@ -20,7 +20,8 @@ because the protocol surface is five JSON endpoints:
     Lifecycle state (``pending``/``running``/``done``/``failed``) and,
     once finished, the full job record including the verdict.
 ``GET /history?workload=&variant=&limit=``
-    Stored profiles merged across every shard, newest first.
+    Stored profiles merged across every shard, newest first; 400 when
+    ``limit`` is not a positive integer (here and on ``/optimize``).
 ``GET /regress/<workload>?variant=``
     Regression verdict for the fleet's newest record of a workload.
 ``GET /optimize/<job_id>``
@@ -72,7 +73,7 @@ READ_DEADLINE_S = 60.0
 _SUBMIT_FIELDS = {
     "workload": str, "variant": str, "kind": str, "tenant": str,
     "family": str, "period": int, "threshold": int, "priority": int,
-    "seed": int, "max_attempts": int, "timeout": float, "force": bool,
+    "seed": int, "max_attempts": int, "force": bool,
 }
 
 #: Wire fields that ride in ``JobSpec.meta`` rather than spec fields
@@ -98,6 +99,22 @@ async def _read_line(reader: asyncio.StreamReader, status: int,
         return await reader.readline()
     except ValueError:  # the reader's LimitOverrunError, re-raised
         raise HttpError(status, f"{what} too long") from None
+
+
+def _parse_limit(query: Dict[str, str]) -> int:
+    """The ``limit`` query parameter: a positive integer, default 50.
+
+    SQLite reads a negative ``LIMIT`` as "no limit", so a non-positive
+    value would read every shard store unbounded and then cut the
+    merged list from the wrong end.
+    """
+    try:
+        limit = int(query.get("limit", "50"))
+    except ValueError as exc:
+        raise HttpError(400, f"bad limit: {exc}") from exc
+    if limit < 1:
+        raise HttpError(400, f"bad limit: {limit} is not positive")
+    return limit
 
 
 class HttpFrontDoor:
@@ -256,8 +273,7 @@ class HttpFrontDoor:
                     raise HttpError(
                         400, f"field {name!r}: {exc}") from exc
         fields.setdefault("kind", "profile")
-        if fields["kind"] in ("profile", "bench", "optimize") and \
-                not fields.get("workload"):
+        if not fields.get("workload"):
             raise HttpError(400, "workload is required")
         if meta and fields["kind"] != "optimize":
             raise HttpError(
@@ -294,10 +310,7 @@ class HttpFrontDoor:
 
     async def _handle_history(self, query: Dict[str, str]
                               ) -> Tuple[int, dict, Dict[str, str]]:
-        try:
-            limit = int(query.get("limit", "50"))
-        except ValueError as exc:
-            raise HttpError(400, f"bad limit: {exc}") from exc
+        limit = _parse_limit(query)
         # Store reads touch SQLite: keep the accept loop responsive.
         records = await asyncio.get_running_loop().run_in_executor(
             None, lambda: self.fleet.history(
@@ -330,10 +343,7 @@ class HttpFrontDoor:
     async def _handle_optimize_history(self, query: Dict[str, str]
                                        ) -> Tuple[int, dict,
                                                   Dict[str, str]]:
-        try:
-            limit = int(query.get("limit", "50"))
-        except ValueError as exc:
-            raise HttpError(400, f"bad limit: {exc}") from exc
+        limit = _parse_limit(query)
         rows = await asyncio.get_running_loop().run_in_executor(
             None, lambda: self.fleet.optimize_history(
                 workload=query.get("workload") or None,

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 #: Job kinds the daemon knows how to execute.
-JOB_KINDS = ("profile", "bench", "fuzz", "optimize")
+JOB_KINDS = ("profile", "optimize")
 
 _STATES = ("pending", "running", "done", "failed")
 
@@ -86,6 +86,14 @@ class FairnessPolicy:
         return max(1, int(self.tenant_weights.get(tenant, 1)))
 
 
+#: The quotas every ``repro fleet`` shard runs under, whether the shard
+#: is a thread of the in-process fleet or a worker process, and that
+#: the router-only front door applies to submissions.
+FLEET_POLICY = FairnessPolicy(max_pending_per_tenant=32,
+                              max_inflight_per_tenant=4,
+                              max_queue_depth=512)
+
+
 @dataclass
 class JobSpec:
     """One unit of work, serialisable to a spool file."""
@@ -100,8 +108,6 @@ class JobSpec:
     #: "redundancy") — part of the profile-store dedupe key.
     family: str = "djxperf"
     seed: Optional[int] = None
-    #: Wall-clock seconds a single attempt may take (None = unlimited).
-    timeout: Optional[float] = None
     max_attempts: int = 3
     attempts: int = 0
     submitted_at: float = 0.0
@@ -123,7 +129,7 @@ class JobSpec:
                 "workload": self.workload, "variant": self.variant,
                 "period": self.period, "threshold": self.threshold,
                 "family": self.family,
-                "seed": self.seed, "timeout": self.timeout,
+                "seed": self.seed,
                 "max_attempts": self.max_attempts,
                 "attempts": self.attempts,
                 "submitted_at": self.submitted_at, "force": self.force,
@@ -243,7 +249,8 @@ class SpoolQueue:
         in-flight bound are skipped.  Returns None when nothing is
         claimable (empty queue, or every pending tenant throttled).  A
         lost race with another daemon (rename fails because the file is
-        gone) just tries the next candidate.
+        gone) just tries the next candidate, and so does a claimed file
+        that is not a valid job (see :meth:`_reject`).
         """
         pending = self._scan("pending")
         if not pending:
@@ -287,8 +294,14 @@ class SpoolQueue:
                     os.rename(pending_path, running_path)
                 except OSError:
                     continue
+                data = self._read(running_path)
+                try:
+                    spec = JobSpec.from_dict(data)
+                except (TypeError, ValueError) as exc:
+                    self._reject(name, data, exc)
+                    continue
                 self._passes[tenant] += _STRIDE_ONE // weight
-                return JobSpec.from_dict(self._read(running_path))
+                return spec
         return None
 
     def complete(self, spec: JobSpec, result: dict) -> None:
@@ -329,7 +342,8 @@ class SpoolQueue:
         has a done/failed outcome is a stale leftover (the finishing
         daemon won), so it is removed, never requeued; a file that
         vanishes mid-recovery lost a race to the daemon actually
-        executing it and is skipped.
+        executing it and is skipped.  A claim that is not a valid job
+        is moved to ``failed/`` (see :meth:`_reject`).
         """
         recovered = []
         for name in sorted(os.listdir(self._dir("running"))):
@@ -341,9 +355,13 @@ class SpoolQueue:
                 self._remove("running", job_id)
                 continue
             try:
-                spec = JobSpec.from_dict(
-                    self._read(os.path.join(self._dir("running"), name)))
+                data = self._read(os.path.join(self._dir("running"), name))
             except (FileNotFoundError, json.JSONDecodeError):
+                continue
+            try:
+                spec = JobSpec.from_dict(data)
+            except (TypeError, ValueError) as exc:
+                self._reject(name, data, exc)
                 continue
             if self.outcome(job_id) is not None:
                 # Completed between the read and now; the completing
@@ -352,6 +370,20 @@ class SpoolQueue:
                 continue
             recovered.append(self.requeue(spec, reason="daemon-crash"))
         return recovered
+
+    def _reject(self, name: str, data: dict, exc: Exception) -> None:
+        """running → failed for a file that is not a valid job.
+
+        A job file of an unknown kind, or one missing a required field,
+        can never run; left in ``running/`` it would stop the daemon
+        that claimed it and, through :meth:`recover`, every daemon
+        started over the spool after it.
+        """
+        record = dict(data)
+        record["error"] = f"invalid job file: {exc}"
+        record["finished_at"] = time.time()
+        self._write(os.path.join(self._dir("failed"), name), record)
+        self._remove("running", name[:-len(".json")])
 
     def _remove(self, state: str, job_id: str) -> None:
         try:

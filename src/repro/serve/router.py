@@ -49,7 +49,6 @@ from repro.serve.store import (
     ProfileKey,
     ProfileRecord,
     ProfileStore,
-    config_digest,
     program_digest,
 )
 
@@ -334,12 +333,7 @@ class Fleet:
         Raises :class:`~repro.serve.queue.QuotaExceeded` on
         backpressure and ``KeyError`` on an unknown workload.
         """
-        if spec.kind in ("profile", "bench", "optimize"):
-            _program_hash, shard = self._route_key(spec.workload,
-                                                   spec.variant)
-        else:
-            # Kinds with no program identity (fuzz) spread by tenant.
-            shard = shard_for(spec.tenant, spec.kind, self.router.shards)
+        _program_hash, shard = self._route_key(spec.workload, spec.variant)
         spec.meta["shard"] = shard
         return self._queues[shard].submit(spec), shard
 
@@ -504,14 +498,3 @@ class Fleet:
                        "indexed": self.index.count()},
             "warm": {"hits": warm_hits, "misses": warm_misses},
         }
-
-    def dedupe_key_for(self, workload: str, variant: str,
-                       period: int, threshold: int,
-                       seed: Optional[int]) -> Tuple[str, str, str]:
-        """(program_hash, config_hash, seed-text) a submission dedupes on."""
-        from repro.core.profiler import DjxConfig
-
-        program_hash, _shard = self._route_key(workload, variant)
-        config_hash = config_digest(DjxConfig(sample_period=period,
-                                              size_threshold=threshold))
-        return program_hash, config_hash, _seed_text(seed)

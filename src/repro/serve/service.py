@@ -42,15 +42,9 @@ def _job_config(spec: JobSpec) -> DjxConfig:
 def execute_job(payload: dict) -> dict:
     """Run one job and return a JSON-able result (worker entry point)."""
     spec = JobSpec.from_dict(payload)
-    if spec.kind == "profile":
-        return _execute_profile(spec)
-    if spec.kind == "bench":
-        return _execute_bench(spec)
-    if spec.kind == "fuzz":
-        return _execute_fuzz(spec)
     if spec.kind == "optimize":
         return _execute_optimize(spec)
-    raise ValueError(f"unknown job kind {spec.kind!r}")
+    return _execute_profile(spec)
 
 
 def _execute_profile(spec: JobSpec) -> dict:
@@ -79,25 +73,6 @@ def _execute_profile(spec: JobSpec) -> dict:
     }
 
 
-def _execute_bench(spec: JobSpec) -> dict:
-    from repro.bench import bench_workload
-    from repro.workloads import get_workload
-
-    row = bench_workload(get_workload(spec.workload),
-                         repeat=int(spec.meta.get("repeat", 1)),
-                         legacy=bool(spec.meta.get("legacy", False)),
-                         seed=spec.seed)
-    return {
-        "kind": "bench",
-        "name": row.name,
-        "instructions": row.instructions,
-        "accesses": row.accesses,
-        "fastpath_seconds": row.fastpath.seconds,
-        "ips": row.fastpath.ips,
-        "aps": row.fastpath.aps,
-    }
-
-
 def _execute_optimize(spec: JobSpec) -> dict:
     from repro.optim.engine import optimize_workload
 
@@ -108,19 +83,6 @@ def _execute_optimize(spec: JobSpec) -> dict:
         config=_job_config(spec), seed=spec.seed,
         capacity=None if capacity is None else int(capacity))
     return {"kind": "optimize", "verdict": verdict.to_dict()}
-
-
-def _execute_fuzz(spec: JobSpec) -> dict:
-    from repro.fuzz import run_fuzz
-
-    report = run_fuzz(seed=spec.seed or 0,
-                      iterations=int(spec.meta.get("iterations", 25)))
-    return {
-        "kind": "fuzz",
-        "ok": report.ok,
-        "iterations_run": report.iterations_run,
-        "failures": len(report.failures),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -292,18 +254,13 @@ class ProfilingService:
                     "wall_cycles": result["wall_cycles"],
                     "total_samples": result["total_samples"],
                     "warm": warm}
-        if result.get("kind") == "bench":
-            row_id = self.store.put_bench(result["name"], result)
-            return {**result, "bench_row_id": row_id}
-        if result.get("kind") == "optimize":
-            verdict = result["verdict"]
-            row_id = self.store.put_optimize(spec.job_id, verdict)
-            return {"kind": "optimize", "verdict_row_id": row_id,
-                    "status": verdict.get("status"),
-                    "transform": verdict.get("transform"),
-                    "speedup": verdict.get("speedup"),
-                    "verdict": verdict}
-        return result
+        verdict = result["verdict"]
+        row_id = self.store.put_optimize(spec.job_id, verdict)
+        return {"kind": "optimize", "verdict_row_id": row_id,
+                "status": verdict.get("status"),
+                "transform": verdict.get("transform"),
+                "speedup": verdict.get("speedup"),
+                "verdict": verdict}
 
     def run_once(self, max_jobs: Optional[int] = None) -> List[dict]:
         """One poll: claim, execute, persist.  Returns job summaries."""

@@ -8,11 +8,10 @@ timestamp.  Identical payloads are stored once no matter how many runs
 produce them, so re-profiling an unchanged program at an unchanged
 config costs one index row, not one blob.
 
-The same store also keeps bench rows (serving-layer cost tracking) and
-trace pointers (paths to observation traces recorded alongside a run),
-so every cross-run question — "did the misses move?", "did serving get
-slower?", "replay that run at a different threshold" — is answered from
-disk.
+The same store also keeps optimizer verdicts and trace pointers (paths
+to observation traces recorded alongside a run), so every cross-run
+question — "did the misses move?", "was the rewrite accepted?", "replay
+that run at a different threshold" — is answered from disk.
 """
 
 from __future__ import annotations
@@ -190,12 +189,6 @@ CREATE TABLE IF NOT EXISTS profiles (
 );
 CREATE INDEX IF NOT EXISTS profiles_by_key ON profiles
     (workload, variant, program_hash, config_hash, seed, created_at);
-CREATE TABLE IF NOT EXISTS bench_rows (
-    id           INTEGER PRIMARY KEY AUTOINCREMENT,
-    name         TEXT NOT NULL,
-    created_at   REAL NOT NULL,
-    payload_hash TEXT NOT NULL REFERENCES payloads(hash)
-);
 CREATE TABLE IF NOT EXISTS optimize_verdicts (
     id           INTEGER PRIMARY KEY AUTOINCREMENT,
     job_id       TEXT NOT NULL,
@@ -397,29 +390,6 @@ class ProfileStore:
             params).fetchone()
         return None if row is None else self._record_from_row(row)
 
-    # -- bench rows -----------------------------------------------------
-    def put_bench(self, name: str, payload: dict,
-                  created_at: Optional[float] = None) -> int:
-        payload_hash, _, _ = self._put_payload(payload)
-        created = time.time() if created_at is None else created_at
-        cursor = self._db.execute(
-            "INSERT INTO bench_rows (name, created_at, payload_hash) "
-            "VALUES (?, ?, ?)", (name, created, payload_hash))
-        self._db.commit()
-        return cursor.lastrowid
-
-    def bench_history(self, name: Optional[str] = None,
-                      limit: int = 50) -> List[dict]:
-        where, params = "", []
-        if name is not None:
-            where, params = "WHERE name = ? ", [name]
-        rows = self._db.execute(
-            "SELECT id, name, created_at, payload_hash FROM bench_rows " +
-            where + "ORDER BY created_at DESC, id DESC LIMIT ?",
-            params + [limit]).fetchall()
-        return [{"id": r[0], "name": r[1], "created_at": r[2],
-                 "payload": self._load_payload(r[3])} for r in rows]
-
     # -- optimize verdicts ----------------------------------------------
     def put_optimize(self, job_id: str, verdict: dict,
                      created_at: Optional[float] = None) -> int:
@@ -480,11 +450,8 @@ class ProfileStore:
         payloads, raw, stored = self._db.execute(
             "SELECT COUNT(*), COALESCE(SUM(raw_bytes), 0), "
             "COALESCE(SUM(stored_bytes), 0) FROM payloads").fetchone()
-        bench = self._db.execute(
-            "SELECT COUNT(*) FROM bench_rows").fetchone()[0]
         optimize = self._db.execute(
             "SELECT COUNT(*) FROM optimize_verdicts").fetchone()[0]
-        return {"profiles": profiles, "bench_rows": bench,
-                "optimize_verdicts": optimize,
+        return {"profiles": profiles, "optimize_verdicts": optimize,
                 "payloads": payloads, "raw_bytes": raw,
                 "stored_bytes": stored}

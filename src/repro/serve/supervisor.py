@@ -111,9 +111,6 @@ class FleetSupervisor:
                  jobs: int = 1, poll: float = 0.5,
                  job_timeout: Optional[float] = None,
                  retention: Optional[float] = None,
-                 tenant_pending: Optional[int] = None,
-                 tenant_inflight: Optional[int] = None,
-                 queue_depth: Optional[int] = None,
                  python: Optional[str] = None,
                  backoff_base: float = 0.5, backoff_max: float = 30.0,
                  max_restarts: int = 5, restart_window: float = 60.0,
@@ -126,9 +123,6 @@ class FleetSupervisor:
         self.poll = poll
         self.job_timeout = job_timeout
         self.retention = retention
-        self.tenant_pending = tenant_pending
-        self.tenant_inflight = tenant_inflight
-        self.queue_depth = queue_depth
         self.python = python or sys.executable
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
@@ -145,14 +139,8 @@ class FleetSupervisor:
 
     # -- argv construction ----------------------------------------------
     def _common_argv(self) -> List[str]:
-        argv = [self.python, "-m", "repro", "fleet",
+        return [self.python, "-m", "repro", "fleet",
                 "--root", self.root, "--shards", str(self.shards)]
-        for flag, value in (("--tenant-pending", self.tenant_pending),
-                            ("--tenant-inflight", self.tenant_inflight),
-                            ("--queue-depth", self.queue_depth)):
-            if value is not None:
-                argv += [flag, str(value)]
-        return argv
 
     def _shard_argv(self, shard: int) -> List[str]:
         argv = self._common_argv() + [
@@ -183,20 +171,26 @@ class FleetSupervisor:
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
-        """Spawn the front door and every shard worker."""
-        front = ChildProcess("front-door", self._front_argv(),
-                             os.path.join(self.log_dir, "front-door.log"))
-        self.children["front-door"] = front
+        """Spawn the front door and every shard worker.
+
+        Each child is registered only once spawned: :meth:`front_address`,
+        which may poll from another thread, takes a registered front
+        door that is ``stopped`` and not alive for one that has exited.
+        """
+        children = [ChildProcess(
+            "front-door", self._front_argv(),
+            os.path.join(self.log_dir, "front-door.log"))]
         for shard in range(self.shards):
             name = f"shard-{shard:02d}"
             heartbeat = os.path.join(self.root, name, "spool",
                                      STATUS_FILE)
-            self.children[name] = ChildProcess(
+            children.append(ChildProcess(
                 name, self._shard_argv(shard),
                 os.path.join(self.log_dir, f"{name}.log"),
-                heartbeat_path=heartbeat)
-        for child in self.children.values():
+                heartbeat_path=heartbeat))
+        for child in children:
             self._spawn(child)
+            self.children[child.name] = child
 
     def _spawn(self, child: ChildProcess) -> None:
         child._log_fh = open(child.log_path, "ab")
@@ -386,11 +380,10 @@ class FleetSupervisor:
             } for child in self.children.values()],
         }
 
-    def run(self, max_seconds: Optional[float] = None,
-            supervise_interval: float = 0.5,
+    def run(self, supervise_interval: float = 0.5,
             install_signal_handlers: bool = True,
             grace: float = 30.0) -> int:
-        """Start the tree and supervise until signalled (or timed out).
+        """Start the tree and supervise until signalled.
 
         Returns 0 when every child drained cleanly, 1 when any child
         tripped the circuit breaker or had to be SIGKILLed.
@@ -399,11 +392,7 @@ class FleetSupervisor:
             signal.signal(signal.SIGTERM, self.request_stop)
             signal.signal(signal.SIGINT, self.request_stop)
         self.start()
-        deadline = (time.time() + max_seconds
-                    if max_seconds is not None else None)
         while not self._stopping:
-            if deadline is not None and time.time() >= deadline:
-                break
             for event in self.poll_once():
                 print(f"supervisor: {json.dumps(event, sort_keys=True)}",
                       flush=True)

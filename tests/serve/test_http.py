@@ -244,9 +244,13 @@ class TestStatusAndViews:
 
     def test_bad_limit_is_400(self, tmp_path):
         async def scenario(fleet, door):
-            status, _d, _h = await http_request(
-                door.host, door.port, "GET", "/history?limit=banana")
-            assert status == 400
+            for limit in ("banana", "0", "-1"):
+                for route in ("/history", "/optimize"):
+                    status, data, _h = await http_request(
+                        door.host, door.port, "GET",
+                        f"{route}?limit={limit}")
+                    assert status == 400, (route, limit, data)
+                    assert "bad limit" in data["error"]
         drive(tmp_path, scenario)
 
 

@@ -25,8 +25,7 @@ def spec(workload="montecarlo", **kw):
 
 class TestJobSpec:
     def test_round_trip(self):
-        original = spec(period=32, seed=7, timeout=10.0,
-                        meta={"trace_path": "/tmp/t"})
+        original = spec(period=32, seed=7, meta={"trace_path": "/tmp/t"})
         original.job_id = "j-1"
         restored = JobSpec.from_dict(original.to_dict())
         assert restored == original

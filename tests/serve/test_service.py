@@ -130,6 +130,41 @@ class TestDaemon:
             outcome = service.queue.outcome(submitted.job_id)
             assert outcome["result"]["total_samples"] > 0
 
+    def test_invalid_job_file_fails_without_stopping_the_daemon(
+            self, spool, store_path):
+        """A pending file of an unknown kind goes to failed/ with the
+        error; the valid job next to it still runs, and a daemon
+        started later over the same spool starts cleanly."""
+        good = submit(spool)
+        bad = dict(good.to_dict(), job_id="bad-1", kind="teleport",
+                   submitted_at=0.0)  # oldest, so it is claimed first
+        with open(os.path.join(spool, "pending", "bad-1.json"), "w") as fh:
+            json.dump(bad, fh)
+        settled = {"pending": 0, "running": 0, "done": 1, "failed": 1}
+        with ProfilingService(spool, store_path, jobs=1) as service:
+            assert service.drain() == 1
+            assert service.queue.counts() == settled
+            error = service.queue.outcome("bad-1")["error"]
+            assert "unknown job kind 'teleport'" in error
+            outcome = service.queue.outcome(good.job_id)
+            assert outcome["result"]["total_samples"] > 0
+        with ProfilingService(spool, store_path, jobs=1) as service:
+            assert service.queue.counts() == settled
+
+    def test_recover_fails_an_invalid_claim(self, spool, store_path):
+        """An invalid file already stranded in running/ does not stop
+        the daemon's startup recovery: it is moved to failed/."""
+        good = submit(spool)
+        queue = SpoolQueue(spool)
+        queue.claim()
+        data = queue._read(queue._path("running", good.job_id))
+        data.pop("kind")
+        queue._write(queue._path("running", good.job_id), data)
+        with ProfilingService(spool, store_path, jobs=1) as service:
+            assert service.queue.counts() == {
+                "pending": 0, "running": 0, "done": 0, "failed": 1}
+            assert "kind" in service.queue.outcome(good.job_id)["error"]
+
     def test_serve_forever_bounded_polls(self, spool, store_path):
         submit(spool)
         with ProfilingService(spool, store_path, jobs=1) as service:

@@ -193,14 +193,6 @@ class TestPointersAndBench:
         assert got.trace_path == "/tmp/run.trace"
         assert got.meta == {"job_id": "j-1"}
 
-    def test_bench_rows_round_trip(self, store):
-        store.put_bench("montecarlo", {"ips": 1000.0}, created_at=100.0)
-        store.put_bench("montecarlo", {"ips": 1100.0}, created_at=200.0)
-        store.put_bench("sunflow", {"ips": 900.0}, created_at=150.0)
-        rows = store.bench_history("montecarlo")
-        assert [r["payload"]["ips"] for r in rows] == [1100.0, 1000.0]
-        assert store.stats()["bench_rows"] == 3
-
     def test_reopen_persists(self, tmp_path):
         path = str(tmp_path / "store.sqlite")
         with ProfileStore(path) as store:

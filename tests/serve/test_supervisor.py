@@ -10,10 +10,13 @@ job counts tiny.
 import asyncio
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
+import threading
 import time
+from queue import Queue
 
 import pytest
 
@@ -224,6 +227,16 @@ def await_verdicts(host, port, job_ids, timeout=60.0):
     return asyncio.run(go())
 
 
+def repro_env():
+    """This environment with the repository's ``src`` on PYTHONPATH."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__)))), "src")
+    env["PYTHONPATH"] = (f"{src}{os.pathsep}" +
+                         env.get("PYTHONPATH", "")).rstrip(os.pathsep)
+    return env
+
+
 class TestEndToEndRestart:
     def test_killed_worker_restarts_without_losing_or_duplicating_jobs(
             self, tmp_path):
@@ -278,16 +291,10 @@ class TestEndToEndDrain:
             job_id="", kind="profile", workload=WORKLOAD, period=32,
             seed=8000 + i)).job_id for i in range(3)]
 
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__)))), "src")
-        env["PYTHONPATH"] = (f"{src}{os.pathsep}" +
-                             env.get("PYTHONPATH", "")).rstrip(
-                                 os.pathsep)
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "fleet", "--root", root,
              "--shards", "1", "--shard", "0", "--poll", "0.05"],
-            env=env, stdout=subprocess.PIPE,
+            env=repro_env(), stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT)
         try:
             # Let it claim work, then ask for a graceful stop.
@@ -314,3 +321,79 @@ class TestEndToEndDrain:
             for job_id in job_ids:
                 assert service.queue.outcome(job_id)["result"][
                     "total_samples"] > 0
+
+
+def child_argv(pid):
+    """A live process's argv, where the platform exposes it."""
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as fh:
+            return fh.read().decode().split("\0")
+    except OSError:
+        return None
+
+
+class TestCliProcessFleet:
+    def test_fleet_processes_round_trip(self, tmp_path):
+        """``repro fleet --processes`` end to end: the supervisor boots
+        a router-only front door and one shard worker, a job submitted
+        over HTTP finishes, and SIGTERM drains every child cleanly."""
+        lines = Queue()
+
+        def pump():
+            for line in proc.stdout:
+                lines.put(line)
+            lines.put(None)
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fleet", "--processes",
+             "--root", str(tmp_path / "fleet"), "--shards", "1",
+             "--port", "0", "--host", "127.0.0.1", "--poll", "0.05",
+             "--retention", "3600", "--stale-after", "60",
+             "--timeout", "60"],
+            env=repro_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True)
+        threading.Thread(target=pump, daemon=True).start()
+        out = []
+        try:
+            listening = None
+            while listening is None:
+                out.append(lines.get(timeout=60.0))
+                assert out[-1] is not None, "".join(out[:-1])
+                listening = re.search(
+                    r"listening on http://([\d.]+):(\d+) "
+                    r"\(front door pid (\d+)\)", out[-1])
+            host, port, front_pid = listening.groups()
+            port = int(port)
+            (job_id,) = submit_jobs(host, port, [
+                {"workload": WORKLOAD, "period": 32, "seed": 9100}])
+            verdict = await_verdicts(host, port, [job_id])[job_id]
+            assert verdict["state"] == "done", verdict
+            _s, stats, _h = asyncio.run(
+                http_request(host, port, "GET", "/fleet"))
+            front_argv = child_argv(front_pid)
+            shard_argv = child_argv(stats["shards"][0]["heartbeat"]["pid"])
+            if front_argv is not None:
+                assert "--front-only" in front_argv
+                assert front_argv[front_argv.index("--host") + 1] == \
+                    "127.0.0.1"
+                tail = shard_argv[shard_argv.index("--shard"):]
+                for flag, value in (("--timeout", "60.0"),
+                                    ("--retention", "3600.0")):
+                    assert tail[tail.index(flag) + 1] == value
+        finally:
+            # SIGTERM, also on failure, so the supervisor drains its
+            # children rather than orphaning them.
+            proc.send_signal(signal.SIGTERM)
+            try:
+                proc.wait(timeout=120.0)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+        for line in iter(lambda: lines.get(timeout=30.0), None):
+            out.append(line)
+        assert proc.returncode == 0, "".join(out)
+        final = [line for line in out
+                 if line.startswith("fleet supervisor stopped")]
+        children = json.loads(final[-1].split(": ", 1)[1])
+        assert {c["name"]: c["state"] for c in children} == {
+            "front-door": "stopped", "shard-00": "stopped"}

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -63,6 +65,42 @@ class TestAdvise:
         out = capsys.readouterr().out
         assert "improve-access-pattern" in out
 
+    def test_top_bounds_the_advice(self, capsys):
+        # objectlayout has five sites worth advice.
+        assert main(["advise", "objectlayout", "--period", "64",
+                     "--top", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("[hoist-allocation] Objectlayout.run:292")
+
+
+def ranked_sites(out):
+    """The ``#N object ...`` headline of each site in a text report."""
+    return [line for line in out.splitlines() if line.startswith("#")]
+
+
+class TestReportOptions:
+    def test_top_bounds_live_and_replayed_reports(self, capsys, tmp_path):
+        trace = str(tmp_path / "ol.trace.jsonl.gz")
+        assert main(["profile", "objectlayout", "--period", "64",
+                     "--trace", trace]) == 0
+        assert len(ranked_sites(capsys.readouterr().out)) == 5
+        assert main(["profile", "objectlayout", "--period", "64",
+                     "--top", "1"]) == 0
+        live = ranked_sites(capsys.readouterr().out)
+        assert main(["replay", trace, "--period", "64", "--top", "1"]) == 0
+        assert ranked_sites(capsys.readouterr().out) == live
+        assert len(live) == 1 and live[0].startswith("#1 ")
+
+    def test_threshold_zero_shows_sub_kib_objects(self, capsys):
+        # Each BoxedLong is 24 bytes: below the default S of 1024.
+        assert main(["profile", "boxed-counters", "--period", "64"]) == 0
+        assert "object BoxedLong" not in capsys.readouterr().out
+        assert main(["profile", "boxed-counters", "--period", "64",
+                     "--threshold", "0"]) == 0
+        assert ranked_sites(capsys.readouterr().out)[0].startswith(
+            "#1 object BoxedLong")
+
 
 class TestReplay:
     def test_profile_trace_then_replay(self, capsys, tmp_path):
@@ -120,12 +158,18 @@ class TestFamily:
 
 
 class TestSuite:
-    def test_suite_table(self, capsys):
+    def test_suite_table(self, capsys, tmp_path):
+        traces = str(tmp_path / "traces")
         assert main(["suite", "--suite", "specjvm", "--jobs", "1",
-                     "--period", "64"]) == 0
+                     "--period", "64", "--trace-dir", traces]) == 0
         out = capsys.readouterr().out
         assert "compress" in out
         assert "runtime" in out
+        assert f"observation traces written under {traces}" in out
+        assert main(["replay", str(tmp_path / "traces" /
+                                   "compress-baseline.trace.jsonl.gz"),
+                     "--period", "64"]) == 0
+        assert "DJXPerf object-centric profile" in capsys.readouterr().out
 
     def test_suite_parallel_jobs(self, capsys):
         assert main(["suite", "--suite", "specjvm", "--jobs", "2",
@@ -159,9 +203,22 @@ class TestBench:
         assert "prof" in capsys.readouterr().out
 
     def test_store_arm(self, capsys):
+        # The serve-load arm runs at its smallest size alongside.
         assert main(["bench", "--workloads", "crypto", "--repeat", "1",
-                     "--no-legacy", "--store-arm"]) == 0
-        assert "store" in capsys.readouterr().out
+                     "--no-legacy", "--store-arm", "--serve-load",
+                     "--clients", "1", "--serve-shards", "1",
+                     "--serve-requests", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "store" in out
+        assert "SERVE-LOAD" in out
+
+
+class TestFuzz:
+    def test_oracles_selects_a_subset(self, capsys):
+        assert main(["fuzz", "--iterations", "2",
+                     "--oracles", "engine"]) == 0
+        assert "2 programs, seed 0, oracles [engine]: OK" in \
+            capsys.readouterr().out
 
 
 class TestServe:
@@ -229,10 +286,28 @@ class TestServe:
         capsys.readouterr()
         assert main(["regress", "objectlayout", *store]) == 0
         assert "CLEAN" in capsys.readouterr().out
+        # The first record has no earlier one to compare against.
+        assert main(["regress", "objectlayout", "--candidate-id", "1",
+                     *store]) == 3
+        assert "NO-BASELINE" in capsys.readouterr().out
+        assert main(["history", "--limit", "1", "--json", *store]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [r["record_id"] for r in records] == [2]
+
+    def test_serve_timeout_fails_the_job(self, capsys, tmp_path):
+        # --timeout is enforced when jobs run in worker processes.
+        spool, store = self.serve_args(tmp_path)
+        assert main(["submit", "objectlayout", "--period", "32",
+                     *spool]) == 0
+        assert main(["serve", "--drain", "--jobs", "2", "--timeout", "0.01",
+                     *spool, *store]) == 1
+        assert "drained 0 job(s) (1 failed" in capsys.readouterr().out
+        from repro.serve.queue import SpoolQueue
+
+        (failed,) = SpoolQueue(spool[1]).outcomes()
+        assert failed["error"].startswith("timed out after 0.01s")
 
     def test_regress_json_output(self, capsys, tmp_path):
-        import json
-
         spool, store = self.serve_args(tmp_path)
         assert main(["submit", "objectlayout", "--period", "32",
                      *spool]) == 0
@@ -262,8 +337,6 @@ class TestOptimize:
         assert "identical observables" in out
 
     def test_json_verdict(self, capsys):
-        import json
-
         assert main(["optimize", "unsized-growth", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["status"] == "accepted"
@@ -315,3 +388,34 @@ class TestSubmitOptimize:
         from repro.serve.queue import SpoolQueue
 
         assert SpoolQueue(spool).pending_count() == 0
+
+
+class TestOptionCoverage:
+    def test_every_option_is_exercised(self):
+        """Every long option name of every subcommand appears in some
+        test or CI step, so no option survives that nothing runs."""
+        import argparse
+        import pathlib
+        import re
+
+        from repro.cli import build_parser
+
+        root = pathlib.Path(__file__).resolve().parents[1]
+        texts = [path.read_text() for path in (root / "tests").rglob("*.py")]
+        texts.append((root / ".github" / "workflows" / "ci.yml").read_text())
+        corpus = "\n".join(texts)
+
+        def options(parser, command):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        yield from options(sub, name)
+                for flag in action.option_strings:
+                    if flag.startswith("--") and flag != "--help":
+                        yield flag, command
+
+        unused = {}
+        for flag, command in options(build_parser(), "repro"):
+            if not re.search(re.escape(flag) + r"(?![\w-])", corpus):
+                unused.setdefault(flag, []).append(command)
+        assert not unused, f"options no test or CI step names: {unused}"
