@@ -74,8 +74,8 @@ from repro.workloads.suite import suite_names
 #: ``/4`` added the fused superinstruction arm and fusion counters;
 #: ``/5`` added the serve-load fleet arm (p50/p99 submit-to-verdict
 #: latency, dedupe hit rate, cross-shard reshard check);
-#: ``/6`` added the multi-process fleet-scaling arm (jobs/sec at 1 vs
-#: N supervised shard processes, warm compile-cache hit rate);
+#: ``/6`` added the fleet-scaling arm (jobs/sec at 1 vs N shards,
+#: warm compile-cache hit rate);
 #: ``/7`` added the profile-guided optimization arm (per-workload
 #: verdict, before/after simulated cycles, verified speedup);
 #: ``/8`` dropped the separate fused arm: ``fastpath`` times the
@@ -188,7 +188,7 @@ class BenchReport:
     report, and gated by the same ``--check``, as engine speedups.
     ``fleet_scaling`` (a :meth:`repro.serve.loadgen.
     FleetScalingResult.to_dict` payload) likewise carries the
-    multi-process jobs/sec scaling curve when ``--fleet-scaling`` ran.
+    fleet's jobs/sec scaling curve when ``--fleet-scaling`` ran.
     """
 
     rows: List[BenchRow]
@@ -733,18 +733,18 @@ def _check_serve_load(serve: Dict, base: Dict, tolerance: float,
 
 def _check_fleet_scaling(fleet: Dict, base: Dict,
                          tolerance: float) -> List[str]:
-    """Gate the multi-process scaling arm on transferable ratios.
+    """Gate the fleet scaling arm on transferable ratios.
 
     Absolute jobs/sec depends on the machine, but the *scaling ratio*
     (N-shard jobs/sec over 1-shard jobs/sec, both measured back-to-back
-    on the same machine) transfers: a code change that serialises the
-    shard workers — a shared lock, a front door that blocks on one
-    shard, supervision that thrashes restarts — drags the ratio toward
-    1.0 on any multi-core machine.  The floor is relative to the
-    *committed* ratio so a 1-core committing machine (ratio ~1.0)
-    still produces a meaningful gate on a multi-core checker.  The
-    warm compile-cache hit rate is deterministic for a fixed request
-    mix, so it gets the same relative floor.
+    on the same machine) transfers.  Both points run the in-process
+    fleet, whose shards simulate on threads, so a healthy ratio sits
+    near 1.0 on any core count; what drags it down is a front door or
+    router that serialises the fleet on one shard (a shared lock, a
+    request that blocks on one shard's daemon).  The floor is relative
+    to the *committed* ratio.  The warm compile-cache hit rate is
+    deterministic for a fixed request mix, so it gets the same
+    relative floor.
     """
     failures: List[str] = []
     measured = fleet.get("scaling_ratio")
@@ -831,7 +831,7 @@ def check_regression(report: BenchReport, baseline: Dict,
     the fleet arm's p99/p50 tail ratio (ceiling ``serve_tolerance``),
     dedupe hit rate (floor ``tolerance``), and the cross-shard reshard
     hit (see :func:`_check_serve_load`); a ``fleet_scaling`` section
-    gates the multi-process scaling ratio and warm compile-cache hit
+    gates the fleet scaling ratio and warm compile-cache hit
     rate (see :func:`_check_fleet_scaling`); an ``optimize`` section
     gates the profile-guided optimizer's verdicts and verified
     simulated-cycle speedups (see :func:`_check_optimize`).

@@ -44,8 +44,8 @@ Commands
     The sharded serving tier: N shard daemons (each its own spool +
     store) behind one asyncio HTTP front door, with the fleet-wide
     dedupe index and per-tenant fairness quotas; SIGINT/SIGTERM stops
-    it.  ``--processes`` runs the shards and the front door as
-    supervised OS processes.
+    it.  ``--jobs N`` runs each shard's simulations on N worker
+    processes, which is how the fleet uses more cores.
 ``submit``
     Drop a profile job (or, with ``--optimize``, an optimize job) into
     the spool for the daemon.
@@ -422,135 +422,12 @@ def cmd_serve(args) -> int:
 
 
 def cmd_fleet(args) -> int:
-    if args.shard is not None and args.front_only:
-        print("fleet: --shard and --front-only are mutually exclusive")
-        return 2
-    if args.processes:
-        return _fleet_supervisor(args)
-    if args.shard is not None:
-        return _fleet_worker(args)
-    if args.front_only:
-        return _fleet_front_door(args)
-    return _fleet_in_process(args)
+    """Shard daemons on threads behind the HTTP front door.
 
-
-def _fleet_worker(args) -> int:
-    """One shard's polling daemon in this process (``--shard K``).
-
-    Shares the fleet root's spool dirs, WAL stores, and fleet index
-    with its sibling worker processes; everything on disk is already
-    multi-process-safe (atomic renames, WAL, busy timeouts).
+    ``--jobs N`` gives every shard a pool of N worker processes, which
+    is how the fleet uses more than one core.  Exits 1 if a job failed
+    or a shard's daemon thread died while the fleet ran.
     """
-    import os
-
-    from repro.serve import (
-        FLEET_POLICY,
-        FleetIndex,
-        ProfilingService,
-        ShardRouter,
-    )
-
-    if not 0 <= args.shard < args.shards:
-        print(f"fleet: --shard {args.shard} out of range "
-              f"(0..{args.shards - 1})")
-        return 2
-    router = ShardRouter(args.root, args.shards)
-    with FleetIndex(router.index_path) as index:
-        service = ProfilingService(
-            router.spool_dir(args.shard), router.store_path(args.shard),
-            jobs=args.jobs, job_timeout=args.timeout,
-            fleet_index=index, shard_id=args.shard,
-            queue_policy=FLEET_POLICY, retention=args.retention)
-        with service:
-            print(f"fleet worker: shard {args.shard}/{args.shards} "
-                  f"under {args.root} (pid {os.getpid()}; "
-                  f"SIGINT/SIGTERM drains and exits)", flush=True)
-            service.serve_forever(poll_interval=args.poll,
-                                  install_signal_handlers=True)
-            print(f"shard {args.shard} stopped after "
-                  f"{service.completed} job(s) ({service.failed} "
-                  f"failed, {service.cached_hits} store hit(s), "
-                  f"{service.fleet_hits} fleet hit(s), warm "
-                  f"{service.warm_hits}/{service.warm_misses} "
-                  f"hit/miss)", flush=True)
-        return 0 if service.failed == 0 else 1
-
-
-def _fleet_front_door(args) -> int:
-    """Router-only HTTP process (``--front-only``).
-
-    Routes submissions into the shard spools and reads results from
-    the shard stores without running any worker — the shard daemons
-    are separate processes.  Publishes its bound address (port 0 is
-    resolved to an ephemeral port) to ``<root>/front-door.json``.
-    """
-    import asyncio
-    import signal
-
-    from repro.serve import FLEET_POLICY, Fleet, HttpFrontDoor
-    from repro.serve.supervisor import write_front_door_file
-
-    async def _run() -> int:
-        fleet = Fleet(args.root, shards=args.shards,
-                      queue_policy=FLEET_POLICY, workers="external")
-        door = HttpFrontDoor(fleet, host=args.host, port=args.port)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, OSError):
-                pass
-        with fleet:
-            await door.start()
-            write_front_door_file(args.root, door.host, door.port)
-            print(f"fleet front door: {args.shards} shard(s) under "
-                  f"{args.root}, listening on "
-                  f"http://{door.host}:{door.port} (router-only; "
-                  f"SIGINT/SIGTERM stops)", flush=True)
-            await stop.wait()
-            await door.stop()
-        print(f"front door stopped after {door.requests_served} "
-              f"request(s)", flush=True)
-        return 0
-
-    return asyncio.run(_run())
-
-
-def _fleet_supervisor(args) -> int:
-    """Supervised multi-process fleet (``--processes``)."""
-    import json
-
-    from repro.serve import FleetSupervisor
-    from repro.serve.supervisor import read_front_door_file
-
-    supervisor = FleetSupervisor(
-        args.root, shards=args.shards, host=args.host, port=args.port,
-        jobs=args.jobs, poll=args.poll, job_timeout=args.timeout,
-        retention=args.retention, stale_after=args.stale_after)
-    print(f"fleet supervisor: {args.shards} worker process(es) + "
-          f"front door under {args.root}", flush=True)
-
-    def _report_front() -> None:
-        info = supervisor.front_address(timeout=30.0)
-        if info is not None:
-            print(f"fleet: listening on http://{info['host']}:"
-                  f"{info['port']} (front door pid {info['pid']})",
-                  flush=True)
-
-    import threading
-    threading.Thread(target=_report_front, daemon=True).start()
-    code = supervisor.run()
-    info = read_front_door_file(args.root)
-    served = f" ({info['port']})" if info else ""
-    print(f"fleet supervisor stopped{served}: "
-          f"{json.dumps(supervisor.status()['children'], sort_keys=True)}",
-          flush=True)
-    return code
-
-
-def _fleet_in_process(args) -> int:
-    """Single-process fleet: shard daemons on threads (the default)."""
     import asyncio
     import signal
 
@@ -579,12 +456,16 @@ def _fleet_in_process(args) -> int:
             stats = fleet.stats()
         completed = sum(s["completed"] for s in stats["shards"])
         failed = sum(s["failed"] for s in stats["shards"])
+        dead = [s["shard"] for s in stats["shards"] if not s["alive"]]
         print(f"stopped after {door.requests_served} request(s): "
               f"{completed} job(s) done, {failed} failed, "
               f"dedupe {stats['dedupe']['hits']} hit(s) / "
               f"{stats['dedupe']['misses']} miss(es), "
               f"{stats['dedupe']['indexed']} key(s) indexed")
-        return 0 if failed == 0 else 1
+        if dead:
+            print(f"fleet: shard(s) {dead} stopped serving: their "
+                  f"daemon thread died", file=sys.stderr)
+        return 0 if failed == 0 and not dead else 1
 
     return asyncio.run(_run())
 
@@ -863,10 +744,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 1.0: fail only when the tail "
                               "more than doubles)")
     p_bench.add_argument("--fleet-scaling", action="store_true",
-                         help="run the multi-process fleet scaling arm: "
-                              "boot supervised 1-shard and N-shard "
-                              "fleets (real OS processes, real "
-                              "sockets), measure the jobs/sec scaling "
+                         help="run the fleet scaling arm: drive "
+                              "1-shard and N-shard fleets over real "
+                              "sockets, measure the jobs/sec scaling "
                               "ratio and warm compile-cache hit rate")
     p_bench.add_argument("--fleet-shards", type=int, default=4,
                          help="largest fleet size for --fleet-scaling "
@@ -940,7 +820,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="front-door port (default 8750; 0 picks "
                               "an ephemeral port)")
     p_fleet.add_argument("--jobs", type=int, default=1,
-                         help="worker processes per shard (default 1)")
+                         help="worker processes per shard (default 1 "
+                              "= simulate on the shard's thread; more "
+                              "processes use more cores)")
     p_fleet.add_argument("--poll", type=float, default=0.5,
                          help="seconds between idle spool polls per "
                               "shard, before backoff (default 0.5)")
@@ -949,31 +831,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 300); enforced only when "
                               "--jobs > 1 — serial jobs run in-process "
                               "and cannot be killed")
-    p_fleet.add_argument("--shard", type=int, default=None,
-                         help="run ONLY shard K's polling daemon in "
-                              "this process (a multi-process fleet "
-                              "worker; no HTTP)")
-    p_fleet.add_argument("--front-only", action="store_true",
-                         help="run ONLY the router/HTTP front door in "
-                              "this process (shard workers run "
-                              "elsewhere); publishes the bound "
-                              "address to <root>/front-door.json")
-    p_fleet.add_argument("--processes", action="store_true",
-                         help="supervise a multi-process fleet: spawn "
-                              "one --shard worker process per shard "
-                              "plus a --front-only process, restart "
-                              "crashes with backoff, drain on "
-                              "SIGTERM/SIGINT")
     p_fleet.add_argument("--retention", type=float, default=86400.0,
                          help="seconds done/failed job files are kept "
                               "before the idle-tick sweep removes "
                               "them (default 86400; <= 0 keeps "
                               "forever)")
-    p_fleet.add_argument("--stale-after", type=float, default=120.0,
-                         help="supervisor kills a worker whose "
-                              "heartbeat is older than this many "
-                              "seconds (default 120; --processes "
-                              "only)")
     p_fleet.set_defaults(fn=cmd_fleet)
 
     p_submit = sub.add_parser(

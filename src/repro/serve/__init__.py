@@ -26,7 +26,7 @@ one-shot CLI profiler into a service:
 :mod:`repro.serve.router`
     The fleet tier: stable shard placement over N shard directories,
     the fleet-wide ``(program-hash, config-hash, seed)`` dedupe index,
-    and the in-process :class:`~repro.serve.router.Fleet` assembly.
+    and the :class:`~repro.serve.router.Fleet` assembly.
 :mod:`repro.serve.http`
     Asyncio HTTP front door: submit / status / history / regress /
     fleet endpoints over stdlib streams, with 429 + ``Retry-After``
@@ -34,13 +34,12 @@ one-shot CLI profiler into a service:
 :mod:`repro.serve.loadgen`
     Load generator behind ``bench --serve-load``: K concurrent HTTP
     clients, p50/p99 submit-to-verdict latency, dedupe hit rate, and
-    the reshard cross-shard dedupe check — plus the multi-process
-    fleet scaling harness behind ``bench --fleet-scaling``.
-:mod:`repro.serve.supervisor`
-    Multi-process fleet supervision: spawns shard workers and a
-    router-only front door as OS processes, watches heartbeats,
-    restarts crashes with backoff + a circuit breaker, drains on
-    SIGTERM.
+    the reshard cross-shard dedupe check — plus the jobs/sec scaling
+    curve behind ``bench --fleet-scaling``.
+
+There is one serving topology: the in-process fleet, with shard
+polling on threads and simulations on :mod:`repro.serve.workers`
+processes when a shard has ``jobs > 1``.
 """
 
 from repro.serve.queue import (
@@ -75,7 +74,6 @@ from repro.serve.loadgen import (
     run_fleet_scaling,
     run_serve_load,
 )
-from repro.serve.supervisor import FleetSupervisor
 
 __all__ = [
     "FLEET_POLICY",
@@ -84,7 +82,6 @@ __all__ = [
     "FleetIndex",
     "FleetScalingPoint",
     "FleetScalingResult",
-    "FleetSupervisor",
     "HttpFrontDoor",
     "JobSpec",
     "QuotaExceeded",

@@ -29,6 +29,7 @@ they are what the CI gate compares against the committed baseline.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import math
 import os
 import tempfile
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.serve.http import HttpFrontDoor, http_request
-from repro.serve.queue import FairnessPolicy
+from repro.serve.queue import FLEET_POLICY, FairnessPolicy
 from repro.serve.router import Fleet, shard_for
 
 #: Seed shared by every duplicate submission of a workload — the key
@@ -163,6 +164,41 @@ class _Client:
                 self.failed += 1
 
 
+@contextlib.asynccontextmanager
+async def _serving(root: str, shards: int,
+                   policy: Optional[FairnessPolicy] = None):
+    """An in-process fleet behind a started front door (not polling).
+
+    Every phase of both benches runs the same topology ``repro fleet``
+    serves: shard daemons on threads, simulating in-process (``jobs=1``).
+    """
+    fleet = Fleet(root, shards=shards, jobs=1, queue_policy=policy)
+    door = HttpFrontDoor(fleet)
+    try:
+        await door.start()
+        yield fleet, door
+    finally:
+        await door.stop()
+        fleet.close()
+
+
+async def _run_clients(runners: Sequence[_Client],
+                       batches: Sequence[List[dict]]) -> float:
+    """Run every client over its batch concurrently; wall seconds."""
+    started = time.perf_counter()
+    await asyncio.gather(*(runner.run(batch) for runner, batch
+                           in zip(runners, batches)))
+    return time.perf_counter() - started
+
+
+def _per_shard(results: Sequence[dict]) -> Dict[int, int]:
+    per_shard: Dict[int, int] = {}
+    for r in results:
+        if "shard" in r:
+            per_shard[r["shard"]] = per_shard.get(r["shard"], 0) + 1
+    return per_shard
+
+
 def _client_jobs(client: int, requests: int, workloads: Sequence[str],
                  duplicate_fraction: float, tenant: str,
                  period: int) -> List[dict]:
@@ -186,13 +222,9 @@ async def _drive(root: str, clients: int, shards: int,
                  duplicate_fraction: float, tenants: int,
                  period: int, poll_interval: float,
                  policy: FairnessPolicy) -> ServeLoadResult:
-    fleet = Fleet(root, shards=shards, jobs=1, queue_policy=policy)
-    door = HttpFrontDoor(fleet)
     burst_ids: List[str] = []
     burst_throttled = 0
-    try:
-        await door.start()
-
+    async with _serving(root, shards, policy) as (fleet, door):
         # -- backpressure phase (daemons not yet polling, so the
         # pending quota fills deterministically) ------------------------
         quota = policy.max_pending_per_tenant or 0
@@ -225,40 +257,35 @@ async def _drive(root: str, clients: int, shards: int,
                     poll_interval=poll_interval)
             for c in range(clients)
         ]
-        started = time.perf_counter()
-        await asyncio.gather(*(
-            runner.run(_client_jobs(runner.index, requests_per_client,
-                                    workloads, duplicate_fraction,
-                                    runner.tenant, period))
-            for runner in runners))
-        elapsed = time.perf_counter() - started
+        elapsed = await _run_clients(runners, [
+            _client_jobs(runner.index, requests_per_client, workloads,
+                         duplicate_fraction, runner.tenant, period)
+            for runner in runners])
 
-        # The burst jobs drain too — wait so final stats are settled.
+        # The burst jobs count like any other: each ends done or
+        # failed, and one still unfinished at the deadline is failed.
+        burst: List[dict] = []
+        deadline = time.monotonic() + 60.0
         for job_id in burst_ids:
-            deadline = time.monotonic() + 60.0
+            final = {"state": "failed"}
             while time.monotonic() < deadline:
                 status, data, _h = await http_request(
                     door.host, door.port, "GET", f"/status/{job_id}")
                 if status == 200 and data["state"] in ("done", "failed"):
+                    final = data
                     break
                 await asyncio.sleep(poll_interval)
-
-        _status, stats, _h = await http_request(
-            door.host, door.port, "GET", "/fleet")
-    finally:
-        await door.stop()
-        fleet.close()
+            burst.append(final)
 
     latencies = [lat for runner in runners for lat in runner.latencies]
     results = [res for runner in runners for res in runner.results]
-    ok = [r for r in results if r["state"] == "done"]
+    every = results + burst
+    ok = [r for r in every if r["state"] == "done"]
+    client_ok = sum(1 for r in results if r["state"] == "done")
     dedupe_hits = sum(
         1 for r in ok if r["job"].get("result", {}).get("cached"))
     fleet_hits = sum(
         1 for r in ok if r["job"].get("result", {}).get("fleet"))
-    per_shard: Dict[int, int] = {}
-    for r in results:
-        per_shard[r["shard"]] = per_shard.get(r["shard"], 0) + 1
     throttled = burst_throttled + sum(r.throttled for r in runners)
 
     cross = await _cross_shard_phase(root, shards, workloads[0], period,
@@ -269,17 +296,17 @@ async def _drive(root: str, clients: int, shards: int,
         clients=clients, shards=shards,
         requests_per_client=requests_per_client,
         workloads=tuple(workloads),
-        jobs_total=len(results) + len(burst_ids),
-        jobs_ok=len(ok), jobs_failed=len(results) - len(ok),
+        jobs_total=len(every),
+        jobs_ok=len(ok), jobs_failed=len(every) - len(ok),
         dedupe_hits=dedupe_hits, fleet_hits=fleet_hits,
         throttled=throttled,
         p50_ms=percentile(latencies_ms, 0.50),
         p99_ms=percentile(latencies_ms, 0.99),
         mean_ms=sum(latencies_ms) / len(latencies_ms),
         max_ms=max(latencies_ms),
-        jobs_per_sec=len(ok) / elapsed if elapsed > 0 else 0.0,
+        jobs_per_sec=client_ok / elapsed if elapsed > 0 else 0.0,
         elapsed_seconds=elapsed,
-        per_shard_jobs=per_shard,
+        per_shard_jobs=_per_shard(every),
         cross_shard=cross)
 
 
@@ -302,10 +329,7 @@ async def _cross_shard_phase(root: str, shards: int, workload: str,
     while shard_for(workload, program_hash, new_shards) == origin:
         new_shards += 1
 
-    fleet = Fleet(root, shards=new_shards, jobs=1)
-    door = HttpFrontDoor(fleet)
-    try:
-        await door.start()
+    async with _serving(root, new_shards) as (fleet, door):
         fleet.start(poll_interval=poll_interval)
         _status, accepted, _h = await http_request(
             door.host, door.port, "POST", "/submit",
@@ -321,9 +345,6 @@ async def _cross_shard_phase(root: str, shards: int, workload: str,
             await asyncio.sleep(poll_interval)
         result = data["job"].get("result", {})
         simulated = fleet.services[serving_shard].pool.stats["tasks"]
-    finally:
-        await door.stop()
-        fleet.close()
     return {
         "reshard_to": new_shards,
         "origin_shard": result.get("origin_shard"),
@@ -375,14 +396,13 @@ def run_serve_load(clients: int = 8, shards: int = 2,
 
 
 # ----------------------------------------------------------------------
-# Multi-process fleet scaling (the ``bench --fleet-scaling`` arm)
+# Fleet scaling (the ``bench --fleet-scaling`` arm)
 # ----------------------------------------------------------------------
 
 #: Default workload mix for the scaling curve: enough distinct
 #: programs that ``sha256(workload ++ program_hash) mod N`` populates
 #: every shard of a 4-shard fleet, engine-bound so jobs/sec measures
-#: simulation (parallelisable across worker processes), repeated so
-#: the warm compile cache inside each worker gets exercised.
+#: simulation, repeated so the warm compile cache gets exercised.
 FLEET_SCALING_WORKLOADS = ("kernel-arith", "kernel-array",
                            "kernel-field", "kernel-mixed",
                            "objectlayout", "mnemonics",
@@ -391,15 +411,15 @@ FLEET_SCALING_WORKLOADS = ("kernel-arith", "kernel-array",
 
 @dataclass(frozen=True)
 class FleetScalingPoint:
-    """Throughput of one supervised multi-process fleet size."""
+    """Throughput of one fleet size."""
 
     shards: int
     jobs_ok: int
     jobs_failed: int
     elapsed_seconds: float
     jobs_per_sec: float
-    #: Fused-codegen warm-cache totals summed over the worker
-    #: processes (from their heartbeats via ``GET /fleet``).
+    #: Fused-codegen warm-cache totals of this point's jobs (the
+    #: process-wide cache, emptied before the point starts).
     warm_hits: int
     warm_misses: int
     per_shard_jobs: Dict[int, int] = field(default_factory=dict)
@@ -468,41 +488,38 @@ class FleetScalingResult:
         }
 
 
-async def _drive_fleet_point(host: str, port: int, clients: int,
-                             jobs: List[dict], poll_interval: float,
-                             shards: int) -> FleetScalingPoint:
-    """Drive one supervised fleet over real sockets; measure jobs/sec."""
-    runners = [_Client(c, host, port, tenant="scale",
-                       poll_interval=poll_interval)
-               for c in range(min(clients, len(jobs)))]
-    assignments: List[List[dict]] = [[] for _ in runners]
-    for i, payload in enumerate(jobs):
-        assignments[i % len(runners)].append(payload)
-    started = time.perf_counter()
-    await asyncio.gather(*(runner.run(batch) for runner, batch
-                           in zip(runners, assignments)))
-    elapsed = time.perf_counter() - started
+async def _drive_fleet_point(root: str, shards: int, clients: int,
+                             jobs: List[dict], poll_interval: float
+                             ) -> FleetScalingPoint:
+    """Drive one fleet size over real sockets; measure jobs/sec."""
+    from repro.jvm.dispatch import reset_warm_cache, warm_cache_stats
 
-    # Worker heartbeats trail job completion by up to one poll; let
-    # them settle before reading the fleet-wide warm counters.
-    await asyncio.sleep(max(0.2, poll_interval * 4))
-    _status, stats, _h = await http_request(host, port, "GET", "/fleet")
+    # Shards simulate in this process, so the codegen cache is shared
+    # across points: empty it, or a later point starts warm.
+    reset_warm_cache()
+    async with _serving(root, shards, FLEET_POLICY) as (fleet, door):
+        fleet.start(poll_interval=poll_interval,
+                    max_backoff=poll_interval * 4)
+        runners = [_Client(c, door.host, door.port, tenant="scale",
+                           poll_interval=poll_interval)
+                   for c in range(min(clients, len(jobs)))]
+        batches: List[List[dict]] = [[] for _ in runners]
+        for i, payload in enumerate(jobs):
+            batches[i % len(runners)].append(payload)
+        elapsed = await _run_clients(runners, batches)
+    warm = warm_cache_stats()
 
     results = [res for runner in runners for res in runner.results]
-    ok = [r for r in results if r["state"] == "done"]
-    per_shard: Dict[int, int] = {}
-    for r in results:
-        per_shard[r["shard"]] = per_shard.get(r["shard"], 0) + 1
-    warm = stats.get("warm") or {}
+    ok = sum(1 for r in results if r["state"] == "done")
     return FleetScalingPoint(
         shards=shards,
-        jobs_ok=len(ok),
-        jobs_failed=len(results) - len(ok),
+        jobs_ok=ok,
+        jobs_failed=len(results) - ok,
         elapsed_seconds=elapsed,
-        jobs_per_sec=len(ok) / elapsed if elapsed > 0 else 0.0,
-        warm_hits=int(warm.get("hits", 0)),
-        warm_misses=int(warm.get("misses", 0)),
-        per_shard_jobs=per_shard)
+        jobs_per_sec=ok / elapsed if elapsed > 0 else 0.0,
+        warm_hits=warm["hits"],
+        warm_misses=warm["misses"],
+        per_shard_jobs=_per_shard(results))
 
 
 def run_fleet_scaling(shards: Sequence[int] = (1, 4),
@@ -512,25 +529,22 @@ def run_fleet_scaling(shards: Sequence[int] = (1, 4),
                       FLEET_SCALING_WORKLOADS,
                       period: int = 32,
                       poll_interval: float = 0.05,
-                      root: Optional[str] = None,
-                      python: Optional[str] = None
+                      root: Optional[str] = None
                       ) -> FleetScalingResult:
-    """Measure the multi-process fleet's jobs/sec scaling curve.
+    """Measure the fleet's jobs/sec scaling curve.
 
-    Unlike :func:`run_serve_load` (threads in this process), every
-    point here boots a **real multi-process fleet** under a
-    :class:`~repro.serve.supervisor.FleetSupervisor` — N shard worker
-    processes plus a router-only front door — over a fresh root, then
-    drives the same ``requests``-job mix through real sockets.  Seeds
-    are unique per point so every job simulates (no dedupe shortcut);
-    workloads repeat so each worker's warm compile cache is exercised
-    and its hit rate lands in the point.  The headline numbers are the
-    ``scaling_ratio`` (largest-N jobs/sec over 1-shard jobs/sec —
-    bounded by the machine's cores, near 1.0 on a 1-core box) and the
-    ``warm_hit_rate`` at the largest size.
+    Every point is a fresh :class:`~repro.serve.router.Fleet` of N
+    shards over its own root, behind the HTTP front door, driven by the
+    same ``requests``-job mix through real sockets — the topology
+    :func:`run_serve_load` drives.  Seeds are unique per point so every
+    job simulates (no dedupe shortcut); workloads repeat so the warm
+    compile cache is exercised and its hit rate lands in the point.
+    The headline numbers are the ``scaling_ratio`` (largest-N jobs/sec
+    over 1-shard jobs/sec) and the ``warm_hit_rate`` at the largest
+    size.  Shards simulate on their own threads, so the ratio stays
+    near 1.0 whatever the core count; what it catches is a front door
+    or router that serialises the fleet on one shard.
     """
-    from repro.serve.supervisor import FleetSupervisor
-
     if requests < 1:
         raise ValueError("requests must be >= 1")
     sizes = sorted(set(int(n) for n in shards))
@@ -542,26 +556,13 @@ def run_fleet_scaling(shards: Sequence[int] = (1, 4),
     def measure(base_root: str) -> FleetScalingResult:
         points: List[FleetScalingPoint] = []
         for idx, size in enumerate(sizes):
-            run_root = os.path.join(base_root, f"fleet-{size:02d}")
             jobs = [{"workload": workloads[i % len(workloads)],
                      "period": period,
                      "seed": 500_000 * (idx + 1) + i}
                     for i in range(requests)]
-            supervisor = FleetSupervisor(run_root, shards=size, port=0,
-                                         poll=poll_interval,
-                                         python=python)
-            supervisor.start()
-            try:
-                info = supervisor.front_address(timeout=60.0)
-                if info is None:
-                    raise RuntimeError(
-                        f"{size}-shard fleet front door failed to "
-                        f"start (see {run_root}/logs)")
-                points.append(asyncio.run(_drive_fleet_point(
-                    str(info["host"]), int(info["port"]), clients,
-                    jobs, poll_interval, size)))
-            finally:
-                supervisor.shutdown(grace=60.0)
+            points.append(asyncio.run(_drive_fleet_point(
+                os.path.join(base_root, f"fleet-{size:02d}"), size,
+                clients, jobs, poll_interval)))
         return FleetScalingResult(requests=requests, clients=clients,
                                   workloads=tuple(workloads),
                                   points=tuple(points))

@@ -184,18 +184,23 @@ class SpoolQueue:
         """(filename, job-dict) for every job file in ``state``.
 
         Files that vanish mid-scan (lost races with another daemon) are
-        skipped, as are files that are not yet fully-written JSON.
+        skipped, as are files that are not yet fully-written JSON.  A
+        pending file whose JSON is not an object is moved to
+        ``failed/`` (see :meth:`_reject_pending`).
         """
         entries: List[Tuple[str, dict]] = []
         for name in sorted(os.listdir(self._dir(state))):
             if not name.endswith(".json"):
                 continue
             try:
-                entries.append(
-                    (name, self._read(os.path.join(self._dir(state),
-                                                   name))))
+                data = self._read(os.path.join(self._dir(state), name))
             except (FileNotFoundError, json.JSONDecodeError):
                 continue
+            if isinstance(data, dict):
+                entries.append((name, data))
+            elif state == "pending":
+                self._reject_pending(
+                    name, data, TypeError("not a JSON object"))
         return entries
 
     def tenants_inflight(self) -> Dict[str, int]:
@@ -250,17 +255,22 @@ class SpoolQueue:
         claimable (empty queue, or every pending tenant throttled).  A
         lost race with another daemon (rename fails because the file is
         gone) just tries the next candidate, and so does a claimed file
-        that is not a valid job (see :meth:`_reject`).
+        that is not a valid job (see :meth:`_reject`), and a pending
+        file whose priority, timestamp or tenant cannot be ordered is
+        failed before any claim (see :meth:`_reject_pending`).
         """
         pending = self._scan("pending")
         if not pending:
             return None
         by_tenant: Dict[str, List[Tuple[int, float, str]]] = {}
         for name, data in pending:
-            tenant = data.get("tenant", "default")
-            by_tenant.setdefault(tenant, []).append(
-                (-int(data.get("priority", 0)),
-                 float(data.get("submitted_at", 0.0)), name))
+            try:
+                tenant = data.get("tenant", "default")
+                by_tenant.setdefault(tenant, []).append(
+                    (-int(data.get("priority", 0)),
+                     float(data.get("submitted_at", 0.0)), name))
+            except (TypeError, ValueError) as exc:
+                self._reject_pending(name, data, exc)
         for jobs in by_tenant.values():
             jobs.sort()
 
@@ -379,11 +389,24 @@ class SpoolQueue:
         that claimed it and, through :meth:`recover`, every daemon
         started over the spool after it.
         """
-        record = dict(data)
+        record = dict(data) if isinstance(data, dict) else {"job": data}
         record["error"] = f"invalid job file: {exc}"
         record["finished_at"] = time.time()
         self._write(os.path.join(self._dir("failed"), name), record)
         self._remove("running", name[:-len(".json")])
+
+    def _reject_pending(self, name: str, data, exc: Exception) -> None:
+        """pending → failed for a file the claim order cannot rank.
+
+        Claimed first, so of several daemons sharing the spool exactly
+        one rejects it; a lost race means another already has.
+        """
+        try:
+            os.rename(os.path.join(self._dir("pending"), name),
+                      os.path.join(self._dir("running"), name))
+        except OSError:
+            return
+        self._reject(name, data, exc)
 
     def _remove(self, state: str, job_id: str) -> None:
         try:

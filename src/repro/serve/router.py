@@ -22,9 +22,13 @@ fleet tier runs N of them side by side:
     reshard — is served from the store with zero simulator work.
 
 :class:`Fleet`
-    The in-process assembly: router + index + one service per shard
-    (each polling its spool on its own thread), plus the merged
-    status/history/regress views the HTTP front door serves.
+    The assembly: router + index + one service per shard (each
+    polling its spool on its own thread, simulating in-process or on
+    its own :class:`~repro.serve.workers.WorkerPool` processes when
+    ``jobs > 1``), plus the merged status/history/regress views the
+    HTTP front door serves.  It is the only serving topology: threads
+    keep the routing, polling and store bookkeeping in one process, and
+    the pool processes take the simulations off the GIL.
 
 Resharding is the reason the index earns its keep: growing a fleet
 from N to N+1 shards remaps most keys, so a naively-sharded fleet
@@ -35,7 +39,6 @@ new home shard finds the old shard's record and serves it from disk.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import sqlite3
 import threading
@@ -43,8 +46,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.serve.queue import FairnessPolicy, JobSpec, SpoolQueue
-from repro.serve.service import STATUS_FILE, ProfilingService
+from repro.serve.queue import FairnessPolicy, JobSpec
+from repro.serve.service import ProfilingService
 from repro.serve.store import (
     ProfileKey,
     ProfileRecord,
@@ -225,40 +228,18 @@ class Fleet:
                  jobs: Optional[int] = 1,
                  job_timeout: Optional[float] = None,
                  queue_policy: Optional[FairnessPolicy] = None,
-                 workers: str = "threads",
                  retention: Optional[float] = None) -> None:
-        if workers not in ("threads", "external"):
-            raise ValueError(f"workers must be 'threads' or 'external', "
-                             f"got {workers!r}")
-        self.workers = workers
         self.router = ShardRouter(root, shards)
         self.index = FleetIndex(self.router.index_path)
-        if workers == "threads":
-            self.services: List[ProfilingService] = [
-                ProfilingService(self.router.spool_dir(shard),
-                                 self.router.store_path(shard),
-                                 jobs=jobs, job_timeout=job_timeout,
-                                 fleet_index=self.index, shard_id=shard,
-                                 queue_policy=queue_policy,
-                                 retention=retention)
-                for shard in range(shards)
-            ]
-            self._queues: List[SpoolQueue] = [
-                service.queue for service in self.services]
-        else:
-            # Router-only assembly for a multi-process fleet: shard
-            # daemons run in their own OS processes (`repro fleet
-            # --shard K`), so this process must NOT construct
-            # ProfilingServices — their startup `recover()` would
-            # steal running/ claims owned by live workers.  Bare
-            # queues give submit/status, WAL stores give reads, and
-            # per-shard heartbeats give health.
-            self.services = []
-            self._queues = [
-                SpoolQueue(self.router.spool_dir(shard),
-                           policy=queue_policy)
-                for shard in range(shards)
-            ]
+        self.services: List[ProfilingService] = [
+            ProfilingService(self.router.spool_dir(shard),
+                             self.router.store_path(shard),
+                             jobs=jobs, job_timeout=job_timeout,
+                             fleet_index=self.index, shard_id=shard,
+                             queue_policy=queue_policy,
+                             retention=retention)
+            for shard in range(shards)
+        ]
         self._front_stores: List[ProfileStore] = [
             ProfileStore(self.router.store_path(shard))
             for shard in range(shards)
@@ -270,8 +251,8 @@ class Fleet:
     # -- lifecycle ------------------------------------------------------
     def start(self, poll_interval: float = 0.05,
               max_backoff: Optional[float] = None) -> None:
-        """Spawn one daemon thread per shard (no-op router-only)."""
-        if self._started or not self.services:
+        """Spawn one daemon thread per shard."""
+        if self._started:
             return
         self._started = True
         for service in self.services:
@@ -335,7 +316,7 @@ class Fleet:
         """
         _program_hash, shard = self._route_key(spec.workload, spec.variant)
         spec.meta["shard"] = shard
-        return self._queues[shard].submit(spec), shard
+        return self.services[shard].queue.submit(spec), shard
 
     # -- merged views ---------------------------------------------------
     def status(self, job_id: str) -> Optional[dict]:
@@ -347,7 +328,8 @@ class Fleet:
         into a state read later, so a file that vanishes is skipped
         rather than served as an error or a spurious miss.
         """
-        for shard, queue in enumerate(self._queues):
+        for shard, service in enumerate(self.services):
+            queue = service.queue
             for state in ("pending", "running", "done", "failed"):
                 try:
                     job = queue._read(queue._path(state, job_id))
@@ -422,79 +404,36 @@ class Fleet:
         merged.sort(key=lambda r: (r["created_at"], r["id"]), reverse=True)
         return merged[:limit]
 
-    def _shard_heartbeat(self, shard: int) -> Optional[dict]:
-        """The last heartbeat line a shard's daemon process wrote."""
-        path = os.path.join(self.router.spool_dir(shard), STATUS_FILE)
-        try:
-            with open(path, "rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                fh.seek(max(0, fh.tell() - 8192))
-                tail = fh.read().decode("utf-8", "replace").splitlines()
-        except OSError:
-            return None
-        for line in reversed(tail):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                return json.loads(line)
-            except json.JSONDecodeError:
-                continue
-        return None
-
     def stats(self) -> dict:
         """Fleet-wide health: per-shard queues, dedupe counters, stores.
 
-        With in-process workers the counters come straight off the
-        service objects; router-only they come from each worker
-        process's last heartbeat line (slightly stale, never blocking).
+        ``alive`` is whether the shard's daemon thread is running: a
+        shard whose serve loop raised keeps its spool and store, and
+        the front door keeps routing to it, but nothing claims its
+        jobs until the fleet restarts.
         """
         shards = []
-        dedupe_hits = dedupe_misses = 0
-        warm_hits = warm_misses = 0
-        for shard in range(self.router.shards):
-            if self.services:
-                service = self.services[shard]
-                entry = {
-                    "shard": shard,
-                    "queue": service.queue.counts(),
-                    "completed": service.completed,
-                    "failed": service.failed,
-                    "cached_hits": service.cached_hits,
-                    "fleet_hits": service.fleet_hits,
-                    "fleet_misses": service.fleet_misses,
-                    "warm": {"hits": service.warm_hits,
-                             "misses": service.warm_misses},
-                }
-            else:
-                beat = self._shard_heartbeat(shard) or {}
-                fleet_beat = beat.get("fleet") or {}
-                entry = {
-                    "shard": shard,
-                    "queue": self._queues[shard].counts(),
-                    "completed": int(beat.get("completed", 0)),
-                    "failed": int(beat.get("failed", 0)),
-                    "cached_hits": int(beat.get("cached_hits", 0)),
-                    "fleet_hits": int(fleet_beat.get("dedupe_hits", 0)),
-                    "fleet_misses": int(
-                        fleet_beat.get("dedupe_misses", 0)),
-                    "warm": dict(beat.get("warm")
-                                 or {"hits": 0, "misses": 0}),
-                    "heartbeat": {"ts": beat.get("ts"),
-                                  "pid": beat.get("pid"),
-                                  "state": beat.get("state")},
-                }
-            entry["store"] = self._front_stores[shard].stats()
-            dedupe_hits += entry["fleet_hits"]
-            dedupe_misses += entry["fleet_misses"]
-            warm_hits += int(entry["warm"].get("hits", 0))
-            warm_misses += int(entry["warm"].get("misses", 0))
-            shards.append(entry)
+        for shard, service in enumerate(self.services):
+            shards.append({
+                "shard": shard,
+                "alive": bool(self._threads)
+                         and self._threads[shard].is_alive(),
+                "queue": service.queue.counts(),
+                "completed": service.completed,
+                "failed": service.failed,
+                "cached_hits": service.cached_hits,
+                "fleet_hits": service.fleet_hits,
+                "fleet_misses": service.fleet_misses,
+                "warm": {"hits": service.warm_hits,
+                         "misses": service.warm_misses},
+                "store": self._front_stores[shard].stats(),
+            })
         return {
             "shards": shards,
             "shard_count": self.router.shards,
-            "workers": self.workers,
-            "dedupe": {"hits": dedupe_hits, "misses": dedupe_misses,
+            "dedupe": {"hits": sum(s["fleet_hits"] for s in shards),
+                       "misses": sum(s["fleet_misses"] for s in shards),
                        "indexed": self.index.count()},
-            "warm": {"hits": warm_hits, "misses": warm_misses},
+            "warm": {"hits": sum(s["warm"]["hits"] for s in shards),
+                     "misses": sum(s["warm"]["misses"] for s in shards)},
         }

@@ -356,8 +356,8 @@ class ProfilingService:
             else:
                 # Idle polls double as housekeeping: sweep aged outcome
                 # files so long-running fleets don't grow the spool
-                # without bound, and heartbeat so a supervisor can
-                # tell an idle worker from a hung one (run_once only
+                # without bound, and heartbeat so an operator can tell
+                # an idle daemon from a hung one (run_once only
                 # heartbeats when it claimed work).
                 self.swept += self.queue.sweep(self.retention)
                 self._heartbeat("idle", extra={"idle_delay": delay})
@@ -399,8 +399,7 @@ class ProfilingService:
 
         ``serve_forever`` appends a line per poll forever; one rolled
         generation bounds disk use at ~2x the cap while keeping recent
-        history for operators (the supervisor only reads the live
-        file's tail, so a roll between its polls is harmless).
+        history for operators.
         """
         try:
             if os.path.getsize(self.heartbeat_path) < \

@@ -284,3 +284,40 @@ class TestPooledFleet:
             writer.close()
             assert response.startswith(b"HTTP/1.1 200 ")
         drive(tmp_path, scenario, shards=1, jobs=2)
+
+
+class TestShardLiveness:
+    # The shard thread dying is the point of the test.
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_dead_shard_is_not_alive_and_the_other_serves(
+            self, tmp_path, monkeypatch):
+        """A shard whose serve loop raised shows ``alive: false`` in
+        ``/fleet``; the other shard's thread keeps running jobs."""
+        async def scenario(fleet, door):
+            _hash, home = fleet._route_key(WORKLOAD, "baseline")
+            dead = 1 - home
+
+            def broken(*_args, **_kwargs):
+                raise RuntimeError("shard daemon crashed")
+
+            monkeypatch.setattr(fleet.services[dead], "run_once", broken)
+            fleet.start(poll_interval=0.01)
+            _s, accepted, _h = await http_request(
+                door.host, door.port, "POST", "/submit",
+                submit_payload(seed=21))
+            assert accepted["shard"] == home
+            for _ in range(3000):
+                status, data, _h = await http_request(
+                    door.host, door.port, "GET",
+                    f"/status/{accepted['job_id']}")
+                if data["state"] == "done":
+                    break
+                await asyncio.sleep(0.02)
+            assert data["state"] == "done", data
+            status, stats, _h = await http_request(
+                door.host, door.port, "GET", "/fleet")
+            assert status == 200
+            alive = {s["shard"]: s["alive"] for s in stats["shards"]}
+            assert alive == {home: True, dead: False}
+        drive(tmp_path, scenario)

@@ -140,6 +140,25 @@ class TestAtomicity:
         assert queue.claim() is None
         assert queue.pending_count() == 0
 
+    @pytest.mark.parametrize("body", [
+        '{"kind": "profile", "priority": "high"}',
+        '{"kind": "profile", "submitted_at": null}',
+        '{"kind": "profile", "tenant": ["a"]}',
+        "[1, 2]",
+    ])
+    def test_unrankable_pending_file_fails_and_claim_goes_on(self, queue,
+                                                             body):
+        """A file the claim order cannot rank goes to failed/ and the
+        valid job beside it is claimed in the same call."""
+        with open(os.path.join(queue.root, "pending", "bad.json"),
+                  "w") as fh:
+            fh.write(body)
+        good = queue.submit(spec())
+        assert queue.claim().job_id == good.job_id
+        assert queue.counts() == {"pending": 0, "running": 1,
+                                  "done": 0, "failed": 1}
+        assert queue.outcome("bad")["error"].startswith("invalid job file")
+
     def test_job_files_are_valid_json(self, queue):
         submitted = queue.submit(spec(period=32))
         path = os.path.join(queue.root, "pending",

@@ -1,6 +1,7 @@
 """Tests for shard placement, the fleet dedupe index, and the fleet."""
 
 import os
+import time
 
 import pytest
 
@@ -172,6 +173,17 @@ class TestFleet:
             assert sum(s["completed"] for s in stats["shards"]) == 1
             assert stats["dedupe"]["indexed"] == 1
 
+    def test_stats_report_shard_liveness(self, tmp_path):
+        with Fleet(str(tmp_path / "fleet"), shards=2) as fleet:
+            assert [s["alive"] for s in fleet.stats()["shards"]] == \
+                [False, False]
+            fleet.start(poll_interval=0.01)
+            assert [s["alive"] for s in fleet.stats()["shards"]] == \
+                [True, True]
+            fleet.stop()
+            assert [s["alive"] for s in fleet.stats()["shards"]] == \
+                [False, False]
+
     def test_reshard_serves_duplicate_cross_shard(self, tmp_path):
         """The tentpole property: after growing the shard count, the
         remapped duplicate is a fleet-index hit served from the old
@@ -198,29 +210,17 @@ class TestFleet:
 
 
 class TestFleetExternalWorkers:
-    """Router-only assembly for the multi-process fleet."""
-
-    def test_invalid_workers_value_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="workers must be"):
-            Fleet(str(tmp_path / "fleet"), shards=2, workers="fibers")
-
-    def test_no_services_and_start_is_a_noop(self, tmp_path):
-        with Fleet(str(tmp_path / "fleet"), shards=2,
-                   workers="external") as fleet:
-            assert fleet.services == []
-            fleet.start()  # must not spawn threads
-            assert fleet._threads == []
+    """A fleet that is never started: a second handle on a shard's
+    spool stands in for the worker that claims and completes its jobs,
+    and the fleet's status lookup must follow the job file."""
 
     def test_submit_enqueues_without_executing(self, tmp_path):
-        """External mode is routing only: the job lands in pending/
-        for a worker process to claim; nothing simulates here."""
-        with Fleet(str(tmp_path / "fleet"), shards=2,
-                   workers="external") as fleet:
+        with Fleet(str(tmp_path / "fleet"), shards=2) as fleet:
             submitted, shard = fleet.submit(spec())
             status = fleet.status(submitted.job_id)
             assert status["state"] == "pending"
             assert status["shard"] == shard
-            assert fleet._queues[shard].counts()["pending"] == 1
+            assert fleet.services[shard].queue.counts()["pending"] == 1
 
     @staticmethod
     def _race_on_read(monkeypatch, state, transition):
@@ -242,10 +242,9 @@ class TestFleetExternalWorkers:
     def test_status_survives_claim_mid_lookup(self, tmp_path, monkeypatch):
         """A claim renaming pending → running between the lookup's steps
         is reported as running, not as a 500 or a miss."""
-        with Fleet(str(tmp_path / "fleet"), shards=2,
-                   workers="external") as fleet:
+        with Fleet(str(tmp_path / "fleet"), shards=2) as fleet:
             submitted, shard = fleet.submit(spec())
-            queue = fleet._queues[shard]
+            queue = fleet.services[shard].queue
             fired = self._race_on_read(monkeypatch, "pending", queue.claim)
             status = fleet.status(submitted.job_id)
             assert fired
@@ -257,10 +256,9 @@ class TestFleetExternalWorkers:
                                                    monkeypatch):
         """A completion moving running → done between the lookup's
         steps is reported as done."""
-        with Fleet(str(tmp_path / "fleet"), shards=2,
-                   workers="external") as fleet:
+        with Fleet(str(tmp_path / "fleet"), shards=2) as fleet:
             submitted, shard = fleet.submit(spec())
-            queue = fleet._queues[shard]
+            queue = fleet.services[shard].queue
             claimed = queue.claim()
             fired = self._race_on_read(
                 monkeypatch, "running",
@@ -274,10 +272,9 @@ class TestFleetExternalWorkers:
             self, tmp_path, monkeypatch):
         """Claim and completion both landing inside one lookup still
         find the outcome."""
-        with Fleet(str(tmp_path / "fleet"), shards=2,
-                   workers="external") as fleet:
+        with Fleet(str(tmp_path / "fleet"), shards=2) as fleet:
             submitted, shard = fleet.submit(spec())
-            queue = fleet._queues[shard]
+            queue = fleet.services[shard].queue
 
             def claim_and_fail():
                 queue.fail(queue.claim(), "boom")
@@ -289,11 +286,10 @@ class TestFleetExternalWorkers:
 
     def test_external_worker_process_roundtrip(self, tmp_path):
         """Claim + complete through a second bare queue (standing in
-        for the worker process) becomes visible to the router."""
-        with Fleet(str(tmp_path / "fleet"), shards=2,
-                   workers="external") as fleet:
+        for a worker) becomes visible to the router."""
+        with Fleet(str(tmp_path / "fleet"), shards=2) as fleet:
             submitted, shard = fleet.submit(spec())
-            worker_queue = type(fleet._queues[shard])(
+            worker_queue = type(fleet.services[shard].queue)(
                 fleet.router.spool_dir(shard))
             claimed = worker_queue.claim()
             worker_queue.complete(claimed, {"total_samples": 5})
@@ -301,37 +297,28 @@ class TestFleetExternalWorkers:
             assert status["state"] == "done"
             assert status["job"]["result"]["total_samples"] == 5
 
-    def test_stats_reads_worker_heartbeats(self, tmp_path):
-        import json as _json
-        import os as _os
 
-        from repro.serve.service import STATUS_FILE
-
-        with Fleet(str(tmp_path / "fleet"), shards=2,
-                   workers="external") as fleet:
-            heartbeat = {"ts": 123.0, "pid": 4242, "state": "idle",
-                         "completed": 7, "failed": 1, "cached_hits": 2,
-                         "warm": {"hits": 9, "misses": 3},
-                         "fleet": {"dedupe_hits": 1,
-                                   "dedupe_misses": 2}}
-            path = _os.path.join(fleet.router.spool_dir(0), STATUS_FILE)
-            with open(path, "a") as fh:
-                fh.write(_json.dumps(heartbeat) + "\n")
-            stats = fleet.stats()
-            assert stats["workers"] == "external"
-            shard0 = stats["shards"][0]
-            assert shard0["completed"] == 7
-            assert shard0["warm"] == {"hits": 9, "misses": 3}
-            assert shard0["heartbeat"]["pid"] == 4242
-            # Shard 1 never heartbeat: present but empty counters.
-            shard1 = stats["shards"][1]
-            assert shard1["heartbeat"]["pid"] is None
-            assert shard1["completed"] == 0
-            # Aggregate warm totals only count live heartbeats.
-            assert stats["warm"] == {"hits": 9, "misses": 3}
-
-    def test_threads_mode_stats_report_workers_field(self, tmp_path):
+class TestStartedFleet:
+    def test_malformed_pending_files_do_not_stop_a_shard(self, tmp_path):
+        """A pending file whose priority is not a number, and one whose
+        JSON is not an object, fail without taking the shard down."""
         with Fleet(str(tmp_path / "fleet"), shards=1) as fleet:
-            stats = fleet.stats()
-            assert stats["workers"] == "threads"
-            assert stats["warm"] == {"hits": 0, "misses": 0}
+            spool = fleet.router.spool_dir(0)
+            for name, body in (("bad-priority", '{"kind": "profile", '
+                                '"workload": "objectlayout", '
+                                '"priority": "high"}'),
+                               ("bad-shape", "[1, 2]")):
+                with open(os.path.join(spool, "pending",
+                                       f"{name}.json"), "w") as fh:
+                    fh.write(body)
+            submitted, _shard = fleet.submit(spec(seed=11))
+            fleet.start(poll_interval=0.01)
+            deadline = time.time() + 60.0
+            while fleet.status(submitted.job_id)["state"] != "done":
+                assert time.time() < deadline, "valid job never ran"
+                time.sleep(0.02)
+            assert sorted(os.listdir(os.path.join(spool, "failed"))) == \
+                ["bad-priority.json", "bad-shape.json"]
+            assert fleet.status("bad-shape")["job"]["error"].startswith(
+                "invalid job file")
+            assert fleet.stats()["shards"][0]["alive"]

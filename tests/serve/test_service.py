@@ -369,7 +369,7 @@ class TestRetentionSweep:
             assert service.swept == 1
             with open(service.heartbeat_path) as fh:
                 states = [json.loads(line)["state"] for line in fh]
-            # Idle polls heartbeat (supervisor liveness), alongside
+            # Idle polls heartbeat (operator liveness), alongside
             # the lifecycle markers (the initial drain() already
             # heartbeat "working" before serve_forever "started").
             assert "started" in states
