@@ -74,13 +74,26 @@ from repro.workloads.suite import suite_names
 #: ``/4`` added the fused superinstruction arm and fusion counters;
 #: ``/5`` added the serve-load fleet arm (p50/p99 submit-to-verdict
 #: latency, dedupe hit rate, cross-shard reshard check);
-#: ``/6`` added the fleet-scaling arm (jobs/sec at 1 vs N shards,
+#: ``/6`` added the fleet scaling arm (jobs/sec at 1 vs N shards,
 #: warm compile-cache hit rate);
 #: ``/7`` added the profile-guided optimization arm (per-workload
 #: verdict, before/after simulated cycles, verified speedup);
 #: ``/8`` dropped the separate fused arm: ``fastpath`` times the
-#: production (fused) engine, which carries the fusion counters.
-SCHEMA = "repro-bench-throughput/8"
+#: production (fused) engine, which carries the fusion counters;
+#: ``/9`` merged ``serve_load`` and ``fleet_scaling`` into one ``fleet``
+#: section (one load run per fleet size plus the reshard phase) and
+#: records the ``seed`` override the engine counters depend on.
+SCHEMA = "repro-bench-throughput/9"
+
+#: Allowed relative growth of the fleet's p99/p50 tail ratio: fail only
+#: when the tail more than doubles, because serving latency under a
+#: thread scheduler is far noisier than in-process engine timing.
+TAIL_TOLERANCE = 1.0
+
+#: Per-workload counts the simulator reproduces exactly for one seed;
+#: ``--check`` compares them, and every ``fusion`` counter, exactly.
+EXACT_COUNTS = ("instructions", "accesses", "profiled_instructions",
+                "profiled_accesses")
 
 #: Quick subset for CI: the heaviest row of each flavour, two
 #: streaming-native rows, and the engine-bound interpreter kernels.
@@ -182,19 +195,18 @@ class BenchRow:
 class BenchReport:
     """A full harness run: per-workload rows plus the aggregate.
 
-    ``serve_load`` (a :meth:`repro.serve.loadgen.ServeLoadResult.
-    to_dict` payload) rides alongside the engine rows when the
-    serving-layer arm ran — fleet latency is tracked in the same
-    report, and gated by the same ``--check``, as engine speedups.
-    ``fleet_scaling`` (a :meth:`repro.serve.loadgen.
-    FleetScalingResult.to_dict` payload) likewise carries the
-    fleet's jobs/sec scaling curve when ``--fleet-scaling`` ran.
+    ``fleet`` (a :meth:`repro.serve.loadgen.FleetLoadResult.to_dict`
+    payload) rides alongside the engine rows when the serving-layer arm
+    ran — fleet latency and scaling are tracked in the same report, and
+    gated by the same ``--check``, as engine speedups.
     """
 
     rows: List[BenchRow]
     repeat: int
-    serve_load: Optional[Dict] = None
-    fleet_scaling: Optional[Dict] = None
+    #: The ``--seed`` override every arm ran with (None: each
+    #: workload's own seed); the exact counters depend on it.
+    seed: Optional[int] = None
+    fleet: Optional[Dict] = None
     #: Per-workload profile-guided optimization verdicts (see
     #: :func:`bench_optimize`): workload name -> {family, transform,
     #: status, baseline_cycles, optimized_cycles, speedup}.  Cycles are
@@ -300,7 +312,7 @@ class BenchReport:
             if row.store is not None:
                 entry["store"] = store_arm(row.store)
             workloads[row.name] = entry
-        out = {"schema": SCHEMA, "repeat": self.repeat,
+        out = {"schema": SCHEMA, "repeat": self.repeat, "seed": self.seed,
                "workloads": workloads,
                "aggregate": {
                    "instructions": sum(r.instructions for r in self.rows),
@@ -323,10 +335,8 @@ class BenchReport:
                 self.aggregate_profiled_speedup, 3)
         if self.aggregate_store is not None:
             agg["store"] = store_arm(self.aggregate_store)
-        if self.serve_load is not None:
-            out["serve_load"] = self.serve_load
-        if self.fleet_scaling is not None:
-            out["fleet_scaling"] = self.fleet_scaling
+        if self.fleet is not None:
+            out["fleet"] = self.fleet
         if self.optimize is not None:
             out["optimize"] = self.optimize
         return out
@@ -596,7 +606,7 @@ def bench_suite(names: Optional[Sequence[str]] = None, repeat: int = 3,
             rows.append(outcome.value)
             if progress is not None:
                 progress(outcome.value)
-        return BenchReport(rows=rows, repeat=repeat)
+        return BenchReport(rows=rows, repeat=repeat, seed=seed)
     for name in names:
         row = bench_workload(get_workload(name), repeat=repeat,
                              legacy=legacy, profiled=profiled, seed=seed,
@@ -604,7 +614,7 @@ def bench_suite(names: Optional[Sequence[str]] = None, repeat: int = 3,
         rows.append(row)
         if progress is not None:
             progress(row)
-    return BenchReport(rows=rows, repeat=repeat)
+    return BenchReport(rows=rows, repeat=repeat, seed=seed)
 
 
 def bench_optimize(suite=OPTIMIZE_SUITE, seed: Optional[int] = None,
@@ -656,122 +666,119 @@ def load_report(path: str) -> Dict:
     return data
 
 
+def _floor_failure(label: str, measured: float, committed: float,
+                   tolerance: float) -> List[str]:
+    """One failure if ``measured`` fell below ``committed`` by more
+    than ``tolerance`` (a fraction of ``committed``), else none."""
+    floor = committed * (1.0 - tolerance)
+    if measured >= floor:
+        return []
+    return [f"{label} regressed: measured {measured:.3f} < floor "
+            f"{floor:.3f} (committed {committed:.3f} - {tolerance:.0%})"]
+
+
 def _check_engine_ratios(report: BenchReport, baseline: Dict,
                          tolerance: float) -> List[str]:
-    failures: List[str] = []
     measured = report.aggregate_speedup
     if measured is None:
         return ["regression check needs both engines: "
                 "run without --no-legacy"]
-    committed = baseline.get("aggregate", {}).get("speedup_vs_legacy")
+    aggregate = baseline.get("aggregate", {})
+    committed = aggregate.get("speedup_vs_legacy")
     if committed is None:
         return ["baseline has no aggregate.speedup_vs_legacy field"]
-    floor = committed * (1.0 - tolerance)
-    if measured < floor:
-        failures.append(
-            f"aggregate fastpath speedup regressed: measured "
-            f"{measured:.3f}x < floor {floor:.3f}x "
-            f"(committed {committed:.3f}x - {tolerance:.0%})")
-    profiled_measured = report.aggregate_profiled_speedup
-    profiled_committed = baseline.get("aggregate", {}).get(
-        "profiled_speedup")
-    if profiled_measured is not None and profiled_committed is not None:
-        profiled_floor = profiled_committed * (1.0 - tolerance)
-        if profiled_measured < profiled_floor:
-            failures.append(
-                f"profiled skip-ahead speedup regressed: measured "
-                f"{profiled_measured:.3f}x < floor {profiled_floor:.3f}x "
-                f"(committed {profiled_committed:.3f}x - {tolerance:.0%})")
+    failures = _floor_failure("aggregate fastpath speedup", measured,
+                              committed, tolerance)
+    profiled = report.aggregate_profiled_speedup
+    profiled_committed = aggregate.get("profiled_speedup")
+    if profiled is not None and profiled_committed is not None:
+        failures += _floor_failure("profiled skip-ahead speedup",
+                                   profiled, profiled_committed,
+                                   tolerance)
     return failures
 
 
-def _check_serve_load(serve: Dict, base: Dict, tolerance: float,
-                      serve_tolerance: float) -> List[str]:
-    """Gate the fleet arm on machine-transferable quantities.
+def _check_counters(report: BenchReport, baseline: Dict) -> List[str]:
+    """Gate the deterministic per-workload counts, exactly.
 
-    Absolute p50/p99 latencies do not transfer between the committing
-    machine and the checking machine, but the *tail ratio* (p99/p50)
-    does — both percentiles come from the same clients on the same
-    machine.  ``serve_tolerance`` is the allowed relative growth of the
-    tail ratio (default 1.0: fail only when the tail more than doubles
-    relative to the committed ratio — serving latency under a thread
-    scheduler is far noisier than in-process engine timing).  The
-    dedupe hit rate is deterministic (fixed duplicate schedule), so it
-    gets the ordinary ``tolerance`` as a floor, and the cross-shard
-    reshard hit is pass/fail: once committed as working it must not be
-    lost.
+    They come out of the seeded simulator, not a clock, so a block that
+    stops fusing or a guard that starts bailing out fails here without
+    any timing.  Rows present in only one report are skipped, and so is
+    everything when the two reports ran different seeds.
+    """
+    if report.seed != baseline.get("seed"):
+        return []
+    failures: List[str] = []
+    committed_rows = baseline.get("workloads", {})
+    for name, row in report.to_dict()["workloads"].items():
+        committed = committed_rows.get(name)
+        if committed is None:
+            continue
+        pairs = [(key, row.get(key), committed.get(key))
+                 for key in EXACT_COUNTS]
+        pairs += [(f"fusion.{key}", value,
+                   (committed.get("fusion") or {}).get(key))
+                  for key, value in (row.get("fusion") or {}).items()]
+        for key, measured, want in pairs:
+            if measured is not None and want is not None \
+                    and measured != want:
+                failures.append(f"{name} {key} changed: measured "
+                                f"{measured}, committed {want}")
+    return failures
+
+
+def _check_fleet(fleet: Dict, base: Dict, tolerance: float) -> List[str]:
+    """Gate the fleet load arm on machine-transferable quantities.
+
+    Absolute latencies and jobs/sec do not transfer between machines,
+    but ratios of two numbers measured back to back in one run do: the
+    largest fleet's p99/p50 *tail ratio* may grow by
+    :data:`TAIL_TOLERANCE`, and the *scaling ratio* (largest fleet's
+    jobs/sec over the 1-shard fleet's) keeps a ``tolerance`` floor.
+    Shards simulate on threads, so a healthy scaling ratio sits near
+    1.0 on any core count; what drags it down is a front door or router
+    that serialises the fleet on one shard.  The dedupe and warm hit
+    rates are fixed by the job mix and get the same floor.  The rest is
+    pass/fail: every job of every phase finishes ``done``, the reshard
+    burst draws exactly one 429 with ``Retry-After``, and a committed
+    cross-shard hit is never lost.
     """
     failures: List[str] = []
-    measured_tail = serve.get("tail_ratio")
+    measured_tail = fleet.get("tail_ratio")
     committed_tail = base.get("tail_ratio")
-    if measured_tail is None:
-        failures.append("serve_load run has no tail_ratio")
-    elif committed_tail is not None:
-        ceiling = committed_tail * (1.0 + serve_tolerance)
+    if measured_tail is not None and committed_tail is not None:
+        ceiling = committed_tail * (1.0 + TAIL_TOLERANCE)
         if measured_tail > ceiling:
             failures.append(
-                f"serve p99/p50 tail ratio regressed: measured "
+                f"fleet p99/p50 tail ratio regressed: measured "
                 f"{measured_tail:.2f} > ceiling {ceiling:.2f} "
-                f"(committed {committed_tail:.2f} + "
-                f"{serve_tolerance:.0%})")
-    measured_hits = serve.get("dedupe_hit_rate")
-    committed_hits = base.get("dedupe_hit_rate")
-    if measured_hits is not None and committed_hits is not None:
-        hit_floor = committed_hits * (1.0 - tolerance)
-        if measured_hits < hit_floor:
+                f"(committed {committed_tail:.2f} + {TAIL_TOLERANCE:.0%})")
+    for key, label in (("scaling_ratio", "fleet scaling ratio"),
+                       ("dedupe_hit_rate", "fleet dedupe hit rate"),
+                       ("warm_hit_rate", "warm compile-cache hit rate")):
+        measured = fleet.get(key)
+        committed = base.get(key)
+        if measured is None:
+            failures.append(f"fleet run has no {key}")
+        elif committed is not None:
+            failures += _floor_failure(label, measured, committed,
+                                       tolerance)
+    reshard = fleet.get("reshard") or {}
+    for phase in fleet.get("points", []) + [reshard]:
+        if phase.get("jobs_failed"):
             failures.append(
-                f"fleet dedupe hit rate regressed: measured "
-                f"{measured_hits:.3f} < floor {hit_floor:.3f} "
-                f"(committed {committed_hits:.3f} - {tolerance:.0%})")
-    if (base.get("cross_shard") or {}).get("hit") and \
-            not (serve.get("cross_shard") or {}).get("hit"):
+                f"fleet load at shards={phase.get('shards')} had "
+                f"{phase['jobs_failed']} failed jobs")
+    if reshard.get("throttled") != 1:
         failures.append(
-            "cross-shard dedupe lost: the resharded duplicate was "
-            "simulated instead of served from the fleet index")
-    return failures
-
-
-def _check_fleet_scaling(fleet: Dict, base: Dict,
-                         tolerance: float) -> List[str]:
-    """Gate the fleet scaling arm on transferable ratios.
-
-    Absolute jobs/sec depends on the machine, but the *scaling ratio*
-    (N-shard jobs/sec over 1-shard jobs/sec, both measured back-to-back
-    on the same machine) transfers.  Both points run the in-process
-    fleet, whose shards simulate on threads, so a healthy ratio sits
-    near 1.0 on any core count; what drags it down is a front door or
-    router that serialises the fleet on one shard (a shared lock, a
-    request that blocks on one shard's daemon).  The floor is relative
-    to the *committed* ratio.  The warm compile-cache hit rate is
-    deterministic for a fixed request mix, so it gets the same
-    relative floor.
-    """
-    failures: List[str] = []
-    measured = fleet.get("scaling_ratio")
-    committed = base.get("scaling_ratio")
-    if measured is None:
-        failures.append("fleet_scaling run has no scaling_ratio")
-    elif committed is not None:
-        floor = committed * (1.0 - tolerance)
-        if measured < floor:
-            failures.append(
-                f"fleet scaling ratio regressed: measured "
-                f"{measured:.3f}x < floor {floor:.3f}x "
-                f"(committed {committed:.3f}x - {tolerance:.0%})")
-    measured_warm = fleet.get("warm_hit_rate")
-    committed_warm = base.get("warm_hit_rate")
-    if measured_warm is not None and committed_warm is not None:
-        warm_floor = committed_warm * (1.0 - tolerance)
-        if measured_warm < warm_floor:
-            failures.append(
-                f"warm compile-cache hit rate regressed: measured "
-                f"{measured_warm:.3f} < floor {warm_floor:.3f} "
-                f"(committed {committed_warm:.3f} - {tolerance:.0%})")
-    for point in fleet.get("points", []):
-        if point.get("jobs_failed"):
-            failures.append(
-                f"fleet scaling point shards={point.get('shards')} "
-                f"had {point['jobs_failed']} failed jobs")
+            f"backpressure: the over-quota burst drew "
+            f"{reshard.get('throttled', 0)} 429s, expected exactly 1")
+    elif not reshard.get("retry_after"):
+        failures.append("backpressure: 429 without a Retry-After header")
+    if (base.get("reshard") or {}).get("hit") and not reshard.get("hit"):
+        failures.append(
+            "cross-shard dedupe lost: the resharded duplicates were not "
+            "all served from the fleet index with zero simulation")
     return failures
 
 
@@ -803,22 +810,15 @@ def _check_optimize(optimize: Dict, base: Dict,
                     f"accepted ({committed.get('transform')}), measured "
                     f"{measured.get('status')}")
                 continue
-            committed_speedup = committed.get("speedup")
-            measured_speedup = measured.get("speedup")
-            if committed_speedup and measured_speedup:
-                floor = committed_speedup * (1.0 - tolerance)
-                if measured_speedup < floor:
-                    failures.append(
-                        f"verified speedup for {name} regressed: "
-                        f"measured {measured_speedup:.3f}x < floor "
-                        f"{floor:.3f}x (committed "
-                        f"{committed_speedup:.3f}x - {tolerance:.0%})")
+            if committed.get("speedup") and measured.get("speedup"):
+                failures += _floor_failure(
+                    f"verified speedup for {name}", measured["speedup"],
+                    committed["speedup"], tolerance)
     return failures
 
 
 def check_regression(report: BenchReport, baseline: Dict,
-                     tolerance: float = 0.20,
-                     serve_tolerance: float = 1.0) -> List[str]:
+                     tolerance: float = 0.20) -> List[str]:
     """Compare a fresh run against a committed baseline report.
 
     Returns a list of human-readable failures (empty = pass).  Speedup
@@ -827,35 +827,26 @@ def check_regression(report: BenchReport, baseline: Dict,
     transfers between the committing machine and the checking machine,
     while raw ips does not.  Engine rows gate fastpath-over-legacy and
     — if both the run and the baseline carry profiled arms —
-    skip-ahead-over-per-access ratios; a ``serve_load`` section gates
-    the fleet arm's p99/p50 tail ratio (ceiling ``serve_tolerance``),
-    dedupe hit rate (floor ``tolerance``), and the cross-shard reshard
-    hit (see :func:`_check_serve_load`); a ``fleet_scaling`` section
-    gates the fleet scaling ratio and warm compile-cache hit
-    rate (see :func:`_check_fleet_scaling`); an ``optimize`` section
-    gates the profile-guided optimizer's verdicts and verified
+    skip-ahead-over-per-access ratios, and their deterministic counts
+    exactly (see :func:`_check_counters`); a ``fleet`` section gates
+    the fleet load arm (see :func:`_check_fleet`); an ``optimize``
+    section gates the profile-guided optimizer's verdicts and verified
     simulated-cycle speedups (see :func:`_check_optimize`).
     """
     failures: List[str] = []
     if report.rows:
         failures.extend(_check_engine_ratios(report, baseline, tolerance))
-    serve = report.serve_load
-    base_serve = baseline.get("serve_load")
-    if serve is not None and base_serve is not None:
-        failures.extend(_check_serve_load(serve, base_serve, tolerance,
-                                          serve_tolerance))
-    fleet = report.fleet_scaling
-    base_fleet = baseline.get("fleet_scaling")
+        failures.extend(_check_counters(report, baseline))
+    fleet = report.fleet
+    base_fleet = baseline.get("fleet")
     if fleet is not None and base_fleet is not None:
-        failures.extend(_check_fleet_scaling(fleet, base_fleet,
-                                             tolerance))
+        failures.extend(_check_fleet(fleet, base_fleet, tolerance))
     optimize = report.optimize
     base_optimize = baseline.get("optimize")
     if optimize is not None and base_optimize is not None:
         failures.extend(_check_optimize(optimize, base_optimize,
                                         tolerance))
-    if not report.rows and serve is None and fleet is None \
-            and optimize is None:
+    if not report.rows and fleet is None and optimize is None:
         failures.append("nothing to check: the run has neither engine "
                         "rows nor a serve arm section")
     return failures

@@ -285,27 +285,29 @@ def cmd_bench(args) -> int:
                              profiled=args.profiled, progress=progress,
                              seed=args.seed, store=args.store_arm,
                              jobs=args.jobs or 1)
-    # A bare --serve-only keeps its historical meaning (serve-load
-    # smoke); with --fleet-scaling it runs only the requested arms.
-    run_serve = args.serve_load or (args.serve_only and
-                                    not args.fleet_scaling)
-    if run_serve:
-        from repro.serve import run_serve_load
+    if args.serve_load or args.serve_only:
+        from repro.serve.loadgen import run_fleet_load
 
-        result = run_serve_load(clients=args.clients,
-                                shards=args.serve_shards,
-                                requests_per_client=args.serve_requests)
-        report = dataclasses.replace(report, serve_load=result.to_dict())
+        load = run_fleet_load(shards=(1, args.serve_shards),
+                              clients=args.clients,
+                              requests_per_client=args.serve_requests)
+        report = dataclasses.replace(report, fleet=load.to_dict())
         if not args.json:
-            cross = "hit" if result.cross_shard.get("hit") else "MISS"
-            print(f"{'SERVE-LOAD':24s} {result.jobs_ok:3d}/"
-                  f"{result.jobs_total} jobs  "
-                  f"p50 {result.p50_ms:7.1f}ms  "
-                  f"p99 {result.p99_ms:7.1f}ms  "
-                  f"tail x{result.tail_ratio:.2f}  "
-                  f"dedupe {result.dedupe_hit_rate:.0%}  "
-                  f"{result.throttled} throttled  "
-                  f"cross-shard {cross}")
+            for point in load.points:
+                print(f"{'SERVE-LOAD':24s} {point.shards:2d} shard(s)  "
+                      f"{point.jobs_ok:3d}/"
+                      f"{point.jobs_ok + point.jobs_failed} jobs  "
+                      f"{point.jobs_per_sec:6.2f} jobs/s  "
+                      f"p50 {point.p50_ms:7.1f}ms  "
+                      f"p99 {point.p99_ms:7.1f}ms  "
+                      f"dedupe {point.dedupe_hit_rate:.0%}  "
+                      f"warm {point.warm_hit_rate:.0%}")
+            reshard = load.reshard
+            print(f"{'':24s} scaling x{load.scaling_ratio:.2f}  "
+                  f"tail x{load.largest.tail_ratio:.2f}  "
+                  f"burst {reshard['accepted']} accepted/"
+                  f"{reshard['throttled']} throttled  cross-shard "
+                  f"{'hit' if reshard['hit'] else 'MISS'}")
     if args.optimize:
         from repro.bench import bench_optimize
 
@@ -321,23 +323,6 @@ def cmd_bench(args) -> int:
         report = dataclasses.replace(
             report, optimize=bench_optimize(seed=args.seed,
                                             progress=optimize_progress))
-    if args.fleet_scaling:
-        from repro.serve.loadgen import run_fleet_scaling
-
-        scaling = run_fleet_scaling(shards=(1, args.fleet_shards),
-                                    requests=args.fleet_requests,
-                                    clients=args.clients)
-        report = dataclasses.replace(report,
-                                     fleet_scaling=scaling.to_dict())
-        if not args.json:
-            for point in scaling.points:
-                print(f"{'FLEET-SCALING':24s} {point.shards:2d} "
-                      f"shard(s)  {point.jobs_ok:3d}/"
-                      f"{point.jobs_ok + point.jobs_failed} jobs  "
-                      f"{point.jobs_per_sec:7.2f} jobs/s  "
-                      f"warm {point.warm_hit_rate:.0%}")
-            print(f"{'':24s} scaling x{scaling.scaling_ratio:.2f} "
-                  f"({scaling.max_shards}-shard vs 1-shard)")
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     elif report.rows:
@@ -355,8 +340,7 @@ def cmd_bench(args) -> int:
             print(f"report written to {args.out}")
     if args.check:
         failures = check_regression(report, load_report(args.check),
-                                    tolerance=args.tolerance,
-                                    serve_tolerance=args.serve_tolerance)
+                                    tolerance=args.tolerance)
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)
         if failures:
@@ -721,40 +705,25 @@ def build_parser() -> argparse.ArgumentParser:
                               "(identical schedules across arms)")
     p_bench.add_argument("--serve-load", action="store_true",
                          help="also run the serving-layer load arm: K "
-                              "concurrent HTTP clients against an "
-                              "in-process sharded fleet, recording "
+                              "concurrent HTTP clients against a "
+                              "1-shard and an N-shard fleet, recording "
                               "p50/p99 submit-to-verdict latency, "
-                              "dedupe hit rate, and the cross-shard "
-                              "reshard check")
+                              "jobs/sec scaling, dedupe and warm hit "
+                              "rates, and the reshard phase's 429 and "
+                              "cross-shard hit")
     p_bench.add_argument("--serve-only", action="store_true",
                          help="run only the serve-load arm, skipping "
-                              "the engine rows (the CI smoke mode)")
+                              "the engine rows (the CI mode)")
     p_bench.add_argument("--clients", type=int, default=8,
                          help="concurrent load-generator clients for "
                               "--serve-load (default 8)")
-    p_bench.add_argument("--serve-shards", type=int, default=2,
-                         help="fleet shard count for --serve-load "
-                              "(default 2)")
-    p_bench.add_argument("--serve-requests", type=int, default=5,
+    p_bench.add_argument("--serve-shards", type=int, default=4,
+                         help="largest fleet size for --serve-load "
+                              "(default 4; the 1-shard fleet is always "
+                              "measured as the scaling baseline)")
+    p_bench.add_argument("--serve-requests", type=int, default=3,
                          help="requests per client for --serve-load "
-                              "(default 5)")
-    p_bench.add_argument("--serve-tolerance", type=float, default=1.0,
-                         help="allowed fractional growth of the serve "
-                              "p99/p50 tail ratio for --check "
-                              "(default 1.0: fail only when the tail "
-                              "more than doubles)")
-    p_bench.add_argument("--fleet-scaling", action="store_true",
-                         help="run the fleet scaling arm: drive "
-                              "1-shard and N-shard fleets over real "
-                              "sockets, measure the jobs/sec scaling "
-                              "ratio and warm compile-cache hit rate")
-    p_bench.add_argument("--fleet-shards", type=int, default=4,
-                         help="largest fleet size for --fleet-scaling "
-                              "(default 4; 1-shard is always measured "
-                              "as the baseline)")
-    p_bench.add_argument("--fleet-requests", type=int, default=24,
-                         help="jobs per fleet-scaling point "
-                              "(default 24)")
+                              "(default 3)")
     p_bench.add_argument("--optimize", action="store_true",
                          help="run the profile-guided optimization arm: "
                               "optimize each deliberately-fixable "

@@ -782,9 +782,14 @@ class FusedCodegenCache:
                 tuple([type(a) for ins in code for a in ins.args]),
                 repr([ins.args for ins in code]))
 
-    def get(self, method, observed: bool, fast_ok: bool) -> _FusedArtifact:
+    def get(self, method, observed: bool, fast_ok: bool,
+            counts: Optional[Dict[str, int]] = None) -> _FusedArtifact:
+        """The method's artifact, generated on a miss.  ``counts`` (the
+        calling machine's ``warm`` tally) records the lookup too."""
         key = self.key_for(method, observed, fast_ok)
         art = self._entries.get(key)
+        if counts is not None:
+            counts["hits" if art is not None else "misses"] += 1
         if art is not None:
             self.hits += 1
             self._entries.move_to_end(key)
@@ -1219,7 +1224,7 @@ def compile_fused(machine, runtime, table: List[Handler],
     fast_ok = machine._line_size >= 8
 
     fused: List[FusedEntry] = [None] * len(method.code)
-    art = _CODEGEN_CACHE.get(method, observed, fast_ok)
+    art = _CODEGEN_CACHE.get(method, observed, fast_ok, machine.warm)
     if not art.code:
         return fused
 

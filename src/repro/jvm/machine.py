@@ -186,6 +186,9 @@ class Machine:
         #: Superinstruction counters; created before the interpreter so
         #: fused-table compilation can always bind it.
         self.fusion = FusionStats()
+        #: This machine's fused-codegen warm-cache lookups.  The cache
+        #: is process-wide; these count only this machine's compiles.
+        self.warm = {"hits": 0, "misses": 0}
         self.interpreter = Interpreter(self, fastpath=cfg.fastpath)
         self.rng = random.Random(cfg.seed)
         self._fastpath = cfg.fastpath

@@ -33,9 +33,9 @@ one-shot CLI profiler into a service:
     backpressure from the queue's fairness policy.
 :mod:`repro.serve.loadgen`
     Load generator behind ``bench --serve-load``: K concurrent HTTP
-    clients, p50/p99 submit-to-verdict latency, dedupe hit rate, and
-    the reshard cross-shard dedupe check — plus the jobs/sec scaling
-    curve behind ``bench --fleet-scaling``.
+    clients against a 1-shard and an N-shard fleet — p50/p99
+    submit-to-verdict latency, jobs/sec scaling, dedupe and warm hit
+    rates — and the reshard phase's 429 and cross-shard dedupe check.
 
 There is one serving topology: the in-process fleet, with shard
 polling on threads and simulations on :mod:`repro.serve.workers`
@@ -67,29 +67,20 @@ from repro.serve.workers import TaskOutcome, WorkerPool
 from repro.serve.service import ProfilingService
 from repro.serve.router import Fleet, FleetIndex, ShardRouter, shard_for
 from repro.serve.http import HttpFrontDoor
-from repro.serve.loadgen import (
-    FleetScalingPoint,
-    FleetScalingResult,
-    ServeLoadResult,
-    run_fleet_scaling,
-    run_serve_load,
-)
+from repro.serve.loadgen import FleetLoadResult, run_fleet_load
 
 __all__ = [
     "FLEET_POLICY",
     "FairnessPolicy",
     "Fleet",
     "FleetIndex",
-    "FleetScalingPoint",
-    "FleetScalingResult",
+    "FleetLoadResult",
     "HttpFrontDoor",
     "JobSpec",
     "QuotaExceeded",
-    "ServeLoadResult",
     "ShardRouter",
     "shard_for",
-    "run_fleet_scaling",
-    "run_serve_load",
+    "run_fleet_load",
     "ProfileKey",
     "ProfileRecord",
     "ProfileStore",

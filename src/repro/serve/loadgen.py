@@ -1,29 +1,36 @@
 """Serving-layer load generator: the ``bench --serve-load`` arm.
 
 Engine speedups are tracked in ``BENCH_throughput.json``; this module
-gives serving scalability the same treatment.  One run drives a real
-in-process fleet — N shard daemons on threads, the asyncio HTTP front
-door, K concurrent clients speaking actual HTTP over localhost — and
+gives serving the same treatment.  One run drives the production fleet
+— shard daemons on threads behind the asyncio HTTP front door, under
+:data:`~repro.serve.queue.FLEET_POLICY` — once per fleet size (1 shard,
+then N), each time a fresh fleet over its own root, with K concurrent
+clients speaking actual HTTP over localhost.  Per fleet size it
 measures what a user of the fleet experiences:
 
 * **p50/p99 submit-to-verdict latency** — from the first POST /submit
-  attempt (429 retries included: backpressure is part of the latency a
-  throttled tenant sees) until GET /status reports ``done``;
-* **dedupe hit rate** — the fraction of verdicts served from the
-  store (exact-key or fleet-wide) instead of the simulator;
+  attempt (429 retries included) until GET /status reports a final
+  state;
 * **jobs/sec** — completed verdicts over wall time;
-* **backpressure** — a deliberate burst over one tenant's pending
-  quota before the daemons start, proving the front door answers 429
-  with a ``Retry-After`` the client can obey;
-* **cross-shard dedupe** — after the main phase the fleet is re-built
-  over the same root with more shards (the scale-out event that remaps
-  placement); an identical submission then lands on a *different*
-  shard and must be served from the original shard's store through the
-  fleet index with zero simulator work.
+* **dedupe hit rate** — the fraction of verdicts served from the
+  store instead of the simulator;
+* **warm compile-cache hit rate** — as the fleet reports it in
+  ``GET /fleet``.
 
-Latency percentiles from a small run are noisy in absolute terms, but
-the *tail ratio* (p99/p50) and the dedupe hit rate are structural:
-they are what the CI gate compares against the committed baseline.
+A final **reshard phase** re-builds the largest fleet over the same
+root with more shards (the scale-out event that remaps placement).
+Before its daemons start, one tenant submits one more copy of an
+already-stored key than its pending quota allows: exactly the last
+copy must get 429 with ``Retry-After``, and every accepted copy must
+land on a *different* shard and be served from the original shard's
+store through the fleet index with zero simulator work.
+
+Absolute latencies and jobs/sec do not transfer between machines, but
+the *tail ratio* (p99/p50) and the *scaling ratio* (N-shard over
+1-shard jobs/sec) do, and the dedupe and warm hit rates are fixed by
+the job mix: those are what the CI gate compares against the committed
+baseline.  Every wait is bounded by :data:`DEADLINE_S`; a job still
+unfinished then counts as failed.
 """
 
 from __future__ import annotations
@@ -38,12 +45,29 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.serve.http import HttpFrontDoor, http_request
-from repro.serve.queue import FLEET_POLICY, FairnessPolicy
+from repro.serve.queue import FLEET_POLICY
 from repro.serve.router import Fleet, shard_for
+from repro.serve.store import program_digest
 
-#: Seed shared by every duplicate submission of a workload — the key
-#: the dedupe tiers collapse.
-_DUP_SEED = 9999
+#: Seconds each phase of the run may take; a job still unfinished at
+#: the deadline counts as failed, so a stuck shard cannot hang a bench.
+DEADLINE_S = 60.0
+
+#: Seconds between a client's status polls, and the shard daemons' poll
+#: interval; their idle back-off is capped at four of these, because an
+#: uncapped one would charge post-lull submissions for a deep sleep.
+_POLL_S = 0.05
+
+#: Clients alternate between two tenants, so the fairness policy's
+#: per-tenant in-flight cap (4) admits eight concurrent clients.
+_TENANTS = 2
+
+#: The client mix's workloads: enough distinct programs that
+#: ``sha256(workload ++ program_hash) mod N`` populates every shard of
+#: a 4-shard fleet, engine-bound so jobs/sec measures simulation.
+FLEET_WORKLOADS = ("kernel-arith", "kernel-array", "kernel-field",
+                   "kernel-mixed", "objectlayout", "mnemonics",
+                   "crypto", "montecarlo")
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -56,19 +80,18 @@ def percentile(samples: Sequence[float], q: float) -> float:
 
 
 @dataclass(frozen=True)
-class ServeLoadResult:
-    """One load-generator run against an in-process fleet."""
+class FleetLoadPoint:
+    """One fleet size driven by the client mix."""
 
-    clients: int
     shards: int
-    requests_per_client: int
-    workloads: Tuple[str, ...]
-    jobs_total: int
     jobs_ok: int
     jobs_failed: int
     dedupe_hits: int
     fleet_hits: int
     throttled: int
+    #: Fused-codegen warm-cache totals, as ``GET /fleet`` reports them.
+    warm_hits: int
+    warm_misses: int
     p50_ms: float
     p99_ms: float
     mean_ms: float
@@ -76,9 +99,6 @@ class ServeLoadResult:
     jobs_per_sec: float
     elapsed_seconds: float
     per_shard_jobs: Dict[int, int] = field(default_factory=dict)
-    #: The scale-out check: resharding moved the key's home, and the
-    #: repeat was served from the old shard's store via the index.
-    cross_shard: Dict = field(default_factory=dict)
 
     @property
     def dedupe_hit_rate(self) -> float:
@@ -88,341 +108,6 @@ class ServeLoadResult:
     def tail_ratio(self) -> float:
         """p99 over p50 — the machine-transferable latency shape."""
         return self.p99_ms / self.p50_ms if self.p50_ms else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "clients": self.clients,
-            "shards": self.shards,
-            "requests_per_client": self.requests_per_client,
-            "workloads": list(self.workloads),
-            "jobs_total": self.jobs_total,
-            "jobs_ok": self.jobs_ok,
-            "jobs_failed": self.jobs_failed,
-            "dedupe_hits": self.dedupe_hits,
-            "dedupe_hit_rate": round(self.dedupe_hit_rate, 4),
-            "fleet_hits": self.fleet_hits,
-            "throttled": self.throttled,
-            "p50_ms": round(self.p50_ms, 3),
-            "p99_ms": round(self.p99_ms, 3),
-            "mean_ms": round(self.mean_ms, 3),
-            "max_ms": round(self.max_ms, 3),
-            "tail_ratio": round(self.tail_ratio, 3),
-            "jobs_per_sec": round(self.jobs_per_sec, 3),
-            "elapsed_seconds": round(self.elapsed_seconds, 6),
-            "per_shard_jobs": {str(k): v
-                               for k, v in sorted(
-                                   self.per_shard_jobs.items())},
-            "cross_shard": dict(self.cross_shard),
-        }
-
-
-class _Client:
-    """One synthetic tenant-attributed client coroutine."""
-
-    def __init__(self, index: int, host: str, port: int, tenant: str,
-                 poll_interval: float) -> None:
-        self.index = index
-        self.host = host
-        self.port = port
-        self.tenant = tenant
-        self.poll_interval = poll_interval
-        self.latencies: List[float] = []
-        self.results: List[dict] = []
-        self.throttled = 0
-        self.failed = 0
-
-    async def submit(self, payload: dict) -> dict:
-        """POST /submit, obeying Retry-After on 429 backpressure."""
-        while True:
-            status, data, headers = await http_request(
-                self.host, self.port, "POST", "/submit", payload)
-            if status == 202:
-                return data
-            if status == 429:
-                self.throttled += 1
-                await asyncio.sleep(
-                    float(headers.get("retry-after", "0.1")))
-                continue
-            raise RuntimeError(f"submit rejected: {status} {data}")
-
-    async def await_verdict(self, job_id: str) -> dict:
-        while True:
-            status, data, _headers = await http_request(
-                self.host, self.port, "GET", f"/status/{job_id}")
-            if status == 200 and data["state"] in ("done", "failed"):
-                return data
-            await asyncio.sleep(self.poll_interval)
-
-    async def run(self, jobs: List[dict]) -> None:
-        for payload in jobs:
-            started = time.perf_counter()
-            accepted = await self.submit(payload)
-            verdict = await self.await_verdict(accepted["job_id"])
-            self.latencies.append(time.perf_counter() - started)
-            self.results.append(verdict)
-            if verdict["state"] != "done":
-                self.failed += 1
-
-
-@contextlib.asynccontextmanager
-async def _serving(root: str, shards: int,
-                   policy: Optional[FairnessPolicy] = None):
-    """An in-process fleet behind a started front door (not polling).
-
-    Every phase of both benches runs the same topology ``repro fleet``
-    serves: shard daemons on threads, simulating in-process (``jobs=1``).
-    """
-    fleet = Fleet(root, shards=shards, jobs=1, queue_policy=policy)
-    door = HttpFrontDoor(fleet)
-    try:
-        await door.start()
-        yield fleet, door
-    finally:
-        await door.stop()
-        fleet.close()
-
-
-async def _run_clients(runners: Sequence[_Client],
-                       batches: Sequence[List[dict]]) -> float:
-    """Run every client over its batch concurrently; wall seconds."""
-    started = time.perf_counter()
-    await asyncio.gather(*(runner.run(batch) for runner, batch
-                           in zip(runners, batches)))
-    return time.perf_counter() - started
-
-
-def _per_shard(results: Sequence[dict]) -> Dict[int, int]:
-    per_shard: Dict[int, int] = {}
-    for r in results:
-        if "shard" in r:
-            per_shard[r["shard"]] = per_shard.get(r["shard"], 0) + 1
-    return per_shard
-
-
-def _client_jobs(client: int, requests: int, workloads: Sequence[str],
-                 duplicate_fraction: float, tenant: str,
-                 period: int) -> List[dict]:
-    """The submission mix for one client: unique seeds force the
-    simulator, duplicate seeds (shared across all clients) exercise
-    the dedupe tiers."""
-    dups = round(requests * duplicate_fraction)
-    jobs = []
-    for i in range(requests):
-        workload = workloads[(client + i) % len(workloads)]
-        # Interleave duplicates among uniques so hits and misses mix.
-        duplicate = (i % 2 == 1) if dups * 2 >= requests else i < dups
-        seed = _DUP_SEED if duplicate else 17 + client * 1009 + i * 13
-        jobs.append({"workload": workload, "tenant": tenant,
-                     "period": period, "seed": seed})
-    return jobs
-
-
-async def _drive(root: str, clients: int, shards: int,
-                 requests_per_client: int, workloads: Sequence[str],
-                 duplicate_fraction: float, tenants: int,
-                 period: int, poll_interval: float,
-                 policy: FairnessPolicy) -> ServeLoadResult:
-    burst_ids: List[str] = []
-    burst_throttled = 0
-    async with _serving(root, shards, policy) as (fleet, door):
-        # -- backpressure phase (daemons not yet polling, so the
-        # pending quota fills deterministically) ------------------------
-        quota = policy.max_pending_per_tenant or 0
-        for i in range(quota + 1):
-            status, data, headers = await http_request(
-                door.host, door.port, "POST", "/submit",
-                {"workload": workloads[0], "tenant": "burst",
-                 "period": period, "seed": _DUP_SEED})
-            if status == 202:
-                burst_ids.append(data["job_id"])
-            elif status == 429:
-                burst_throttled += 1
-                if "retry-after" not in headers:
-                    raise RuntimeError("429 without Retry-After header")
-            else:
-                raise RuntimeError(f"burst submit: {status} {data}")
-        if quota and not burst_throttled:
-            raise RuntimeError(
-                f"quota {quota} did not trigger backpressure")
-
-        # -- main load phase -------------------------------------------
-        # Cap idle backoff near the poll interval: the bench measures
-        # latency, and an uncapped backoff would charge post-lull
-        # submissions for the daemon's deep sleep.
-        fleet.start(poll_interval=poll_interval,
-                    max_backoff=poll_interval * 4)
-        runners = [
-            _Client(c, door.host, door.port,
-                    tenant=f"tenant-{c % max(1, tenants)}",
-                    poll_interval=poll_interval)
-            for c in range(clients)
-        ]
-        elapsed = await _run_clients(runners, [
-            _client_jobs(runner.index, requests_per_client, workloads,
-                         duplicate_fraction, runner.tenant, period)
-            for runner in runners])
-
-        # The burst jobs count like any other: each ends done or
-        # failed, and one still unfinished at the deadline is failed.
-        burst: List[dict] = []
-        deadline = time.monotonic() + 60.0
-        for job_id in burst_ids:
-            final = {"state": "failed"}
-            while time.monotonic() < deadline:
-                status, data, _h = await http_request(
-                    door.host, door.port, "GET", f"/status/{job_id}")
-                if status == 200 and data["state"] in ("done", "failed"):
-                    final = data
-                    break
-                await asyncio.sleep(poll_interval)
-            burst.append(final)
-
-    latencies = [lat for runner in runners for lat in runner.latencies]
-    results = [res for runner in runners for res in runner.results]
-    every = results + burst
-    ok = [r for r in every if r["state"] == "done"]
-    client_ok = sum(1 for r in results if r["state"] == "done")
-    dedupe_hits = sum(
-        1 for r in ok if r["job"].get("result", {}).get("cached"))
-    fleet_hits = sum(
-        1 for r in ok if r["job"].get("result", {}).get("fleet"))
-    throttled = burst_throttled + sum(r.throttled for r in runners)
-
-    cross = await _cross_shard_phase(root, shards, workloads[0], period,
-                                     poll_interval)
-
-    latencies_ms = [lat * 1e3 for lat in latencies]
-    return ServeLoadResult(
-        clients=clients, shards=shards,
-        requests_per_client=requests_per_client,
-        workloads=tuple(workloads),
-        jobs_total=len(every),
-        jobs_ok=len(ok), jobs_failed=len(every) - len(ok),
-        dedupe_hits=dedupe_hits, fleet_hits=fleet_hits,
-        throttled=throttled,
-        p50_ms=percentile(latencies_ms, 0.50),
-        p99_ms=percentile(latencies_ms, 0.99),
-        mean_ms=sum(latencies_ms) / len(latencies_ms),
-        max_ms=max(latencies_ms),
-        jobs_per_sec=client_ok / elapsed if elapsed > 0 else 0.0,
-        elapsed_seconds=elapsed,
-        per_shard_jobs=_per_shard(every),
-        cross_shard=cross)
-
-
-async def _cross_shard_phase(root: str, shards: int, workload: str,
-                             period: int,
-                             poll_interval: float) -> dict:
-    """Reshard the fleet and prove the dedupe index spans shards.
-
-    Rebuilds the fleet over the same root with a shard count chosen so
-    the workload's placement *moves*, then resubmits the duplicate key.
-    The verdict must be a fleet-index hit served from the original
-    shard's store — zero simulator work on the new home shard.
-    """
-    fleet = Fleet(root, shards=shards, jobs=1)
-    try:
-        program_hash, origin = fleet._route_key(workload, "baseline")
-    finally:
-        fleet.close()
-    new_shards = shards + 1
-    while shard_for(workload, program_hash, new_shards) == origin:
-        new_shards += 1
-
-    async with _serving(root, new_shards) as (fleet, door):
-        fleet.start(poll_interval=poll_interval)
-        _status, accepted, _h = await http_request(
-            door.host, door.port, "POST", "/submit",
-            {"workload": workload, "period": period, "seed": _DUP_SEED,
-             "tenant": "reshard"})
-        serving_shard = accepted["shard"]
-        while True:
-            status, data, _h = await http_request(
-                door.host, door.port, "GET",
-                f"/status/{accepted['job_id']}")
-            if status == 200 and data["state"] in ("done", "failed"):
-                break
-            await asyncio.sleep(poll_interval)
-        result = data["job"].get("result", {})
-        simulated = fleet.services[serving_shard].pool.stats["tasks"]
-    return {
-        "reshard_to": new_shards,
-        "origin_shard": result.get("origin_shard"),
-        "serving_shard": serving_shard,
-        "hit": bool(result.get("fleet"))
-               and result.get("origin_shard") != serving_shard,
-        "simulator_tasks": simulated,
-    }
-
-
-def run_serve_load(clients: int = 8, shards: int = 2,
-                   requests_per_client: int = 5,
-                   # These two hash onto different shards of a 2-shard
-                   # fleet, so the default run exercises both daemons.
-                   workloads: Sequence[str] = ("objectlayout",
-                                               "kernel-array"),
-                   duplicate_fraction: float = 0.5,
-                   tenants: int = 2,
-                   period: int = 32,
-                   poll_interval: float = 0.02,
-                   root: Optional[str] = None,
-                   policy: Optional[FairnessPolicy] = None
-                   ) -> ServeLoadResult:
-    """Run the load bench; see the module docstring for what it proves.
-
-    ``root`` defaults to a temporary directory torn down afterwards;
-    pass a path to keep the fleet state for inspection.  The default
-    policy gives each tenant a small pending quota so the backpressure
-    phase triggers and bounds per-tenant in-flight at 2.
-    """
-    if clients < 1 or requests_per_client < 1:
-        raise ValueError("clients and requests_per_client must be >= 1")
-    if policy is None:
-        policy = FairnessPolicy(max_pending_per_tenant=2,
-                                max_inflight_per_tenant=2,
-                                max_queue_depth=max(64, clients * 8),
-                                retry_after=poll_interval * 2)
-
-    async def drive(run_root: str) -> ServeLoadResult:
-        return await _drive(run_root, clients, shards,
-                            requests_per_client, workloads,
-                            duplicate_fraction, tenants, period,
-                            poll_interval, policy)
-
-    if root is not None:
-        return asyncio.run(drive(root))
-    with tempfile.TemporaryDirectory(prefix="djx-serve-load-") as tmp:
-        return asyncio.run(drive(tmp))
-
-
-# ----------------------------------------------------------------------
-# Fleet scaling (the ``bench --fleet-scaling`` arm)
-# ----------------------------------------------------------------------
-
-#: Default workload mix for the scaling curve: enough distinct
-#: programs that ``sha256(workload ++ program_hash) mod N`` populates
-#: every shard of a 4-shard fleet, engine-bound so jobs/sec measures
-#: simulation, repeated so the warm compile cache gets exercised.
-FLEET_SCALING_WORKLOADS = ("kernel-arith", "kernel-array",
-                           "kernel-field", "kernel-mixed",
-                           "objectlayout", "mnemonics",
-                           "crypto", "montecarlo")
-
-
-@dataclass(frozen=True)
-class FleetScalingPoint:
-    """Throughput of one fleet size."""
-
-    shards: int
-    jobs_ok: int
-    jobs_failed: int
-    elapsed_seconds: float
-    jobs_per_sec: float
-    #: Fused-codegen warm-cache totals of this point's jobs (the
-    #: process-wide cache, emptied before the point starts).
-    warm_hits: int
-    warm_misses: int
-    per_shard_jobs: Dict[int, int] = field(default_factory=dict)
 
     @property
     def warm_hit_rate(self) -> float:
@@ -434,141 +119,293 @@ class FleetScalingPoint:
             "shards": self.shards,
             "jobs_ok": self.jobs_ok,
             "jobs_failed": self.jobs_failed,
-            "elapsed_seconds": round(self.elapsed_seconds, 6),
-            "jobs_per_sec": round(self.jobs_per_sec, 3),
+            "dedupe_hits": self.dedupe_hits,
+            "dedupe_hit_rate": round(self.dedupe_hit_rate, 4),
+            "fleet_hits": self.fleet_hits,
+            "throttled": self.throttled,
             "warm_hits": self.warm_hits,
             "warm_misses": self.warm_misses,
             "warm_hit_rate": round(self.warm_hit_rate, 4),
+            "p50_ms": round(self.p50_ms, 3),
+            "p99_ms": round(self.p99_ms, 3),
+            "mean_ms": round(self.mean_ms, 3),
+            "max_ms": round(self.max_ms, 3),
+            "tail_ratio": round(self.tail_ratio, 3),
+            "jobs_per_sec": round(self.jobs_per_sec, 3),
+            "elapsed_seconds": round(self.elapsed_seconds, 6),
             "per_shard_jobs": {str(k): v for k, v in
                                sorted(self.per_shard_jobs.items())},
         }
 
 
 @dataclass(frozen=True)
-class FleetScalingResult:
-    """The jobs/sec scaling curve across fleet sizes (1 vs N)."""
+class FleetLoadResult:
+    """Every fleet size of one run, plus the reshard phase."""
 
-    requests: int
     clients: int
+    requests_per_client: int
     workloads: Tuple[str, ...]
-    points: Tuple[FleetScalingPoint, ...]
-
-    def _point(self, shards: int) -> Optional[FleetScalingPoint]:
-        return next((p for p in self.points if p.shards == shards),
-                    None)
+    points: Tuple[FleetLoadPoint, ...]
+    #: The reshard phase: the over-quota burst's 429 and the
+    #: cross-shard hits of its accepted copies.
+    reshard: Dict = field(default_factory=dict)
 
     @property
-    def max_shards(self) -> int:
-        return max(p.shards for p in self.points)
+    def largest(self) -> FleetLoadPoint:
+        return max(self.points, key=lambda p: p.shards)
 
     @property
     def scaling_ratio(self) -> float:
-        """Largest fleet's jobs/sec over the single-shard baseline."""
-        base = self._point(1)
-        peak = max(self.points, key=lambda p: p.shards)
+        """Largest fleet's jobs/sec over the single-shard fleet's."""
+        base = next((p for p in self.points if p.shards == 1), None)
         if base is None or base.jobs_per_sec <= 0:
             return 0.0
-        return peak.jobs_per_sec / base.jobs_per_sec
-
-    @property
-    def warm_hit_rate(self) -> float:
-        """Warm compile hit rate at the largest fleet size."""
-        return max(self.points,
-                   key=lambda p: p.shards).warm_hit_rate
+        return self.largest.jobs_per_sec / base.jobs_per_sec
 
     def to_dict(self) -> dict:
+        largest = self.largest
         return {
-            "requests": self.requests,
             "clients": self.clients,
+            "requests_per_client": self.requests_per_client,
             "workloads": list(self.workloads),
-            "max_shards": self.max_shards,
+            "max_shards": largest.shards,
             "scaling_ratio": round(self.scaling_ratio, 3),
-            "warm_hit_rate": round(self.warm_hit_rate, 4),
+            "tail_ratio": round(largest.tail_ratio, 3),
+            "dedupe_hit_rate": round(largest.dedupe_hit_rate, 4),
+            "warm_hit_rate": round(largest.warm_hit_rate, 4),
             "points": [p.to_dict() for p in self.points],
+            "reshard": dict(self.reshard),
         }
 
 
-async def _drive_fleet_point(root: str, shards: int, clients: int,
-                             jobs: List[dict], poll_interval: float
-                             ) -> FleetScalingPoint:
-    """Drive one fleet size over real sockets; measure jobs/sec."""
-    from repro.jvm.dispatch import reset_warm_cache, warm_cache_stats
+async def _await_final(host: str, port: int, job_id: str,
+                       deadline: float) -> dict:
+    """Poll GET /status until the job is done or failed; a job still
+    unfinished at ``deadline`` comes back failed."""
+    while time.monotonic() < deadline:
+        status, data, _headers = await http_request(
+            host, port, "GET", f"/status/{job_id}")
+        if status == 200 and data["state"] in ("done", "failed"):
+            return data
+        await asyncio.sleep(_POLL_S)
+    return {"state": "failed", "job_id": job_id, "timed_out": True}
+
+
+class _Client:
+    """One synthetic client coroutine."""
+
+    def __init__(self, host: str, port: int) -> None:
+        self.host = host
+        self.port = port
+        self.latencies: List[float] = []
+        self.results: List[dict] = []
+        self.throttled = 0
+
+    async def complete(self, payload: dict, deadline: float) -> dict:
+        """Submit (obeying Retry-After on 429) and wait for the verdict."""
+        while time.monotonic() < deadline:
+            status, data, headers = await http_request(
+                self.host, self.port, "POST", "/submit", payload)
+            if status == 202:
+                return await _await_final(self.host, self.port,
+                                          data["job_id"], deadline)
+            if status != 429:
+                raise RuntimeError(f"submit rejected: {status} {data}")
+            self.throttled += 1
+            await asyncio.sleep(float(headers.get("retry-after", "0.1")))
+        return {"state": "failed", "timed_out": True}
+
+    async def run(self, jobs: List[dict], deadline: float) -> None:
+        for payload in jobs:
+            started = time.perf_counter()
+            verdict = await self.complete(payload, deadline)
+            if not verdict.get("timed_out"):
+                self.latencies.append(time.perf_counter() - started)
+            self.results.append(verdict)
+
+
+@contextlib.asynccontextmanager
+async def _serving(root: str, shards: int):
+    """A fleet behind a started front door (not yet polling), exactly
+    as ``repro fleet`` serves: shard daemons on threads, simulating
+    in-process (``jobs=1``), under :data:`FLEET_POLICY`."""
+    fleet = Fleet(root, shards=shards, jobs=1, queue_policy=FLEET_POLICY)
+    door = HttpFrontDoor(fleet)
+    try:
+        await door.start()
+        yield fleet, door
+    finally:
+        await door.stop()
+        fleet.close()
+
+
+def _client_jobs(client: int, requests: int,
+                 workloads: Sequence[str]) -> List[dict]:
+    """One client's submissions.
+
+    Even-numbered jobs have seeds unique to the client, so they
+    simulate; odd-numbered ones repeat the client's first job, so they
+    are served from the store.  A client waits for each verdict before
+    it submits the next, so every repeat finds its original stored and
+    the dedupe hit count is fixed by the mix — a copy racing its
+    original through the queue would simulate twice.
+    """
+    jobs = []
+    for i in range(requests):
+        n = 0 if i % 2 else i
+        jobs.append({"workload": workloads[(client + n) % len(workloads)],
+                     "tenant": f"tenant-{client % _TENANTS}",
+                     "period": 32,
+                     "seed": 17 + client * 1009 + n * 13})
+    return jobs
+
+
+async def _drive_point(root: str, shards: int, clients: int,
+                       requests_per_client: int,
+                       workloads: Sequence[str]) -> FleetLoadPoint:
+    """Drive one fresh fleet of ``shards`` shards with the client mix."""
+    from repro.jvm.dispatch import reset_warm_cache
 
     # Shards simulate in this process, so the codegen cache is shared
-    # across points: empty it, or a later point starts warm.
+    # across fleet sizes: empty it, or a later size starts warm.
     reset_warm_cache()
-    async with _serving(root, shards, FLEET_POLICY) as (fleet, door):
-        fleet.start(poll_interval=poll_interval,
-                    max_backoff=poll_interval * 4)
-        runners = [_Client(c, door.host, door.port, tenant="scale",
-                           poll_interval=poll_interval)
-                   for c in range(min(clients, len(jobs)))]
-        batches: List[List[dict]] = [[] for _ in runners]
-        for i, payload in enumerate(jobs):
-            batches[i % len(runners)].append(payload)
-        elapsed = await _run_clients(runners, batches)
-    warm = warm_cache_stats()
+    async with _serving(root, shards) as (fleet, door):
+        fleet.start(poll_interval=_POLL_S, max_backoff=_POLL_S * 4)
+        runners = [_Client(door.host, door.port) for _ in range(clients)]
+        deadline = time.monotonic() + DEADLINE_S
+        started = time.perf_counter()
+        await asyncio.gather(*(
+            runner.run(_client_jobs(c, requests_per_client, workloads),
+                       deadline)
+            for c, runner in enumerate(runners)))
+        elapsed = time.perf_counter() - started
+        _status, stats, _h = await http_request(door.host, door.port,
+                                                "GET", "/fleet")
 
     results = [res for runner in runners for res in runner.results]
-    ok = sum(1 for r in results if r["state"] == "done")
-    return FleetScalingPoint(
+    ok = [r for r in results if r["state"] == "done"]
+    per_shard: Dict[int, int] = {}
+    for r in results:
+        if "shard" in r:
+            per_shard[r["shard"]] = per_shard.get(r["shard"], 0) + 1
+    latencies_ms = [lat * 1e3 for runner in runners
+                    for lat in runner.latencies] or [0.0]
+    return FleetLoadPoint(
         shards=shards,
-        jobs_ok=ok,
-        jobs_failed=len(results) - ok,
+        jobs_ok=len(ok), jobs_failed=len(results) - len(ok),
+        dedupe_hits=sum(1 for r in ok
+                        if r["job"].get("result", {}).get("cached")),
+        fleet_hits=sum(1 for r in ok
+                       if r["job"].get("result", {}).get("fleet")),
+        throttled=sum(runner.throttled for runner in runners),
+        warm_hits=stats["warm"]["hits"],
+        warm_misses=stats["warm"]["misses"],
+        p50_ms=percentile(latencies_ms, 0.50),
+        p99_ms=percentile(latencies_ms, 0.99),
+        mean_ms=sum(latencies_ms) / len(latencies_ms),
+        max_ms=max(latencies_ms),
+        jobs_per_sec=len(ok) / elapsed if elapsed > 0 else 0.0,
         elapsed_seconds=elapsed,
-        jobs_per_sec=ok / elapsed if elapsed > 0 else 0.0,
-        warm_hits=warm["hits"],
-        warm_misses=warm["misses"],
-        per_shard_jobs=_per_shard(results))
+        per_shard_jobs=per_shard)
 
 
-def run_fleet_scaling(shards: Sequence[int] = (1, 4),
-                      requests: int = 24,
-                      clients: int = 8,
-                      workloads: Sequence[str] =
-                      FLEET_SCALING_WORKLOADS,
-                      period: int = 32,
-                      poll_interval: float = 0.05,
-                      root: Optional[str] = None
-                      ) -> FleetScalingResult:
-    """Measure the fleet's jobs/sec scaling curve.
+async def _reshard_phase(root: str, shards: int, payload: dict) -> dict:
+    """Reshard the fleet and prove backpressure and cross-shard dedupe.
 
-    Every point is a fresh :class:`~repro.serve.router.Fleet` of N
-    shards over its own root, behind the HTTP front door, driven by the
-    same ``requests``-job mix through real sockets — the topology
-    :func:`run_serve_load` drives.  Seeds are unique per point so every
-    job simulates (no dedupe shortcut); workloads repeat so the warm
-    compile cache is exercised and its hit rate lands in the point.
-    The headline numbers are the ``scaling_ratio`` (largest-N jobs/sec
-    over 1-shard jobs/sec) and the ``warm_hit_rate`` at the largest
-    size.  Shards simulate on their own threads, so the ratio stays
-    near 1.0 whatever the core count; what it catches is a front door
-    or router that serialises the fleet on one shard.
+    Rebuilds the fleet over ``root`` with a shard count chosen so
+    ``payload``'s placement *moves*.  Before the daemons start (so the
+    pending quota fills deterministically) one tenant submits
+    ``max_pending_per_tenant + 1`` copies of ``payload``, a key the
+    old fleet already stored: the last copy must get 429 with
+    ``Retry-After``, and every accepted copy must be served from the
+    original shard's store through the fleet index — zero simulator
+    work anywhere in the resharded fleet.
     """
-    if requests < 1:
-        raise ValueError("requests must be >= 1")
+    from repro.workloads import get_workload
+
+    workload = payload["workload"]
+    program_hash = program_digest(
+        get_workload(workload).build_verified("baseline"))
+    origin = shard_for(workload, program_hash, shards)
+    new_shards = shards + 1
+    while shard_for(workload, program_hash, new_shards) == origin:
+        new_shards += 1
+
+    burst = dict(payload, tenant="reshard")
+    accepted: List[str] = []
+    throttled = 0
+    retry_after = False
+    async with _serving(root, new_shards) as (fleet, door):
+        for _ in range(FLEET_POLICY.max_pending_per_tenant + 1):
+            status, data, headers = await http_request(
+                door.host, door.port, "POST", "/submit", burst)
+            if status == 202:
+                accepted.append(data["job_id"])
+            elif status == 429:
+                throttled += 1
+                retry_after = "retry-after" in headers
+            else:
+                raise RuntimeError(f"burst submit: {status} {data}")
+        fleet.start(poll_interval=_POLL_S, max_backoff=_POLL_S * 4)
+        deadline = time.monotonic() + DEADLINE_S
+        finals = [await _await_final(door.host, door.port, job_id,
+                                     deadline)
+                  for job_id in accepted]
+        simulated = sum(service.pool.stats["tasks"]
+                        for service in fleet.services)
+    served = [r for r in finals if r["state"] == "done"
+              and r["job"].get("result", {}).get("fleet")
+              and r["job"]["result"].get("origin_shard") != r["shard"]]
+    return {
+        "shards": new_shards,
+        "origin_shard": origin,
+        "serving_shard": shard_for(workload, program_hash, new_shards),
+        "accepted": len(accepted),
+        "throttled": throttled,
+        "retry_after": retry_after,
+        "jobs_failed": sum(1 for r in finals if r["state"] != "done"),
+        "simulator_tasks": simulated,
+        "hit": bool(accepted) and len(served) == len(accepted)
+               and simulated == 0,
+    }
+
+
+def run_fleet_load(shards: Sequence[int] = (1, 4), clients: int = 8,
+                   requests_per_client: int = 3,
+                   workloads: Sequence[str] = FLEET_WORKLOADS,
+                   root: Optional[str] = None) -> FleetLoadResult:
+    """Run the load bench; see the module docstring for what it proves.
+
+    ``shards`` lists the fleet sizes; the 1-shard fleet is always
+    measured, as the scaling ratio's baseline.  ``root`` defaults to a
+    temporary directory torn down afterwards; pass a path to keep each
+    fleet's state (``fleet-NN/``) for inspection.
+    """
+    if clients < 1 or requests_per_client < 1:
+        raise ValueError("clients and requests_per_client must be >= 1")
     sizes = sorted(set(int(n) for n in shards))
     if not sizes or sizes[0] < 1:
         raise ValueError(f"bad shard sizes {shards!r}")
     if 1 not in sizes:
         sizes.insert(0, 1)
 
-    def measure(base_root: str) -> FleetScalingResult:
-        points: List[FleetScalingPoint] = []
-        for idx, size in enumerate(sizes):
-            jobs = [{"workload": workloads[i % len(workloads)],
-                     "period": period,
-                     "seed": 500_000 * (idx + 1) + i}
-                    for i in range(requests)]
-            points.append(asyncio.run(_drive_fleet_point(
-                os.path.join(base_root, f"fleet-{size:02d}"), size,
-                clients, jobs, poll_interval)))
-        return FleetScalingResult(requests=requests, clients=clients,
-                                  workloads=tuple(workloads),
-                                  points=tuple(points))
+    def measure(base_root: str) -> FleetLoadResult:
+        points = [asyncio.run(_drive_point(
+            os.path.join(base_root, f"fleet-{size:02d}"), size, clients,
+            requests_per_client, workloads)) for size in sizes]
+        # Client 0's first job: stored by the largest fleet, and the
+        # job its odd-numbered repeats were served from.
+        stored = _client_jobs(0, 1, workloads)[0]
+        reshard = asyncio.run(_reshard_phase(
+            os.path.join(base_root, f"fleet-{sizes[-1]:02d}"), sizes[-1],
+            stored))
+        return FleetLoadResult(clients=clients,
+                               requests_per_client=requests_per_client,
+                               workloads=tuple(workloads),
+                               points=tuple(points), reshard=reshard)
 
     if root is not None:
         os.makedirs(root, exist_ok=True)
         return measure(root)
-    with tempfile.TemporaryDirectory(prefix="djx-fleet-scale-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="djx-fleet-load-") as tmp:
         return measure(tmp)

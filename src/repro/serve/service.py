@@ -48,16 +48,13 @@ def execute_job(payload: dict) -> dict:
 
 
 def _execute_profile(spec: JobSpec) -> dict:
-    from repro.jvm.dispatch import warm_cache_stats
     from repro.workloads import get_workload, run_profiled
 
     workload = get_workload(spec.workload)
     trace_path = spec.meta.get("trace_path")
-    before = warm_cache_stats()
     run = run_profiled(workload, variant=spec.variant,
                        config=_job_config(spec), seed=spec.seed,
                        trace_path=trace_path, family=spec.family)
-    after = warm_cache_stats()
     return {
         "kind": "profile",
         "family": spec.family,
@@ -65,11 +62,11 @@ def _execute_profile(spec: JobSpec) -> dict:
         "wall_cycles": run.result.wall_cycles,
         "total_samples": run.analysis.total(),
         "trace_path": trace_path,
-        # Fused-codegen warm-cache delta for this job: a long-lived
-        # daemon compiles each (method, variant) once, so repeat
-        # traffic shows hits > 0 and misses == 0 here.
-        "warm": {"hits": after["hits"] - before["hits"],
-                 "misses": after["misses"] - before["misses"]},
+        # This job's fused-codegen warm-cache lookups, counted on its
+        # own machine so shards compiling at once never mix: a
+        # long-lived daemon compiles each (method, variant) once, so
+        # repeat traffic shows hits > 0 and misses == 0 here.
+        "warm": dict(run.machine.warm),
     }
 
 
@@ -118,7 +115,7 @@ class ProfilingService:
         self.failed = 0
         self.cached_hits = 0
         #: Fused-codegen warm-cache totals aggregated over executed
-        #: jobs (see ``_execute_profile``'s per-job ``warm`` delta).
+        #: jobs (see ``_execute_profile``'s per-job ``warm`` count).
         self.warm_hits = 0
         self.warm_misses = 0
         #: Outcome files removed by retention sweeps.

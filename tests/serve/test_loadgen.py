@@ -1,17 +1,17 @@
-"""Tests for the serving-layer load generator and its CI gates."""
+"""Tests for the serving-layer load generator and its CI gate."""
+
+import time
 
 import pytest
 
-from repro.bench import BenchReport, check_regression
+from repro.bench import BenchReport, _check_fleet, check_regression
+from repro.serve import loadgen
 from repro.serve.loadgen import (
-    _DUP_SEED,
-    FleetScalingPoint,
-    FleetScalingResult,
-    ServeLoadResult,
+    FleetLoadPoint,
+    FleetLoadResult,
     _client_jobs,
     percentile,
-    run_fleet_scaling,
-    run_serve_load,
+    run_fleet_load,
 )
 
 
@@ -30,94 +30,174 @@ class TestPercentile:
             percentile([], 0.5)
 
 
-def result(**kw):
-    defaults = dict(clients=2, shards=2, requests_per_client=2,
-                    workloads=("a", "b"), jobs_total=4, jobs_ok=4,
-                    jobs_failed=0, dedupe_hits=2, fleet_hits=1,
-                    throttled=0, p50_ms=100.0, p99_ms=250.0,
-                    mean_ms=120.0, max_ms=250.0, jobs_per_sec=3.0,
-                    elapsed_seconds=1.5)
+def point(shards, jobs_per_sec=3.0, **kw):
+    defaults = dict(shards=shards, jobs_ok=4, jobs_failed=0,
+                    dedupe_hits=2, fleet_hits=1, throttled=0,
+                    warm_hits=9, warm_misses=3, p50_ms=100.0,
+                    p99_ms=250.0, mean_ms=120.0, max_ms=250.0,
+                    jobs_per_sec=jobs_per_sec, elapsed_seconds=1.5,
+                    per_shard_jobs={0: 4})
     defaults.update(kw)
-    return ServeLoadResult(**defaults)
+    return FleetLoadPoint(**defaults)
+
+
+def load_result(base_jps=8.0, peak_jps=24.0, peak_shards=4, **kw):
+    return FleetLoadResult(
+        clients=2, requests_per_client=2, workloads=("a", "b"),
+        points=(point(1, base_jps, p99_ms=900.0, warm_hits=0),
+                point(peak_shards, peak_jps, **kw)),
+        reshard={"hit": True, "throttled": 1})
 
 
 class TestServeLoadResult:
+    """The rates one fleet size derives from its own counts."""
+
     def test_derived_rates(self):
-        r = result()
-        assert r.dedupe_hit_rate == 0.5
-        assert r.tail_ratio == 2.5
+        p = point(4)
+        assert p.dedupe_hit_rate == 0.5
+        assert p.tail_ratio == 2.5
+        assert p.warm_hit_rate == pytest.approx(0.75)
 
     def test_zero_guards(self):
-        r = result(jobs_ok=0, p50_ms=0.0)
-        assert r.dedupe_hit_rate == 0.0
-        assert r.tail_ratio == 0.0
+        p = point(1, jobs_ok=0, p50_ms=0.0, warm_hits=0, warm_misses=0)
+        assert p.dedupe_hit_rate == 0.0
+        assert p.tail_ratio == 0.0
+        assert p.warm_hit_rate == 0.0
 
     def test_to_dict_round_values(self):
-        d = result(cross_shard={"hit": True}).to_dict()
+        d = point(2, warm_hits=2, warm_misses=1).to_dict()
         assert d["tail_ratio"] == 2.5
         assert d["dedupe_hit_rate"] == 0.5
-        assert d["cross_shard"] == {"hit": True}
+        assert d["warm_hit_rate"] == 0.6667
+        assert d["per_shard_jobs"] == {"0": 4}
+
+
+class TestFleetScalingResult:
+    """What the result derives across fleet sizes: the scaling ratio
+    spans them, every other rate is the largest fleet's."""
+
+    def test_scaling_ratio_is_peak_over_single_shard(self):
+        r = load_result(8.0, 24.0)
+        assert r.largest.shards == 4
+        assert r.scaling_ratio == pytest.approx(3.0)
+
+    def test_warm_hit_rate_of_largest_point(self):
+        r = load_result(warm_hits=9, warm_misses=3)
+        assert r.points[0].warm_hit_rate == 0.0
+        assert r.to_dict()["warm_hit_rate"] == 0.75
+
+    def test_zero_guards(self):
+        assert load_result(0.0, 24.0).scaling_ratio == 0.0
+        r = load_result(warm_hits=0, warm_misses=0)
+        assert r.to_dict()["warm_hit_rate"] == 0.0
+
+    def test_to_dict_shape(self):
+        d = load_result(8.0, 12.0, peak_shards=2).to_dict()
+        assert d["max_shards"] == 2
+        assert d["scaling_ratio"] == 1.5
+        # The 1-shard fleet's 900 ms p99 does not set the tail ratio.
+        assert d["tail_ratio"] == 2.5
+        assert d["dedupe_hit_rate"] == 0.5
+        assert d["warm_hit_rate"] == 0.75
+        assert [p["shards"] for p in d["points"]] == [1, 2]
+        assert d["points"][0]["per_shard_jobs"] == {"0": 4}
+        assert d["reshard"] == {"hit": True, "throttled": 1}
 
 
 class TestClientJobs:
     def test_duplicates_share_the_dup_seed(self):
-        jobs = _client_jobs(client=0, requests=4, workloads=("w",),
-                            duplicate_fraction=0.5, tenant="t",
-                            period=32)
-        seeds = [j["seed"] for j in jobs]
-        assert seeds.count(_DUP_SEED) == 2
-        uniques = [s for s in seeds if s != _DUP_SEED]
+        """Odd-numbered jobs repeat the client's first job exactly."""
+        jobs = _client_jobs(client=0, requests=5, workloads=("w", "v"))
+        assert jobs[1] == jobs[3] == jobs[0]
+        uniques = [j["seed"] for j in jobs[0::2]]
         assert len(set(uniques)) == len(uniques)
 
     def test_unique_seeds_differ_across_clients(self):
-        a = {j["seed"] for j in _client_jobs(0, 4, ("w",), 0.0, "t", 32)}
-        b = {j["seed"] for j in _client_jobs(1, 4, ("w",), 0.0, "t", 32)}
+        a = {j["seed"] for j in _client_jobs(0, 4, ("w",))}
+        b = {j["seed"] for j in _client_jobs(1, 4, ("w",))}
         assert not a & b
 
     def test_workloads_rotate(self):
-        jobs = _client_jobs(0, 4, ("x", "y"), 0.0, "t", 32)
-        assert [j["workload"] for j in jobs] == ["x", "y", "x", "y"]
+        jobs = _client_jobs(1, 5, ("x", "y", "z"))
+        assert [j["workload"] for j in jobs] == ["y", "y", "x", "y", "z"]
+        # Clients alternate between the two tenants.
+        assert {j["tenant"] for j in jobs} == {"tenant-1"}
+        assert _client_jobs(2, 1, ("x",))[0]["tenant"] == "tenant-0"
+
+
+def section(**kw):
+    """A fleet section as ``FleetLoadResult.to_dict`` writes it."""
+    base = {"tail_ratio": 2.0, "dedupe_hit_rate": 0.4,
+            "scaling_ratio": 2.0, "warm_hit_rate": 0.6,
+            "points": [{"shards": 1, "jobs_failed": 0},
+                       {"shards": 4, "jobs_failed": 0}],
+            "reshard": {"shards": 5, "hit": True, "jobs_failed": 0,
+                        "throttled": 1, "retry_after": True}}
+    base.update(kw)
+    return base
+
+
+def reshard(**kw):
+    return dict(section()["reshard"], **kw)
+
+
+def baseline(**kw):
+    return {"aggregate": {}, "fleet": section(**kw)}
+
+
+def report(**kw):
+    return BenchReport(rows=[], repeat=1, fleet=section(**kw))
 
 
 class TestServeGate:
-    """check_regression over the serve_load section of a report."""
-
-    def serve(self, **kw):
-        base = {"tail_ratio": 2.0, "dedupe_hit_rate": 0.4,
-                "cross_shard": {"hit": True}}
-        base.update(kw)
-        return base
-
-    def baseline(self, **kw):
-        return {"aggregate": {}, "serve_load": self.serve(**kw)}
-
-    def report(self, **kw):
-        return BenchReport(rows=[], repeat=1, serve_load=self.serve(**kw))
+    """check_regression over the fleet section of a report."""
 
     def test_clean_run_passes(self):
-        assert check_regression(self.report(), self.baseline()) == []
+        assert check_regression(report(), baseline()) == []
 
-    def test_tail_ratio_ceiling(self):
-        failures = check_regression(self.report(tail_ratio=4.5),
-                                    self.baseline(), serve_tolerance=1.0)
+    @pytest.mark.parametrize("planted, message", [
+        ({"tail_ratio": 4.5}, "tail ratio"),
+        ({"dedupe_hit_rate": 0.1}, "dedupe hit rate"),
+        ({"reshard": reshard(hit=False)}, "cross-shard"),
+        ({"scaling_ratio": 1.5}, "scaling ratio"),
+        ({"warm_hit_rate": 0.1}, "warm compile-cache"),
+        ({"points": [{"shards": 1, "jobs_failed": 0},
+                     {"shards": 4, "jobs_failed": 2}]}, "failed jobs"),
+        ({"reshard": reshard(jobs_failed=1)}, "failed jobs"),
+        ({"reshard": reshard(throttled=0)}, "expected exactly 1"),
+        ({"reshard": reshard(retry_after=False)}, "Retry-After"),
+    ], ids=["tail-ratio", "dedupe-rate", "cross-shard", "scaling-ratio",
+            "warm-rate", "failed-job", "reshard-failed-job", "no-429",
+            "no-retry-after"])
+    def test_planted_regression_fails(self, planted, message):
+        failures = _check_fleet(section(**planted), section(),
+                                tolerance=0.20)
         assert len(failures) == 1
-        assert "tail ratio" in failures[0]
-        # Within the ceiling: 4.0 == 2.0 * (1 + 1.0).
-        assert check_regression(self.report(tail_ratio=4.0),
-                                self.baseline(),
-                                serve_tolerance=1.0) == []
+        assert message in failures[0]
+        assert check_regression(report(**planted),
+                                baseline()) == failures
 
-    def test_dedupe_hit_rate_floor(self):
-        failures = check_regression(self.report(dedupe_hit_rate=0.1),
-                                    self.baseline(), tolerance=0.20)
-        assert len(failures) == 1
-        assert "dedupe" in failures[0]
+    @pytest.mark.parametrize("measured, committed", [
+        # Exactly at the ceiling: 4.0 == 2.0 * (1 + 1.0).
+        ({"tail_ratio": 4.0}, {}),
+        # Floor = 2.0 * (1 - 0.20) = 1.6.
+        ({"scaling_ratio": 1.7}, {}),
+        # A 1-core committing machine (ratio ~1.0) still gates a
+        # multi-core checker: anything over the floor passes.
+        ({"scaling_ratio": 3.4}, {"scaling_ratio": 1.0}),
+    ], ids=["tail-at-ceiling", "scaling-over-floor", "faster-checker"])
+    def test_within_bounds_passes(self, measured, committed):
+        assert check_regression(report(**measured),
+                                baseline(**committed)) == []
 
-    def test_cross_shard_hit_must_not_be_lost(self):
-        failures = check_regression(
-            self.report(cross_shard={"hit": False}), self.baseline())
-        assert len(failures) == 1
-        assert "cross-shard" in failures[0]
+    def test_committed_section_passes_itself(self):
+        import json
+        import pathlib
+
+        path = pathlib.Path(__file__).resolve().parents[2] / \
+            "BENCH_throughput.json"
+        committed = json.loads(path.read_text())["fleet"]
+        assert _check_fleet(committed, committed, tolerance=0.20) == []
 
     def test_empty_report_fails(self):
         failures = check_regression(BenchReport(rows=[], repeat=1),
@@ -126,147 +206,109 @@ class TestServeGate:
                             "engine rows nor a serve arm section"]
 
     def test_serve_section_ignored_without_baseline(self):
-        failures = check_regression(self.report(tail_ratio=99.0),
+        failures = check_regression(report(tail_ratio=99.0),
                                     {"aggregate": {}})
         assert failures == []
 
 
-class TestEndToEnd:
-    def test_small_load_run(self, tmp_path):
-        """A tiny but real run: 2 clients, 2 shards, real HTTP, real
-        daemons, the burst backpressure phase, and the reshard check."""
-        result = run_serve_load(clients=2, shards=2,
-                                requests_per_client=2,
-                                root=str(tmp_path / "fleet"))
-        assert result.jobs_failed == 0
-        # 2 clients x 2 requests, plus the 2 burst jobs under quota.
-        assert result.jobs_ok == 6
-        assert result.jobs_ok + result.jobs_failed == result.jobs_total
-        assert sum(result.per_shard_jobs.values()) == result.jobs_total
-        assert result.dedupe_hits >= 1
-        assert result.throttled >= 1  # the over-quota burst saw a 429
-        assert result.p99_ms >= result.p50_ms > 0
-        assert result.cross_shard["hit"] is True
-        assert result.cross_shard["simulator_tasks"] == 0
-        d = result.to_dict()
-        assert set(d["per_shard_jobs"]) <= {"0", "1"}
-
-
-def scaling_point(shards, jobs_per_sec, warm_hits=16, warm_misses=8,
-                  jobs_ok=24, jobs_failed=0):
-    return FleetScalingPoint(
-        shards=shards, jobs_ok=jobs_ok, jobs_failed=jobs_failed,
-        elapsed_seconds=jobs_ok / jobs_per_sec if jobs_per_sec else 0.0,
-        jobs_per_sec=jobs_per_sec, warm_hits=warm_hits,
-        warm_misses=warm_misses, per_shard_jobs={0: jobs_ok})
-
-
-def scaling_result(base_jps=8.0, peak_jps=24.0, peak_shards=4, **kw):
-    return FleetScalingResult(
-        requests=24, clients=8, workloads=("a", "b"),
-        points=(scaling_point(1, base_jps),
-                scaling_point(peak_shards, peak_jps, **kw)))
-
-
-class TestFleetScalingResult:
-    def test_scaling_ratio_is_peak_over_single_shard(self):
-        assert scaling_result(8.0, 24.0).scaling_ratio == \
-            pytest.approx(3.0)
-
-    def test_warm_hit_rate_of_largest_point(self):
-        r = scaling_result(warm_hits=9, warm_misses=3)
-        assert r.warm_hit_rate == pytest.approx(0.75)
-
-    def test_zero_guards(self):
-        assert scaling_result(0.0, 24.0).scaling_ratio == 0.0
-        r = scaling_result(warm_hits=0, warm_misses=0)
-        assert r.warm_hit_rate == 0.0
-
-    def test_to_dict_shape(self):
-        d = scaling_result(8.0, 12.0, peak_shards=2).to_dict()
-        assert d["max_shards"] == 2
-        assert d["scaling_ratio"] == 1.5
-        assert [p["shards"] for p in d["points"]] == [1, 2]
-        assert d["points"][0]["per_shard_jobs"] == {"0": 24}
-
-
 class TestFleetScalingGate:
-    """check_regression over the fleet_scaling section."""
-
-    def fleet(self, **kw):
-        base = {"scaling_ratio": 2.0, "warm_hit_rate": 0.6,
-                "points": [{"shards": 1, "jobs_failed": 0},
-                           {"shards": 4, "jobs_failed": 0}]}
-        base.update(kw)
-        return base
-
-    def baseline(self, **kw):
-        return {"aggregate": {}, "fleet_scaling": self.fleet(**kw)}
-
-    def report(self, **kw):
-        return BenchReport(rows=[], repeat=1,
-                           fleet_scaling=self.fleet(**kw))
+    """The gate's reading of the points across fleet sizes."""
 
     def test_clean_run_passes(self):
-        assert check_regression(self.report(), self.baseline()) == []
-
-    def test_scaling_ratio_floor(self):
-        # Floor = 2.0 * (1 - 0.20) = 1.6.
-        failures = check_regression(self.report(scaling_ratio=1.5),
-                                    self.baseline(), tolerance=0.20)
-        assert len(failures) == 1
-        assert "scaling ratio" in failures[0]
-        assert check_regression(self.report(scaling_ratio=1.7),
-                                self.baseline(), tolerance=0.20) == []
-
-    def test_faster_checker_machine_passes(self):
-        # A 1-core committing machine (ratio ~1.0) still gates a
-        # multi-core checker: anything >= the floor passes.
-        failures = check_regression(
-            self.report(scaling_ratio=3.4),
-            self.baseline(scaling_ratio=1.0))
-        assert failures == []
-
-    def test_warm_hit_rate_floor(self):
-        failures = check_regression(self.report(warm_hit_rate=0.1),
-                                    self.baseline(), tolerance=0.20)
-        assert len(failures) == 1
-        assert "warm compile-cache" in failures[0]
-
-    def test_failed_jobs_fail_the_gate(self):
-        failures = check_regression(
-            self.report(points=[{"shards": 1, "jobs_failed": 0},
-                                {"shards": 4, "jobs_failed": 2}]),
-            self.baseline())
-        assert len(failures) == 1
-        assert "failed jobs" in failures[0]
+        assert check_regression(
+            report(points=[{"shards": 1, "jobs_failed": 0},
+                           {"shards": 2, "jobs_failed": 0},
+                           {"shards": 4, "jobs_failed": 0}]),
+            baseline()) == []
 
     def test_section_ignored_without_baseline(self):
-        assert check_regression(self.report(scaling_ratio=0.01),
+        assert check_regression(report(scaling_ratio=0.01,
+                                       warm_hit_rate=0.0),
                                 {"aggregate": {}}) == []
 
     def test_missing_ratio_reported(self):
-        fleet = self.fleet()
+        fleet = section()
         del fleet["scaling_ratio"]
         failures = check_regression(
-            BenchReport(rows=[], repeat=1, fleet_scaling=fleet),
-            self.baseline())
-        assert "no scaling_ratio" in failures[0]
+            BenchReport(rows=[], repeat=1, fleet=fleet), baseline())
+        assert failures == ["fleet run has no scaling_ratio"]
+
+
+class TestEndToEnd:
+    def test_small_load_run(self, tmp_path):
+        """A tiny but real run: 2 clients against a 1-shard and a
+        2-shard fleet over real HTTP with real daemons, then the
+        reshard phase's burst and cross-shard check."""
+        result = run_fleet_load(shards=(2,), clients=2,
+                                requests_per_client=3,
+                                workloads=("objectlayout",
+                                           "kernel-array"),
+                                root=str(tmp_path / "fleet"))
+        assert [p.shards for p in result.points] == [1, 2]
+        for p in result.points:
+            assert (p.jobs_ok, p.jobs_failed) == (6, 0)
+            assert sum(p.per_shard_jobs.values()) == 6
+            # Each client's second job repeats its first.
+            assert p.dedupe_hits == 2
+            assert p.throttled == 0
+            assert p.p99_ms >= p.p50_ms > 0
+            assert p.jobs_per_sec > 0
+            # Each workload simulates twice: the second run hits the
+            # warm cache, emptied before every fleet size.
+            assert p.warm_hits > 0 and p.warm_misses > 0
+        assert set(result.points[1].per_shard_jobs) == {0, 1}
+        reshard = result.reshard
+        assert reshard["accepted"] == 32
+        assert reshard["throttled"] == 1 and reshard["retry_after"]
+        assert reshard["jobs_failed"] == 0
+        assert reshard["simulator_tasks"] == 0
+        assert reshard["hit"] is True
+        d = result.to_dict()
+        assert _check_fleet(d, d, tolerance=0.20) == []
+
+    def test_stuck_shard_fails_by_the_deadline(self, tmp_path,
+                                               monkeypatch):
+        """A shard that never claims cannot hang the bench: its jobs
+        fail at the deadline and the gate reports them."""
+        from repro.serve.service import ProfilingService
+
+        real_run_once = ProfilingService.run_once
+
+        def run_once(self, max_jobs=None):
+            if self.shard_id == 1:
+                return []
+            return real_run_once(self, max_jobs)
+
+        monkeypatch.setattr(ProfilingService, "run_once", run_once)
+        monkeypatch.setattr(loadgen, "DEADLINE_S", 2.0)
+        started = time.monotonic()
+        result = run_fleet_load(shards=(2,), clients=2,
+                                requests_per_client=1,
+                                workloads=("objectlayout",
+                                           "kernel-array"),
+                                root=str(tmp_path / "fleet"))
+        # Three phases (two fleet sizes, the reshard), one deadline
+        # each, plus set-up.
+        assert time.monotonic() - started < 3 * 2.0 + 10.0
+        assert result.points[0].jobs_failed == 0
+        assert result.points[1].jobs_failed == 1
+        d = result.to_dict()
+        failures = _check_fleet(d, d, tolerance=0.20)
+        assert "fleet load at shards=2 had 1 failed jobs" in failures
 
 
 class TestFleetScalingEndToEnd:
     def test_single_point_real_fleet(self, tmp_path):
-        """One real point: a fleet behind the front door, real
-        sockets, warm stats from this process's codegen cache."""
-        result = run_fleet_scaling(shards=(1,), requests=4, clients=2,
-                                   workloads=("objectlayout",
-                                              "kernel-array"),
-                                   poll_interval=0.05,
-                                   root=str(tmp_path / "scale"))
+        """One fleet size asked for is the 1-shard fleet alone: real
+        sockets, warm counts as ``GET /fleet`` reports them."""
+        result = run_fleet_load(shards=(1,), clients=2,
+                                requests_per_client=3,
+                                workloads=("objectlayout",
+                                           "kernel-array"),
+                                root=str(tmp_path / "scale"))
         assert [p.shards for p in result.points] == [1]
         point = result.points[0]
-        assert point.jobs_ok == 4
-        assert point.jobs_failed == 0
+        assert (point.jobs_ok, point.jobs_failed) == (6, 0)
         assert point.jobs_per_sec > 0
         # 2 workloads x 2 runs each: the second run of each workload
         # hits the warm compile cache, emptied before the point.
@@ -275,12 +317,14 @@ class TestFleetScalingEndToEnd:
         assert result.scaling_ratio == pytest.approx(1.0)
         d = result.to_dict()
         assert d["max_shards"] == 1
-        assert d["points"][0]["warm_hit_rate"] > 0
+        assert d["reshard"]["jobs_failed"] == 0
 
     def test_bad_shard_sizes_rejected(self):
         with pytest.raises(ValueError):
-            run_fleet_scaling(shards=())
+            run_fleet_load(shards=())
         with pytest.raises(ValueError):
-            run_fleet_scaling(shards=(0, 2))
+            run_fleet_load(shards=(0, 2))
         with pytest.raises(ValueError):
-            run_fleet_scaling(shards=(2,), requests=0)
+            run_fleet_load(shards=(2,), requests_per_client=0)
+        with pytest.raises(ValueError):
+            run_fleet_load(shards=(2,), clients=0)

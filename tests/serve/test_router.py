@@ -322,3 +322,26 @@ class TestStartedFleet:
             assert fleet.status("bad-shape")["job"]["error"].startswith(
                 "invalid job file")
             assert fleet.stats()["shards"][0]["alive"]
+
+    def test_warm_totals_match_the_process_cache(self, tmp_path):
+        """Two shards simulating at once: the warm totals ``/fleet``
+        reports equal the process-wide codegen cache's own counts, so
+        no job is charged for another shard's compiles."""
+        from repro.jvm.dispatch import reset_warm_cache, warm_cache_stats
+
+        reset_warm_cache()
+        with Fleet(str(tmp_path / "fleet"), shards=2) as fleet:
+            submitted = [fleet.submit(spec(workload=workload, seed=seed))
+                         for seed in range(4)
+                         for workload in ("objectlayout", "kernel-array")]
+            assert {shard for _spec, shard in submitted} == {0, 1}
+            fleet.start(poll_interval=0.01)
+            deadline = time.time() + 60.0
+            for job, _shard in submitted:
+                while fleet.status(job.job_id)["state"] != "done":
+                    assert time.time() < deadline, "job never ran"
+                    time.sleep(0.02)
+            warm = fleet.stats()["warm"]
+        cache = warm_cache_stats()
+        assert cache["misses"] > 0 and cache["hits"] > 0
+        assert warm == {"hits": cache["hits"], "misses": cache["misses"]}
