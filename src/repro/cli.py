@@ -383,7 +383,7 @@ DEFAULT_FLEET_ROOT = ".djxserve/fleet"
 
 
 def cmd_serve(args) -> int:
-    from repro.serve import ProfilingService
+    from repro.serve.service import SPOOL_IDLE_TIMEOUT, ProfilingService
 
     service = ProfilingService(args.spool, args.store, jobs=args.jobs,
                                job_timeout=args.timeout)
@@ -397,7 +397,7 @@ def cmd_serve(args) -> int:
             print(f"serving spool {args.spool} -> store {args.store} "
                   f"(heartbeat {service.heartbeat_path}; "
                   f"SIGINT/SIGTERM drains and exits)")
-            service.serve_forever(poll_interval=args.poll,
+            service.serve_forever(SPOOL_IDLE_TIMEOUT,
                                   install_signal_handlers=True)
             print(f"stopped after {service.completed} job(s) "
                   f"({service.failed} failed, "
@@ -415,7 +415,9 @@ def cmd_fleet(args) -> int:
     import asyncio
     import signal
 
-    from repro.serve import FLEET_POLICY, Fleet, HttpFrontDoor
+    from repro.serve.http import HttpFrontDoor
+    from repro.serve.queue import FLEET_POLICY
+    from repro.serve.router import Fleet
 
     async def _run() -> int:
         fleet = Fleet(args.root, shards=args.shards, jobs=args.jobs,
@@ -430,7 +432,7 @@ def cmd_fleet(args) -> int:
             except (NotImplementedError, OSError):
                 pass  # non-main thread or unsupported platform
         with fleet:
-            fleet.start(poll_interval=args.poll)
+            fleet.start()
             await door.start()
             print(f"fleet: {args.shards} shard(s) under {args.root}, "
                   f"listening on http://{door.host}:{door.port} "
@@ -455,7 +457,7 @@ def cmd_fleet(args) -> int:
 
 
 def cmd_submit(args) -> int:
-    from repro.serve import JobSpec, SpoolQueue
+    from repro.serve.queue import JobSpec, SpoolQueue
 
     kind = "optimize" if args.optimize else "profile"
     # Fail fast: the daemon would only discover a bad name after
@@ -497,7 +499,7 @@ def cmd_history(args) -> int:
     import json
     import time as time_mod
 
-    from repro.serve import ProfileStore
+    from repro.serve.store import ProfileStore
 
     with ProfileStore(args.store) as store:
         records = store.history(workload=args.workload or None,
@@ -524,7 +526,8 @@ def cmd_history(args) -> int:
 def cmd_regress(args) -> int:
     import json
 
-    from repro.serve import ProfileStore, RegressPolicy, regress_records
+    from repro.serve.regress import RegressPolicy, regress_records
+    from repro.serve.store import ProfileStore
 
     policy = RegressPolicy(top_n=args.top)
     with ProfileStore(args.store) as store:
@@ -758,9 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"profile store (default {DEFAULT_STORE})")
     p_serve.add_argument("--jobs", type=int, default=None,
                          help="worker processes (default: CPU count)")
-    p_serve.add_argument("--poll", type=float, default=1.0,
-                         help="seconds between idle spool polls "
-                              "(default 1.0)")
     p_serve.add_argument("--timeout", type=float, default=300.0,
                          help="per-job attempt timeout in seconds "
                               "(default 300); enforced only when "
@@ -792,9 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes per shard (default 1 "
                               "= simulate on the shard's thread; more "
                               "processes use more cores)")
-    p_fleet.add_argument("--poll", type=float, default=0.5,
-                         help="seconds between idle spool polls per "
-                              "shard, before backoff (default 0.5)")
     p_fleet.add_argument("--timeout", type=float, default=300.0,
                          help="per-job attempt timeout in seconds "
                               "(default 300); enforced only when "

@@ -21,8 +21,9 @@ one-shot CLI profiler into a service:
     objects, sample-share swings, throughput drops → machine-readable
     verdicts.
 :mod:`repro.serve.service`
-    The daemon: poll the spool (with jittered idle backoff), fan jobs
-    over the pool, persist results, heartbeat to a JSONL status file.
+    The daemon: claim one job per free worker, complete each as its
+    simulation ends, persist results, heartbeat to a JSONL status
+    file, and wait on the queue's wake event when idle.
 :mod:`repro.serve.router`
     The fleet tier: stable shard placement over N shard directories,
     the fleet-wide ``(program-hash, config-hash, seed)`` dedupe index,
@@ -40,59 +41,8 @@ one-shot CLI profiler into a service:
 There is one serving topology: the in-process fleet, with shard
 polling on threads and simulations on :mod:`repro.serve.workers`
 processes when a shard has ``jobs > 1``.
+
+The package re-exports nothing: import from the submodule.  Importing
+:mod:`repro.serve.regress` alone (as the optimizer does) then loads no
+SQLite, asyncio or process-pool machinery.
 """
-
-from repro.serve.queue import (
-    FLEET_POLICY,
-    FairnessPolicy,
-    JobSpec,
-    QuotaExceeded,
-    SpoolQueue,
-)
-from repro.serve.regress import (
-    RegressionFinding,
-    RegressionVerdict,
-    RegressPolicy,
-    regress_records,
-)
-from repro.serve.store import (
-    ProfileKey,
-    ProfileRecord,
-    ProfileStore,
-    config_digest,
-    profile_key_for,
-    program_digest,
-)
-from repro.serve.workers import TaskOutcome, WorkerPool
-from repro.serve.service import ProfilingService
-from repro.serve.router import Fleet, FleetIndex, ShardRouter, shard_for
-from repro.serve.http import HttpFrontDoor
-from repro.serve.loadgen import FleetLoadResult, run_fleet_load
-
-__all__ = [
-    "FLEET_POLICY",
-    "FairnessPolicy",
-    "Fleet",
-    "FleetIndex",
-    "FleetLoadResult",
-    "HttpFrontDoor",
-    "JobSpec",
-    "QuotaExceeded",
-    "ShardRouter",
-    "shard_for",
-    "run_fleet_load",
-    "ProfileKey",
-    "ProfileRecord",
-    "ProfileStore",
-    "ProfilingService",
-    "RegressPolicy",
-    "RegressionFinding",
-    "RegressionVerdict",
-    "SpoolQueue",
-    "TaskOutcome",
-    "WorkerPool",
-    "config_digest",
-    "profile_key_for",
-    "program_digest",
-    "regress_records",
-]

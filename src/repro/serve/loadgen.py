@@ -53,9 +53,7 @@ from repro.serve.store import program_digest
 #: the deadline counts as failed, so a stuck shard cannot hang a bench.
 DEADLINE_S = 60.0
 
-#: Seconds between a client's status polls, and the shard daemons' poll
-#: interval; their idle back-off is capped at four of these, because an
-#: uncapped one would charge post-lull submissions for a deep sleep.
+#: Seconds between a client's status polls.
 _POLL_S = 0.05
 
 #: Clients alternate between two tenants, so the fairness policy's
@@ -270,7 +268,7 @@ async def _drive_point(root: str, shards: int, clients: int,
     # across fleet sizes: empty it, or a later size starts warm.
     reset_warm_cache()
     async with _serving(root, shards) as (fleet, door):
-        fleet.start(poll_interval=_POLL_S, max_backoff=_POLL_S * 4)
+        fleet.start()
         runners = [_Client(door.host, door.port) for _ in range(clients)]
         deadline = time.monotonic() + DEADLINE_S
         started = time.perf_counter()
@@ -346,7 +344,7 @@ async def _reshard_phase(root: str, shards: int, payload: dict) -> dict:
                 retry_after = "retry-after" in headers
             else:
                 raise RuntimeError(f"burst submit: {status} {data}")
-        fleet.start(poll_interval=_POLL_S, max_backoff=_POLL_S * 4)
+        fleet.start()
         deadline = time.monotonic() + DEADLINE_S
         finals = [await _await_final(door.host, door.port, job_id,
                                      deadline)

@@ -14,6 +14,12 @@ from the same spool without double-running a job, and a crashed daemon
 leaves its claims in ``running/`` where :meth:`SpoolQueue.recover`
 returns them to ``pending`` on the next startup.
 
+A daemon in the same process learns of new work without scanning:
+:meth:`SpoolQueue.submit` and :meth:`SpoolQueue.requeue` set the
+queue's :attr:`~SpoolQueue.wake` event after the job file is in place.
+A job written by another process (``repro submit``) is found by the
+daemon's next timed poll instead.
+
 Fairness
 --------
 Under fleet traffic many tenants share one spool, and strict FIFO lets
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -155,6 +162,9 @@ class SpoolQueue:
         #: Stride-scheduling pass value per tenant (process-local; two
         #: daemons sharing a spool each run their own fair schedule).
         self._passes: Dict[str, int] = {}
+        #: Set once a job file lands in ``pending/`` through this
+        #: object; an idle daemon in this process waits on it.
+        self.wake = threading.Event()
 
     # -- paths ----------------------------------------------------------
     def _dir(self, state: str) -> str:
@@ -244,6 +254,7 @@ class SpoolQueue:
         if not spec.submitted_at:
             spec.submitted_at = time.time()
         self._write(self._path("pending", spec.job_id), spec.to_dict())
+        self.wake.set()
         return spec
 
     def claim(self) -> Optional[JobSpec]:
@@ -343,6 +354,7 @@ class SpoolQueue:
             spec.meta["last_requeue"] = reason
         self._write(self._path("pending", spec.job_id), data)
         self._remove("running", spec.job_id)
+        self.wake.set()
         return spec
 
     def recover(self) -> List[JobSpec]:

@@ -58,6 +58,13 @@ from repro.serve.store import (
 #: Fleet index schema version (PRAGMA user_version).
 FLEET_INDEX_VERSION = 1
 
+#: Seconds an idle shard waits between polls.  Every job enters a
+#: fleet through :meth:`Fleet.submit`, which wakes the owning shard, so
+#: this only sets the cadence of the idle retention sweep and
+#: heartbeat: a fleet holding a day of ``done/`` files does not re-read
+#: them every second.
+FLEET_IDLE_TIMEOUT = 30.0
+
 
 def shard_for(workload: str, program_hash: str, shards: int) -> int:
     """Stable shard placement for a submission.
@@ -217,11 +224,11 @@ class Fleet:
 
     Construction opens every shard's spool and store and the shared
     fleet index; :meth:`start` spawns one daemon thread per shard
-    (each running :meth:`ProfilingService.serve_forever` with idle
-    backoff).  Front-door reads go through separate read connections
-    (``_front_stores``) so the HTTP thread never shares a SQLite
-    connection with a shard daemon mid-write — WAL makes those
-    concurrent reads safe.
+    (each running :meth:`ProfilingService.serve_forever`, woken by
+    :meth:`submit` and :meth:`stop`).  Front-door reads go through
+    separate read connections (``_front_stores``) so the HTTP thread
+    never shares a SQLite connection with a shard daemon mid-write —
+    WAL makes those concurrent reads safe.
     """
 
     def __init__(self, root: str, shards: int = 2,
@@ -249,17 +256,14 @@ class Fleet:
         self._started = False
 
     # -- lifecycle ------------------------------------------------------
-    def start(self, poll_interval: float = 0.05,
-              max_backoff: Optional[float] = None) -> None:
+    def start(self) -> None:
         """Spawn one daemon thread per shard."""
         if self._started:
             return
         self._started = True
         for service in self.services:
             thread = threading.Thread(
-                target=service.serve_forever,
-                kwargs={"poll_interval": poll_interval,
-                        "max_backoff": max_backoff},
+                target=service.serve_forever, args=(FLEET_IDLE_TIMEOUT,),
                 name=f"shard-{service.shard_id:02d}", daemon=True)
             thread.start()
             self._threads.append(thread)

@@ -1,11 +1,14 @@
 """The continuous-profiling daemon.
 
 One service instance owns a spool queue, a worker pool, and a profile
-store.  Each poll it claims every pending job, serves exact-key repeats
-straight from the store (no re-simulation), fans the rest over the
-worker pool, persists the resulting profiles, and appends a heartbeat
-line to ``<spool>/status.jsonl`` so an operator (or the CI smoke job)
-can watch it without attaching a debugger.
+store.  Each poll claims one job per worker, serves exact-key repeats
+straight from the store (no re-simulation, no worker), runs the rest
+on the pool, persists and completes each job as soon as its own
+simulation ends, and appends a heartbeat line to
+``<spool>/status.jsonl`` so an operator (or the CI smoke job) can
+watch it without attaching a debugger.  Between polls an idle daemon
+waits on its queue's wake event, which a submit in the same process
+sets, so a job is claimed when it arrives.
 
 Job outcomes are written back into the spool (``done/``/``failed/``),
 so ``submit`` callers can poll for their job id.  Failed jobs are
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import signal
 import time
 from typing import Dict, List, Optional
@@ -29,6 +31,12 @@ from repro.serve.workers import WorkerPool
 
 #: Heartbeat file name inside the spool directory.
 STATUS_FILE = "status.jsonl"
+
+#: Seconds ``repro serve`` waits between idle polls.  Its jobs come
+#: from ``repro submit`` in another process, which cannot set the wake
+#: event, so this is its pickup latency; it also bounds how long a
+#: SIGTERM takes to end the wait.
+SPOOL_IDLE_TIMEOUT = 1.0
 
 
 # ----------------------------------------------------------------------
@@ -127,8 +135,6 @@ class ProfilingService:
         #: Read handles on other shards' stores, opened on first
         #: cross-shard hit (WAL keeps these reads safe under writers).
         self._remote_stores: Dict[str, ProfileStore] = {}
-        #: Last idle-poll sleep serve_forever took (observability).
-        self.idle_delay = 0.0
         self._stopping = False
         # A crashed predecessor's running/ claims must not stay
         # stranded until an operator intervenes: reclaim at startup.
@@ -152,8 +158,19 @@ class ProfilingService:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def request_stop(self, *_signal_args) -> None:
-        """Ask the serve loop to drain and exit (signal-handler safe)."""
+    def request_stop(self) -> None:
+        """Ask the serve loop to drain and exit, ending an idle wait.
+
+        For other threads (``Fleet.stop``).  A signal handler must not
+        call it: setting the wake event takes the event's lock, which
+        the interrupted thread may hold.
+        """
+        self._stopping = True
+        self.queue.wake.set()
+
+    def _stop_on_signal(self, *_signal_args) -> None:
+        """SIGTERM/SIGINT: only raise the flag; the wait's timeout
+        bounds how long the loop takes to see it."""
         self._stopping = True
 
     # -- the work -------------------------------------------------------
@@ -259,109 +276,96 @@ class ProfilingService:
                 "speedup": verdict.get("speedup"),
                 "verdict": verdict}
 
-    def run_once(self, max_jobs: Optional[int] = None) -> List[dict]:
-        """One poll: claim, execute, persist.  Returns job summaries."""
-        claimed: List[JobSpec] = []
-        while max_jobs is None or len(claimed) < max_jobs:
+    def run_once(self) -> List[dict]:
+        """One poll: claim, execute, persist.  Returns job summaries.
+
+        Claims until it holds one job per worker to simulate; store and
+        fleet-index hits are completed as they are claimed and take no
+        worker.  Each simulated job is persisted and completed as soon
+        as its own outcome returns.  Empty when nothing was claimable.
+        """
+        summaries: List[dict] = []
+        to_run: List[JobSpec] = []
+        while len(to_run) < max(1, self.pool.jobs):
             spec = self.queue.claim()
             if spec is None:
                 break
-            claimed.append(spec)
-        if not claimed:
-            return []
-
-        summaries: List[dict] = []
-        to_run: List[JobSpec] = []
-        for spec in claimed:
             cached = self._serve_from_store(spec)
-            if cached is not None:
+            if cached is None:
+                to_run.append(spec)
+            else:
                 self.queue.complete(spec, cached)
                 self.completed += 1
                 summaries.append({"job_id": spec.job_id, "ok": True,
                                   **cached})
-            else:
-                to_run.append(spec)
 
         if to_run:
             self._heartbeat("working", extra={"in_flight": len(to_run)})
-            outcomes = self.pool.map([spec.to_dict() for spec in to_run])
-            for spec, outcome in zip(to_run, outcomes):
-                if outcome.ok:
-                    stored = self._persist(spec, outcome.value)
-                    self.queue.complete(spec, stored)
-                    self.completed += 1
-                    summaries.append({"job_id": spec.job_id, "ok": True,
-                                      **stored})
-                else:
-                    spec.attempts = max(spec.attempts, outcome.attempts)
-                    if spec.attempts < spec.max_attempts:
-                        self.queue.requeue(spec, reason=outcome.error or "")
-                        summaries.append({"job_id": spec.job_id,
-                                          "ok": False, "requeued": True,
-                                          "error": outcome.error})
-                    else:
-                        self.queue.fail(spec, outcome.error or "failed")
-                        self.failed += 1
-                        summaries.append({"job_id": spec.job_id,
-                                          "ok": False, "requeued": False,
-                                          "error": outcome.error})
-        self._heartbeat("idle")
+            for outcome in self.pool.as_completed(
+                    [spec.to_dict() for spec in to_run]):
+                summaries.append(self._settle(to_run[outcome.index],
+                                              outcome))
+        if summaries:
+            self._heartbeat("idle")
         return summaries
 
-    def drain(self, max_polls: int = 100) -> int:
-        """Run polls until the queue is empty; returns jobs completed."""
+    def _settle(self, spec: JobSpec, outcome) -> dict:
+        """Complete, requeue or fail one simulated job; its summary."""
+        if outcome.ok:
+            stored = self._persist(spec, outcome.value)
+            self.queue.complete(spec, stored)
+            self.completed += 1
+            return {"job_id": spec.job_id, "ok": True, **stored}
+        spec.attempts = max(spec.attempts, outcome.attempts)
+        requeued = spec.attempts < spec.max_attempts
+        if requeued:
+            self.queue.requeue(spec, reason=outcome.error or "")
+        else:
+            self.queue.fail(spec, outcome.error or "failed")
+            self.failed += 1
+        return {"job_id": spec.job_id, "ok": False, "requeued": requeued,
+                "error": outcome.error}
+
+    def drain(self) -> int:
+        """Run polls until one claims nothing; returns jobs completed."""
         before = self.completed
-        for _ in range(max_polls):
-            if not self.run_once() and self.queue.pending_count() == 0:
-                break
+        while self.run_once():
+            pass
         return self.completed - before
 
-    @staticmethod
-    def next_idle_delay(current: float, base: float,
-                        max_backoff: float) -> float:
-        """The delay after one more empty poll (exponential, capped)."""
-        return min(max(current, base) * 2.0, max_backoff)
-
-    def serve_forever(self, poll_interval: float = 1.0,
+    def serve_forever(self, idle_timeout: float,
                       max_polls: Optional[int] = None,
-                      install_signal_handlers: bool = False,
-                      max_backoff: Optional[float] = None,
-                      jitter: float = 0.1) -> None:
+                      install_signal_handlers: bool = False) -> None:
         """Poll until stopped (SIGINT/SIGTERM with handlers installed).
 
-        An empty queue does not deserve a fixed-rate poll: each idle
-        poll doubles the sleep (jittered ±``jitter`` so a fleet of
-        daemons sharing a spool never phase-locks their directory
-        scans) up to ``max_backoff`` (default ``32 * poll_interval``);
-        the first claimed job resets the delay to ``poll_interval``.
+        A poll that claims nothing sweeps, heartbeats and waits on the
+        queue's wake event for at most ``idle_timeout`` seconds.  The
+        event is cleared before each poll, so a submit or
+        :meth:`request_stop` that lands while the poll runs ends the
+        wait at once.  The timeout finds jobs that another process
+        wrote into the spool, and sets the idle sweep's cadence.
         """
         if install_signal_handlers:
-            signal.signal(signal.SIGTERM, self.request_stop)
-            signal.signal(signal.SIGINT, self.request_stop)
-        if max_backoff is None:
-            max_backoff = poll_interval * 32.0
-        rng = random.Random(os.getpid() ^ id(self))
-        delay = poll_interval
+            signal.signal(signal.SIGTERM, self._stop_on_signal)
+            signal.signal(signal.SIGINT, self._stop_on_signal)
         polls = 0
         self._heartbeat("started")
-        while not self._stopping:
-            if max_polls is not None and polls >= max_polls:
+        while True:
+            self.queue.wake.clear()
+            if self._stopping or (max_polls is not None
+                                  and polls >= max_polls):
                 break
             polls += 1
             if self.run_once():
-                delay = poll_interval
-            else:
-                # Idle polls double as housekeeping: sweep aged outcome
-                # files so long-running fleets don't grow the spool
-                # without bound, and heartbeat so an operator can tell
-                # an idle daemon from a hung one (run_once only
-                # heartbeats when it claimed work).
-                self.swept += self.queue.sweep(self.retention)
-                self._heartbeat("idle", extra={"idle_delay": delay})
-                self.idle_delay = delay
-                time.sleep(delay * (1.0 + rng.uniform(-jitter, jitter)))
-                delay = self.next_idle_delay(delay, poll_interval,
-                                             max_backoff)
+                continue
+            # Idle polls double as housekeeping: sweep aged outcome
+            # files so long-running fleets don't grow the spool
+            # without bound, and heartbeat so an operator can tell an
+            # idle daemon from a hung one (run_once only heartbeats
+            # when it claimed work).
+            self.swept += self.queue.sweep(self.retention)
+            self._heartbeat("idle")
+            self.queue.wake.wait(idle_timeout)
         # Graceful drain: finish what is already queued, then stop.
         self.drain()
         self._heartbeat("stopped")

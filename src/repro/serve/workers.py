@@ -33,10 +33,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Generator, Iterator, List, Optional,
+                    Sequence)
 
 
 @dataclass
@@ -142,40 +143,45 @@ class WorkerPool:
         its :class:`TaskOutcome` so one bad task cannot take down the
         batch (or the caller).
         """
+        return sorted(self.as_completed(tasks), key=lambda o: o.index)
+
+    def as_completed(self, tasks: Sequence[Any]) -> Iterator[TaskOutcome]:
+        """Run every task, yielding each outcome as soon as it is known.
+
+        Outcomes come in completion order (``TaskOutcome.index`` names
+        the task), so a caller can act on a fast task while a slow one
+        in the same wave still runs.  Failures are captured as in
+        :meth:`map`.
+        """
         self.stats["tasks"] += len(tasks)
         pending = [_Pending(index=i, task=task)
                    for i, task in enumerate(tasks)]
-        outcomes: Dict[int, TaskOutcome] = {}
         if self.jobs <= 1:
-            self._run_serial(pending, outcomes)
-        else:
-            self._run_waves(pending, outcomes)
-        return [outcomes[i] for i in range(len(tasks))]
+            return self._run_serial(pending)
+        return self._run_waves(pending)
 
-    def _run_serial(self, pending: List[_Pending],
-                    outcomes: Dict[int, TaskOutcome]) -> None:
+    def _run_serial(self, pending: List[_Pending]) -> Iterator[TaskOutcome]:
         for item in pending:
             started = time.perf_counter()
             try:
                 value = self.worker(item.task)
             except Exception as exc:  # noqa: BLE001 — captured per task
-                outcomes[item.index] = TaskOutcome(
+                yield TaskOutcome(
                     index=item.index, ok=False,
                     error=f"{type(exc).__name__}: {exc}",
                     attempts=item.attempts + 1,
                     elapsed=time.perf_counter() - started)
             else:
-                outcomes[item.index] = TaskOutcome(
+                yield TaskOutcome(
                     index=item.index, ok=True, value=value,
                     attempts=item.attempts + 1,
                     elapsed=time.perf_counter() - started)
 
-    def _run_waves(self, pending: List[_Pending],
-                   outcomes: Dict[int, TaskOutcome]) -> None:
+    def _run_waves(self, pending: List[_Pending]) -> Iterator[TaskOutcome]:
         retry_round = 0
         while pending:
             wave, pending = pending[:self.jobs], pending[self.jobs:]
-            survivors = self._run_wave(wave, outcomes)
+            survivors = yield from self._run_wave(wave)
             if survivors:
                 retry_round += 1
                 if self.backoff > 0:
@@ -185,9 +191,10 @@ class WorkerPool:
             # Retries go to the back so fresh tasks are not starved.
             pending.extend(survivors)
 
-    def _run_wave(self, wave: List[_Pending],
-                  outcomes: Dict[int, TaskOutcome]) -> List[_Pending]:
-        """Run one wave; returns the tasks that earned another attempt."""
+    def _run_wave(self, wave: List[_Pending]
+                  ) -> Generator[TaskOutcome, None, List[_Pending]]:
+        """Run one wave, yielding outcomes as they finish; returns the
+        tasks that earned another attempt."""
         pool = self._ensure_pool()
         started = time.perf_counter()
         futures = {}
@@ -197,36 +204,42 @@ class WorkerPool:
         except BrokenProcessPool:
             # The pool died before everything was even submitted.
             self._recycle()
-            unsubmitted = [item for item in wave
-                           if item not in futures.values()]
-            return (self._handle_crash(list(futures.items()), outcomes,
-                                       started)
-                    + self._note_crash(unsubmitted, outcomes, started))
+            return (yield from self._note_crash(wave, started))
 
-        done, not_done = wait(futures, timeout=self.timeout)
-        elapsed = time.perf_counter() - started
-
+        deadline = None if self.timeout is None else started + self.timeout
+        not_done = set(futures)
         retry: List[_Pending] = []
         broken = False
-        for future in done:
-            item = futures[future]
-            exc = future.exception()
-            if exc is None:
-                outcomes[item.index] = TaskOutcome(
-                    index=item.index, ok=True, value=future.result(),
-                    attempts=item.attempts + 1, elapsed=elapsed)
-            elif isinstance(exc, BrokenProcessPool):
-                broken = True
-                retry.extend(self._note_crash([item], outcomes, started))
-            else:
-                # Deterministic task error: retrying would just repeat it.
-                outcomes[item.index] = TaskOutcome(
-                    index=item.index, ok=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                    attempts=item.attempts + 1, elapsed=elapsed)
+        while not_done:
+            left = (None if deadline is None
+                    else max(0.0, deadline - time.perf_counter()))
+            done, not_done = wait(not_done, timeout=left,
+                                  return_when=FIRST_COMPLETED)
+            if not done:
+                break  # the wave's timeout ran out
+            elapsed = time.perf_counter() - started
+            for future in done:
+                item = futures[future]
+                exc = future.exception()
+                if exc is None:
+                    yield TaskOutcome(
+                        index=item.index, ok=True, value=future.result(),
+                        attempts=item.attempts + 1, elapsed=elapsed)
+                elif isinstance(exc, BrokenProcessPool):
+                    broken = True
+                    retry.extend((yield from self._note_crash([item],
+                                                              started)))
+                else:
+                    # Deterministic task error: retrying would just
+                    # repeat it.
+                    yield TaskOutcome(
+                        index=item.index, ok=False,
+                        error=f"{type(exc).__name__}: {exc}",
+                        attempts=item.attempts + 1, elapsed=elapsed)
 
         if not_done:
             # Stragglers blew the per-task timeout: kill their workers.
+            elapsed = time.perf_counter() - started
             self.stats["timeouts"] += len(not_done)
             for future in not_done:
                 item = futures[future]
@@ -235,7 +248,7 @@ class WorkerPool:
                 if item.attempts <= self.retries:
                     retry.append(item)
                 else:
-                    outcomes[item.index] = TaskOutcome(
+                    yield TaskOutcome(
                         index=item.index, ok=False,
                         error=(f"timed out after {self.timeout}s "
                                f"({item.attempts} attempt(s))"),
@@ -246,14 +259,10 @@ class WorkerPool:
             self._recycle()
         return retry
 
-    def _handle_crash(self, submitted, outcomes, started) -> List[_Pending]:
-        items = [item for _future, item in submitted]
-        return self._note_crash(items, outcomes, started)
-
-    def _note_crash(self, items: List[_Pending],
-                    outcomes: Dict[int, TaskOutcome],
-                    started: float) -> List[_Pending]:
-        """Count a crash against each item; requeue or fail it."""
+    def _note_crash(self, items: List[_Pending], started: float
+                    ) -> Generator[TaskOutcome, None, List[_Pending]]:
+        """Count a crash against each item: yields the outcome of each
+        one out of attempts, returns the ones to retry."""
         elapsed = time.perf_counter() - started
         retry: List[_Pending] = []
         self.stats["crashes"] += len(items)
@@ -263,7 +272,7 @@ class WorkerPool:
             if item.attempts <= self.retries:
                 retry.append(item)
             else:
-                outcomes[item.index] = TaskOutcome(
+                yield TaskOutcome(
                     index=item.index, ok=False,
                     error=(f"worker process died "
                            f"({item.attempts} attempt(s))"),

@@ -1,5 +1,10 @@
 """End-to-end tests for the profile-guided optimization engine."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.jvm import Machine
@@ -126,3 +131,20 @@ class TestFamilyPlumbing:
     def test_unknown_family_raises(self):
         with pytest.raises(ValueError, match="no optimization transforms"):
             optimize_workload("unsized-growth", family="no-such")
+
+
+def test_engine_import_leaves_the_serving_tier_unloaded():
+    """The optimizer needs only the regression engine from the serving
+    tier; importing it must not pull in the store, the fleet or the
+    front door (SQLite, asyncio, process pools)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__)))), "src")
+    probe = ("import json, sys, repro.optim.engine; "
+             "print(json.dumps(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    loaded = set(json.loads(out))
+    assert not loaded & {"sqlite3", "asyncio", "multiprocessing"}
+    assert {m for m in loaded if m.startswith("repro.serve.")} == \
+        {"repro.serve.regress"}

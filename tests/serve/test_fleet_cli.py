@@ -1,6 +1,7 @@
 """End-to-end tests of ``repro fleet``: exactly-once across a crash,
-graceful drain on SIGTERM, and the exit code of a fleet that lost a
-shard.
+graceful drain on SIGTERM, the exit code of a fleet that lost a shard,
+and how fast an idle fleet or ``repro serve`` daemon answers a submit
+and a SIGTERM.
 
 The crash and drain tests run the fleet as a subprocess with a worker
 pool per shard (``--jobs 2``), the configuration that uses more than
@@ -20,7 +21,11 @@ import pytest
 from repro.cli import main
 from repro.serve.http import HttpFrontDoor, http_request
 from repro.serve.queue import JobSpec, SpoolQueue
-from repro.serve.service import ProfilingService
+from repro.serve.service import (
+    SPOOL_IDLE_TIMEOUT,
+    ProfilingService,
+    execute_job,
+)
 
 WORKLOAD = "objectlayout"
 
@@ -45,7 +50,7 @@ def start_fleet(root):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "fleet", "--root", root,
          "--shards", "1", "--jobs", "2", "--host", "127.0.0.1",
-         "--port", "0", "--poll", "0.05", "--retention", "3600"],
+         "--port", "0", "--retention", "3600"],
         env=repro_env(), stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT, text=True, start_new_session=True)
     banner = proc.stdout.readline()
@@ -176,6 +181,78 @@ class TestEndToEndDrain:
                     "total_samples"] > 0
 
 
+class TestIdleStop:
+    def test_idle_fleet_exits_within_a_second_of_sigterm(self, tmp_path):
+        """A fleet idle for 4 s ends its shards' waits at once: SIGTERM
+        to exit 0 takes under a second."""
+        proc, _host, _port = start_fleet(str(tmp_path / "fleet"))
+        try:
+            time.sleep(4.0)
+            began = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=120.0)
+            assert time.monotonic() - began < 1.0, out
+        finally:
+            if proc.poll() is None:
+                kill_group(proc)
+        assert proc.returncode == 0, out
+
+
+class TestServeProcess:
+    def test_idle_daemon_picks_up_a_submit_from_another_process(
+            self, tmp_path):
+        """``repro serve`` idle for 4 s answers a job this process
+        submits within its idle timeout plus the simulation (and 0.5 s
+        for the claim, the store lookup, the persist and host noise),
+        and exits 0 within 2 s of SIGTERM."""
+        from repro.jvm.dispatch import reset_warm_cache
+
+        spool = str(tmp_path / "spool")
+        queue = SpoolQueue(spool)
+
+        def run_job(seed):
+            submitted = queue.submit(JobSpec(
+                job_id="", kind="profile", workload="kernel-arith",
+                period=32, seed=seed))
+            wait_for(lambda: queue.outcome(submitted.job_id) is not None,
+                     "job never finished")
+            return queue.outcome(submitted.job_id)
+
+        # The simulation of a warm job, timed in this process.
+        reset_warm_cache()
+        payload = JobSpec(job_id="t", kind="profile",
+                          workload="kernel-arith", period=32,
+                          seed=1).to_dict()
+        execute_job(payload)
+        started = time.perf_counter()
+        execute_job(dict(payload, seed=2))
+        sim_s = time.perf_counter() - started
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--spool", spool,
+             "--store", str(tmp_path / "store.sqlite"), "--jobs", "1"],
+            env=repro_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True)
+        try:
+            assert "serving spool" in proc.stdout.readline()
+            run_job(3)  # warms the daemon's codegen cache
+            time.sleep(4.0)
+            outcome = run_job(4)
+            latency = outcome["finished_at"] - outcome["submitted_at"]
+            assert outcome["result"]["cached"] is False
+            assert latency < SPOOL_IDLE_TIMEOUT + sim_s + 0.5, \
+                (latency, sim_s)
+            began = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=30.0)
+            assert time.monotonic() - began < 2.0
+            assert proc.returncode == 0, out
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+
+
 class TestDeadShard:
     # The shard thread dying is the point of the test.
     @pytest.mark.filterwarnings(
@@ -201,6 +278,6 @@ class TestDeadShard:
         monkeypatch.setattr(ProfilingService, "run_once", run_once)
         monkeypatch.setattr(HttpFrontDoor, "start", start_then_sigterm)
         code = main(["fleet", "--root", str(tmp_path / "fleet"),
-                     "--shards", "2", "--port", "0", "--poll", "0.01"])
+                     "--shards", "2", "--port", "0"])
         assert code == 1
         assert "shard(s) [1] stopped serving" in capsys.readouterr().err

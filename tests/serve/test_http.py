@@ -302,7 +302,7 @@ class TestShardLiveness:
                 raise RuntimeError("shard daemon crashed")
 
             monkeypatch.setattr(fleet.services[dead], "run_once", broken)
-            fleet.start(poll_interval=0.01)
+            fleet.start()
             _s, accepted, _h = await http_request(
                 door.host, door.port, "POST", "/submit",
                 submit_payload(seed=21))

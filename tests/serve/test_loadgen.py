@@ -274,10 +274,10 @@ class TestEndToEnd:
 
         real_run_once = ProfilingService.run_once
 
-        def run_once(self, max_jobs=None):
+        def run_once(self):
             if self.shard_id == 1:
                 return []
-            return real_run_once(self, max_jobs)
+            return real_run_once(self)
 
         monkeypatch.setattr(ProfilingService, "run_once", run_once)
         monkeypatch.setattr(loadgen, "DEADLINE_S", 2.0)

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.serve.queue import (
+    FLEET_POLICY,
     FairnessPolicy,
     JobSpec,
     QuotaExceeded,
@@ -177,7 +178,7 @@ class TestFleet:
         with Fleet(str(tmp_path / "fleet"), shards=2) as fleet:
             assert [s["alive"] for s in fleet.stats()["shards"]] == \
                 [False, False]
-            fleet.start(poll_interval=0.01)
+            fleet.start()
             assert [s["alive"] for s in fleet.stats()["shards"]] == \
                 [True, True]
             fleet.stop()
@@ -312,7 +313,7 @@ class TestStartedFleet:
                                        f"{name}.json"), "w") as fh:
                     fh.write(body)
             submitted, _shard = fleet.submit(spec(seed=11))
-            fleet.start(poll_interval=0.01)
+            fleet.start()
             deadline = time.time() + 60.0
             while fleet.status(submitted.job_id)["state"] != "done":
                 assert time.time() < deadline, "valid job never ran"
@@ -335,7 +336,7 @@ class TestStartedFleet:
                          for seed in range(4)
                          for workload in ("objectlayout", "kernel-array")]
             assert {shard for _spec, shard in submitted} == {0, 1}
-            fleet.start(poll_interval=0.01)
+            fleet.start()
             deadline = time.time() + 60.0
             for job, _shard in submitted:
                 while fleet.status(job.job_id)["state"] != "done":
@@ -345,3 +346,40 @@ class TestStartedFleet:
         cache = warm_cache_stats()
         assert cache["misses"] > 0 and cache["hits"] > 0
         assert warm == {"hits": cache["hits"], "misses": cache["misses"]}
+
+
+class TestIdleFleet:
+    def test_idle_fleet_claims_on_submit_and_stops_at_once(self,
+                                                           tmp_path):
+        """A fleet built and started as ``repro fleet`` does it, idle
+        for 4 s: a kernel-arith job is ``done`` within its simulation
+        time plus 0.5 s, and ``stop()`` returns within 1 s."""
+        from repro.jvm.dispatch import reset_warm_cache
+        from repro.serve.service import execute_job
+
+        # Shards simulate in this process: warm the codegen cache, then
+        # time one warm simulation.
+        reset_warm_cache()
+        payload = spec(workload="kernel-arith", seed=1).to_dict()
+        execute_job(payload)
+        started = time.perf_counter()
+        execute_job(dict(payload, seed=2))
+        sim_s = time.perf_counter() - started
+
+        with Fleet(str(tmp_path / "fleet"), shards=2, jobs=1,
+                   queue_policy=FLEET_POLICY,
+                   retention=86400.0) as fleet:
+            fleet._route_key("kernel-arith", "baseline")
+            fleet.start()
+            time.sleep(4.0)
+            began = time.perf_counter()
+            submitted, _shard = fleet.submit(
+                spec(workload="kernel-arith", seed=3))
+            while fleet.status(submitted.job_id)["state"] != "done":
+                assert time.perf_counter() - began < 60.0
+                time.sleep(0.005)
+            latency = time.perf_counter() - began
+            assert latency < sim_s + 0.5, (latency, sim_s)
+            began = time.perf_counter()
+            fleet.stop()
+            assert time.perf_counter() - began < 1.0

@@ -2,10 +2,12 @@
 
 import json
 import os
+import time
 
 import pytest
 
-from repro.serve.queue import JobSpec, SpoolQueue
+from repro.serve import service as service_mod
+from repro.serve.queue import FairnessPolicy, JobSpec, SpoolQueue
 from repro.serve.service import ProfilingService, execute_job
 
 WORKLOAD = "objectlayout"
@@ -168,7 +170,7 @@ class TestDaemon:
     def test_serve_forever_bounded_polls(self, spool, store_path):
         submit(spool)
         with ProfilingService(spool, store_path, jobs=1) as service:
-            service.serve_forever(poll_interval=0.01, max_polls=3)
+            service.serve_forever(0.01, max_polls=3)
             assert service.completed == 1
         lines = [json.loads(line)
                  for line in open(service.heartbeat_path) if line.strip()]
@@ -179,57 +181,58 @@ class TestDaemon:
         submit(spool)
         with ProfilingService(spool, store_path, jobs=1) as service:
             service.request_stop()
-            service.serve_forever(poll_interval=0.01)
+            service.serve_forever(0.01)
             # Stop was requested before the loop: still drains the job.
             assert service.completed == 1
 
 
-class TestIdleBackoff:
-    def test_next_idle_delay_doubles_and_caps(self):
-        next_delay = ProfilingService.next_idle_delay
-        assert next_delay(0.01, 0.01, 0.32) == pytest.approx(0.02)
-        assert next_delay(0.02, 0.01, 0.32) == pytest.approx(0.04)
-        assert next_delay(0.30, 0.01, 0.32) == pytest.approx(0.32)
-        assert next_delay(0.32, 0.01, 0.32) == pytest.approx(0.32)
-        # A reset delay below base restarts the ramp from base.
-        assert next_delay(0.0, 0.01, 0.32) == pytest.approx(0.02)
+def stub_verdict(payload):
+    """A worker that skips the simulator: an instant optimize verdict."""
+    return {"kind": "optimize",
+            "verdict": {"status": "rejected",
+                        "workload": payload["workload"]}}
 
-    def test_idle_polls_back_off_exponentially(self, spool, store_path,
-                                               monkeypatch):
-        from repro.serve import service as service_mod
 
-        sleeps = []
-        monkeypatch.setattr(service_mod.time, "sleep", sleeps.append)
+def submit_optimize(spool, count, policy=None):
+    queue = SpoolQueue(spool, policy=policy)
+    return [queue.submit(JobSpec(job_id="", kind="optimize",
+                                 workload=WORKLOAD, seed=i))
+            for i in range(count)]
+
+
+class TestPerJobCompletion:
+    def test_first_job_done_before_the_last_simulation_ends(
+            self, spool, store_path, monkeypatch):
+        """Four queued jobs on a one-worker daemon: the first is
+        persisted and ``done`` before the last one's simulation ends,
+        not when the whole claimed batch has run."""
+        ends = []
+
+        def timed(payload):
+            time.sleep(0.05)
+            ends.append(time.time())
+            return stub_verdict(payload)
+
+        monkeypatch.setattr(service_mod, "execute_job", timed)
+        jobs = submit_optimize(spool, 4)
         with ProfilingService(spool, store_path, jobs=1) as service:
-            service.serve_forever(poll_interval=0.01, max_polls=4,
-                                  jitter=0.0)
-        assert sleeps == pytest.approx([0.01, 0.02, 0.04, 0.08])
+            assert service.drain() == 4
+            finished = [service.queue.outcome(job.job_id)["finished_at"]
+                        for job in jobs]
+        assert len(ends) == 4
+        assert min(finished) < max(ends)
 
-    def test_claimed_job_resets_backoff(self, spool, store_path,
-                                        monkeypatch):
-        from repro.serve import service as service_mod
-
-        sleeps = []
-        monkeypatch.setattr(service_mod.time, "sleep", sleeps.append)
-        submit(spool)
-        with ProfilingService(spool, store_path, jobs=1) as service:
-            service.serve_forever(poll_interval=0.01, max_polls=3,
-                                  jitter=0.0)
-            assert service.completed == 1
-        # Poll 1 claimed the job (no sleep); the following idle polls
-        # ramp from the base interval again.
-        assert sleeps == pytest.approx([0.01, 0.02])
-
-    def test_backoff_cap_respected(self, spool, store_path, monkeypatch):
-        from repro.serve import service as service_mod
-
-        sleeps = []
-        monkeypatch.setattr(service_mod.time, "sleep", sleeps.append)
-        with ProfilingService(spool, store_path, jobs=1) as service:
-            service.serve_forever(poll_interval=0.01, max_polls=6,
-                                  max_backoff=0.04, jitter=0.0)
-        assert sleeps == pytest.approx([0.01, 0.02, 0.04, 0.04, 0.04,
-                                        0.04])
+    def test_drain_is_not_capped_at_a_poll_count(self, spool, store_path,
+                                                 monkeypatch):
+        """More jobs than a hundred one-job polls can hold: drain runs
+        until a poll claims nothing, not for a fixed number of polls."""
+        monkeypatch.setattr(service_mod, "execute_job", stub_verdict)
+        policy = FairnessPolicy(max_inflight_per_tenant=1)
+        submit_optimize(spool, 110, policy=policy)
+        with ProfilingService(spool, store_path, jobs=1,
+                              queue_policy=policy) as service:
+            assert service.drain() == 110
+            assert service.queue.counts()["pending"] == 0
 
 
 class TestFleetDedupe:
@@ -354,9 +357,7 @@ class TestRetentionSweep:
             assert service.swept == 1
             assert service.queue.outcome(done.job_id) is None
 
-    def test_idle_poll_sweeps_and_heartbeats(self, spool, store_path,
-                                             monkeypatch):
-        monkeypatch.setattr("time.sleep", lambda *_: None)
+    def test_idle_poll_sweeps_and_heartbeats(self, spool, store_path):
         done = submit(spool)
         with ProfilingService(spool, store_path, jobs=1,
                               retention=3600.0) as service:
@@ -365,7 +366,7 @@ class TestRetentionSweep:
             data = service.queue._read(path)
             data["finished_at"] = data["finished_at"] - 7200.0
             service.queue._write(path, data)
-            service.serve_forever(poll_interval=0.01, max_polls=3)
+            service.serve_forever(0.01, max_polls=3)
             assert service.swept == 1
             with open(service.heartbeat_path) as fh:
                 states = [json.loads(line)["state"] for line in fh]

@@ -59,6 +59,18 @@ class TestProcessPath:
         assert [o.value for o in outcomes] == [16, 25, 36, 49]
         assert pool.stats["tasks"] == 4
 
+    def test_as_completed_yields_a_fast_task_before_a_slow_one(self):
+        """One wave, two tasks: the short task's outcome arrives while
+        the long one still runs, not when the wave ends."""
+        with WorkerPool(sleepy, jobs=2) as pool:
+            pool.map([0.0, 0.0])  # start both workers
+            started = time.perf_counter()
+            outcomes = pool.as_completed([2.0, 0.05])
+            first = next(outcomes)
+            assert time.perf_counter() - started < 1.5
+            assert (first.index, first.value) == (1, 0.05)
+            assert [(o.index, o.value) for o in outcomes] == [(0, 2.0)]
+
     def test_deterministic_error_not_retried(self):
         with WorkerPool(failing, jobs=2, retries=3) as pool:
             outcomes = pool.map([1, -2])
