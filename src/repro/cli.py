@@ -25,9 +25,10 @@ Commands
     out over a process pool (``--jobs``).
 ``bench``
     Measure simulator throughput (simulated instructions/sec and
-    accesses/sec) on both engines — the production fused engine and
-    the legacy oracle — and optionally write/check the tracked
-    ``BENCH_throughput.json`` baseline.
+    accesses/sec) on the production fused engine, the legacy oracle
+    and the profiled arms, re-run the optimize verdicts, and
+    optionally write/check the tracked ``BENCH_throughput.json``
+    baseline.
 ``fuzz``
     Differential fuzzing: run seeded random programs under every
     semantics-preserving configuration pair (engines, counting
@@ -233,64 +234,47 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    import fnmatch
     import json
 
     from repro.bench import (
         SMALL_SUITE,
+        TOLERANCE,
+        BenchReport,
+        bench_optimize,
         bench_suite,
         check_regression,
         load_report,
         write_report,
     )
-    from repro.workloads.suite import suite_names
-
-    if args.names:
-        names = args.names
-    elif args.small:
-        names = list(SMALL_SUITE)
-    else:
-        names = suite_names()
-    if args.workloads:
-        names = [n for n in names
-                 if fnmatch.fnmatchcase(n, args.workloads)]
-        if not names:
-            print(f"error: no workloads match glob {args.workloads!r}",
-                  file=sys.stderr)
-            return 2
 
     def progress(row):
+        if not args.json:
+            print(f"{row.name:24s} {row.instructions:8d} ins  "
+                  f"{row.fastpath.ips:10.0f} ips  "
+                  f"{row.fastpath.aps:10.0f} aps"
+                  f"  x{row.speedup_vs_legacy:.2f}"
+                  f"  x{row.profiled_speedup:.2f} prof")
+
+    def optimize_progress(name, entry):
         if args.json:
             return
-        speedup = (f"  x{row.speedup_vs_legacy:.2f}"
-                   if row.speedup_vs_legacy is not None else "")
-        profiled = (f"  x{row.profiled_speedup:.2f} prof"
-                    if row.profiled_speedup is not None else "")
-        store = (f"  {row.store.raw_bytes}B store "
-                 f"{row.store.write_seconds * 1e3:.1f}ms/w "
-                 f"{row.store.read_seconds * 1e3:.1f}ms/r"
-                 if row.store is not None else "")
-        print(f"{row.name:24s} {row.instructions:8d} ins  "
-              f"{row.fastpath.ips:10.0f} ips  "
-              f"{row.fastpath.aps:10.0f} aps{speedup}"
-              f"{profiled}{store}")
+        speedup = (f"  x{entry['speedup']:.2f}"
+                   if entry.get("speedup") else "")
+        print(f"{'OPTIMIZE':24s} {name:24s} "
+              f"{entry['status']:12s} "
+              f"{entry.get('transform') or '-':22s}{speedup}")
 
     if args.serve_only:
-        from repro.bench import BenchReport
-
         report = BenchReport(rows=[], repeat=args.repeat)
     else:
-        report = bench_suite(names, repeat=args.repeat,
-                             legacy=not args.no_legacy,
-                             profiled=args.profiled, progress=progress,
-                             seed=args.seed, store=args.store_arm,
-                             jobs=args.jobs or 1)
+        report = bench_suite(args.names or SMALL_SUITE, repeat=args.repeat,
+                             progress=progress)
+        report = dataclasses.replace(
+            report, optimize=bench_optimize(progress=optimize_progress))
     if args.serve_load or args.serve_only:
         from repro.serve.loadgen import run_fleet_load
 
-        load = run_fleet_load(shards=(1, args.serve_shards),
-                              clients=args.clients,
-                              requests_per_client=args.serve_requests)
+        load = run_fleet_load()
         report = dataclasses.replace(report, fleet=load.to_dict())
         if not args.json:
             for point in load.points:
@@ -308,21 +292,6 @@ def cmd_bench(args) -> int:
                   f"burst {reshard['accepted']} accepted/"
                   f"{reshard['throttled']} throttled  cross-shard "
                   f"{'hit' if reshard['hit'] else 'MISS'}")
-    if args.optimize:
-        from repro.bench import bench_optimize
-
-        def optimize_progress(name, entry):
-            if args.json:
-                return
-            speedup = (f"  x{entry['speedup']:.2f}"
-                       if entry.get("speedup") else "")
-            print(f"{'OPTIMIZE':24s} {name:24s} "
-                  f"{entry['status']:12s} "
-                  f"{entry.get('transform') or '-':22s}{speedup}")
-
-        report = dataclasses.replace(
-            report, optimize=bench_optimize(seed=args.seed,
-                                            progress=optimize_progress))
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     elif report.rows:
@@ -330,24 +299,21 @@ def cmd_bench(args) -> int:
         print(f"{'AGGREGATE':24s} "
               f"{sum(r.instructions for r in report.rows):8d} ins  "
               f"{agg.ips:10.0f} ips  {agg.aps:10.0f} aps"
-              + (f"  x{report.aggregate_speedup:.2f} vs legacy"
-                 if report.aggregate_speedup is not None else "")
-              + (f"  x{report.aggregate_profiled_speedup:.2f} profiled"
-                 if report.aggregate_profiled_speedup is not None else ""))
+              f"  x{report.aggregate_speedup:.2f} vs legacy"
+              f"  x{report.aggregate_profiled_speedup:.2f} profiled")
     if args.out:
         write_report(report, args.out)
         if not args.json:
             print(f"report written to {args.out}")
     if args.check:
-        failures = check_regression(report, load_report(args.check),
-                                    tolerance=args.tolerance)
+        failures = check_regression(report, load_report(args.check))
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)
         if failures:
             return 1
         if not args.json:
             print(f"regression check against {args.check} passed "
-                  f"(tolerance {args.tolerance:.0%})")
+                  f"(tolerance {TOLERANCE:.0%})")
     return 0
 
 
@@ -666,32 +632,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench", help="measure simulator throughput")
     p_bench.add_argument("names", nargs="*", metavar="workload",
-                         help="workloads to benchmark (default: full "
-                              "suite)")
-    p_bench.add_argument("--small", action="store_true",
-                         help="use the quick CI subset instead of the "
-                              "full suite")
-    p_bench.add_argument("--workloads", metavar="GLOB",
-                         help="filter the selected workloads by a "
-                              "shell-style glob (e.g. 'akka-*')")
-    p_bench.add_argument("--profiled", action="store_true",
-                         help="also time the profiled arms: DJXPerf "
-                              "attached at the paper-default period "
-                              "(skip-ahead vs per-access counting) and "
-                              "the all-families shared run")
-    p_bench.add_argument("--store-arm", action="store_true",
-                         help="also time the serving-layer arm: profile "
-                              "write/read through a fresh ProfileStore")
+                         help="workloads to benchmark (default: the "
+                              "small suite CI gates)")
     p_bench.add_argument("--repeat", type=int, default=3,
-                         help="runs per engine, best wall time kept "
+                         help="runs per arm, best wall time kept "
                               "(default 3)")
-    p_bench.add_argument("--no-legacy", action="store_true",
-                         help="skip the legacy-engine arm (faster; "
-                              "disables speedup and --check)")
-    p_bench.add_argument("--jobs", type=int, default=None,
-                         help="fan per-workload measurements over this "
-                              "many worker processes (default 1 = "
-                              "serial; parallel timings are noisier)")
     p_bench.add_argument("--json", action="store_true",
                          help="print the full report as JSON instead "
                               "of the table")
@@ -700,38 +645,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--check", metavar="FILE",
                          help="compare against a committed baseline "
                               "report; non-zero exit on regression")
-    p_bench.add_argument("--tolerance", type=float, default=0.20,
-                         help="allowed fractional speedup regression "
-                              "for --check (default 0.20)")
-    p_bench.add_argument("--seed", type=int, default=None,
-                         help="override the machine seed on every arm "
-                              "(identical schedules across arms)")
     p_bench.add_argument("--serve-load", action="store_true",
-                         help="also run the serving-layer load arm: K "
+                         help="also run the fleet load arm: 8 "
                               "concurrent HTTP clients against a "
-                              "1-shard and an N-shard fleet, recording "
+                              "1-shard and a 4-shard fleet, recording "
                               "p50/p99 submit-to-verdict latency, "
                               "jobs/sec scaling, dedupe and warm hit "
                               "rates, and the reshard phase's 429 and "
                               "cross-shard hit")
     p_bench.add_argument("--serve-only", action="store_true",
-                         help="run only the serve-load arm, skipping "
-                              "the engine rows (the CI mode)")
-    p_bench.add_argument("--clients", type=int, default=8,
-                         help="concurrent load-generator clients for "
-                              "--serve-load (default 8)")
-    p_bench.add_argument("--serve-shards", type=int, default=4,
-                         help="largest fleet size for --serve-load "
-                              "(default 4; the 1-shard fleet is always "
-                              "measured as the scaling baseline)")
-    p_bench.add_argument("--serve-requests", type=int, default=3,
-                         help="requests per client for --serve-load "
-                              "(default 3)")
-    p_bench.add_argument("--optimize", action="store_true",
-                         help="run the profile-guided optimization arm: "
-                              "optimize each deliberately-fixable "
-                              "workload and record before/after cycles "
-                              "and the acceptance verdict")
+                         help="run only the fleet load arm, skipping "
+                              "the engine arms and optimize verdicts")
     p_bench.set_defaults(fn=cmd_bench)
 
     p_fuzz = sub.add_parser(

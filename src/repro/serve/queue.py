@@ -432,35 +432,27 @@ class SpoolQueue:
 
         Bounds spool disk growth for long-running fleets: outcome files
         are the submitter's poll target, so they must linger, but only
-        for the retention window (seconds).  Age is the recorded
-        ``finished_at`` (file mtime when absent).  ``retention`` of
-        None or <= 0 disables the sweep.  Returns files removed; safe
-        under concurrent daemons — a file that vanishes mid-sweep was
-        simply removed by a neighbour first.
+        for the retention window (seconds).  Age is the file's mtime:
+        :meth:`complete`, :meth:`fail` and a rejection write the file
+        when the job finishes, so no file is opened or parsed, and a
+        malformed one ages out like any other.  ``retention`` of None
+        or <= 0 disables the sweep.  Returns files removed; safe under
+        concurrent daemons — a file that vanishes mid-sweep was simply
+        removed by a neighbour first.
         """
         if not retention or retention <= 0:
             return 0
         now = time.time() if now is None else now
         removed = 0
         for state in ("done", "failed"):
-            state_dir = self._dir(state)
-            for name in os.listdir(state_dir):
-                if not name.endswith(".json"):
-                    continue
-                path = os.path.join(state_dir, name)
-                try:
-                    finished = self._read(path).get("finished_at")
-                except (FileNotFoundError, json.JSONDecodeError):
-                    continue
-                if finished is None:
-                    try:
-                        finished = os.path.getmtime(path)
-                    except OSError:
+            with os.scandir(self._dir(state)) as entries:
+                for entry in entries:
+                    if not entry.name.endswith(".json"):
                         continue
-                if now - float(finished) >= retention:
                     try:
-                        os.remove(path)
-                        removed += 1
+                        if now - entry.stat().st_mtime >= retention:
+                            os.remove(entry.path)
+                            removed += 1
                     except FileNotFoundError:
                         pass
         return removed

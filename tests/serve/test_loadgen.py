@@ -170,8 +170,7 @@ class TestServeGate:
             "warm-rate", "failed-job", "reshard-failed-job", "no-429",
             "no-retry-after"])
     def test_planted_regression_fails(self, planted, message):
-        failures = _check_fleet(section(**planted), section(),
-                                tolerance=0.20)
+        failures = _check_fleet(section(**planted), section())
         assert len(failures) == 1
         assert message in failures[0]
         assert check_regression(report(**planted),
@@ -197,7 +196,7 @@ class TestServeGate:
         path = pathlib.Path(__file__).resolve().parents[2] / \
             "BENCH_throughput.json"
         committed = json.loads(path.read_text())["fleet"]
-        assert _check_fleet(committed, committed, tolerance=0.20) == []
+        assert _check_fleet(committed, committed) == []
 
     def test_empty_report_fails(self):
         failures = check_regression(BenchReport(rows=[], repeat=1),
@@ -264,7 +263,7 @@ class TestEndToEnd:
         assert reshard["simulator_tasks"] == 0
         assert reshard["hit"] is True
         d = result.to_dict()
-        assert _check_fleet(d, d, tolerance=0.20) == []
+        assert _check_fleet(d, d) == []
 
     def test_stuck_shard_fails_by_the_deadline(self, tmp_path,
                                                monkeypatch):
@@ -293,7 +292,7 @@ class TestEndToEnd:
         assert result.points[0].jobs_failed == 0
         assert result.points[1].jobs_failed == 1
         d = result.to_dict()
-        failures = _check_fleet(d, d, tolerance=0.20)
+        failures = _check_fleet(d, d)
         assert "fleet load at shards=2 had 1 failed jobs" in failures
 
 

@@ -277,6 +277,12 @@ class TestClaimRaces:
             "total_samples"] == 7
 
 
+def backdate(path, seconds):
+    """Age a file by moving its mtime ``seconds`` into the past."""
+    mtime = os.path.getmtime(path) - seconds
+    os.utime(path, (mtime, mtime))
+
+
 class TestSweep:
     def finish_one(self, queue, **kw):
         submitted = queue.submit(spec(**kw))
@@ -286,11 +292,8 @@ class TestSweep:
     def test_aged_outcomes_removed_fresh_kept(self, queue):
         old = self.finish_one(queue, seed=1)
         fresh = self.finish_one(queue, seed=2)
-        # Backdate the first outcome's recorded finish time.
-        path = queue._path("done", old.job_id)
-        data = queue._read(path)
-        data["finished_at"] = data["finished_at"] - 1000.0
-        queue._write(path, data)
+        # Age is the file's mtime, not its recorded finish time.
+        backdate(queue._path("done", old.job_id), 1000.0)
         assert queue.sweep(retention=500.0) == 1
         assert queue.outcome(old.job_id) is None
         assert queue.outcome(fresh.job_id) is not None
@@ -298,10 +301,7 @@ class TestSweep:
     def test_failed_outcomes_swept_too(self, queue):
         submitted = queue.submit(spec(max_attempts=1))
         queue.fail(queue.claim(), "boom")
-        path = queue._path("failed", submitted.job_id)
-        data = queue._read(path)
-        data["finished_at"] = data["finished_at"] - 1000.0
-        queue._write(path, data)
+        backdate(queue._path("failed", submitted.job_id), 1000.0)
         assert queue.sweep(retention=500.0) == 1
         assert queue.counts()["failed"] == 0
 
@@ -311,15 +311,6 @@ class TestSweep:
         assert queue.sweep(retention=0) == 0
         assert queue.sweep(retention=-5.0) == 0
         assert queue.counts()["done"] == 1
-
-    def test_mtime_fallback_when_no_finished_at(self, queue, tmp_path):
-        submitted = self.finish_one(queue)
-        path = queue._path("done", submitted.job_id)
-        data = queue._read(path)
-        del data["finished_at"]
-        queue._write(path, data)
-        os.utime(path, (1.0, 1.0))  # epoch-old mtime
-        assert queue.sweep(retention=500.0) == 1
 
     def test_pending_and_running_never_swept(self, queue):
         queue.submit(spec(seed=1))

@@ -342,30 +342,48 @@ class TestHeartbeatRotation:
                                         "status.jsonl.1"]
 
 
+def backdate(path, seconds):
+    """Age a file by moving its mtime ``seconds`` into the past."""
+    mtime = os.path.getmtime(path) - seconds
+    os.utime(path, (mtime, mtime))
+
+
 class TestRetentionSweep:
     def test_startup_sweep_removes_aged_outcomes(self, spool,
                                                  store_path):
         done = submit(spool)
         with ProfilingService(spool, store_path, jobs=1) as service:
             service.drain()
-            path = service.queue._path("done", done.job_id)
-            data = service.queue._read(path)
-            data["finished_at"] = data["finished_at"] - 7200.0
-            service.queue._write(path, data)
+            backdate(service.queue._path("done", done.job_id), 7200.0)
         with ProfilingService(spool, store_path, jobs=1,
                               retention=3600.0) as service:
             assert service.swept == 1
             assert service.queue.outcome(done.job_id) is None
+
+    def test_malformed_outcomes_do_not_stop_startup(self, spool,
+                                                    store_path):
+        """The sweep reads no outcome file, so one that does not parse
+        as a finished job cannot stop a daemon from starting, and an
+        aged one is swept like any other."""
+        queue = SpoolQueue(spool)
+        done = os.path.join(queue.root, "done")
+        for name, text in (("list.json", "[]"),
+                           ("when.json", '{"finished_at": "soon"}'),
+                           ("torn.json", "{")):
+            with open(os.path.join(done, name), "w") as fh:
+                fh.write(text)
+        backdate(os.path.join(done, "when.json"), 7200.0)
+        with ProfilingService(spool, store_path, jobs=1,
+                              retention=3600.0) as service:
+            assert service.swept == 1
+        assert sorted(os.listdir(done)) == ["list.json", "torn.json"]
 
     def test_idle_poll_sweeps_and_heartbeats(self, spool, store_path):
         done = submit(spool)
         with ProfilingService(spool, store_path, jobs=1,
                               retention=3600.0) as service:
             service.drain()
-            path = service.queue._path("done", done.job_id)
-            data = service.queue._read(path)
-            data["finished_at"] = data["finished_at"] - 7200.0
-            service.queue._write(path, data)
+            backdate(service.queue._path("done", done.job_id), 7200.0)
             service.serve_forever(0.01, max_polls=3)
             assert service.swept == 1
             with open(service.heartbeat_path) as fh:

@@ -34,27 +34,27 @@ class TestSuite:
 class TestGate:
     def test_matching_run_passes(self):
         base = {"w": entry()}
-        assert _check_optimize({"w": entry()}, base, 0.20) == []
+        assert _check_optimize({"w": entry()}, base) == []
 
     def test_accepted_flipping_to_rejected_fails(self):
         base = {"w": entry()}
         failures = _check_optimize({"w": entry(status="rejected")},
-                                   base, 0.20)
+                                   base)
         assert failures and "regressed" in failures[0]
 
     def test_dropped_workload_fails(self):
-        failures = _check_optimize({}, {"w": entry()}, 0.20)
+        failures = _check_optimize({}, {"w": entry()})
         assert failures and "dropped workload w" in failures[0]
 
     def test_shrunken_speedup_fails(self):
         base = {"w": entry(speedup=2.0)}
-        failures = _check_optimize({"w": entry(speedup=1.05)}, base, 0.20)
+        failures = _check_optimize({"w": entry(speedup=1.05)}, base)
         assert failures and "speedup" in failures[0]
 
     def test_speedup_within_tolerance_passes(self):
         base = {"w": entry(speedup=1.30)}
         assert _check_optimize({"w": entry(speedup=1.20)},
-                               base, 0.20) == []
+                               base) == []
 
     def test_committed_rejection_not_gated_on_speedup(self):
         # A workload committed as rejected is informational: the gate
@@ -62,7 +62,7 @@ class TestGate:
         base = {"w": entry(status="rejected", speedup=0.9)}
         assert _check_optimize({"w": entry(status="rejected",
                                            speedup=0.5)},
-                               base, 0.20) == []
+                               base) == []
 
     def test_wired_into_check_regression(self):
         report = BenchReport(rows=[], repeat=1,

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -178,39 +179,49 @@ class TestSuite:
 
 
 class TestBench:
-    def test_workloads_glob_filter(self, capsys):
-        assert main(["bench", "--workloads", "cryp*", "--repeat", "1",
-                     "--no-legacy"]) == 0
+    def test_one_run_records_every_arm_and_verdict(self, capsys):
+        from repro.bench import OPTIMIZE_SUITE
+
+        assert main(["bench", "crypto", "--repeat", "1", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        row = report["workloads"]["crypto"]
+        for key in ("legacy", "profiled", "profiled_peraccess",
+                    "allfamilies", "fusion"):
+            assert row[key], key
+        assert set(report["optimize"]) == {name
+                                           for name, _ in OPTIMIZE_SUITE}
+        assert "store" not in row
+        assert "store" not in report["aggregate"]
+        assert "seed" not in report
+
+    def test_profiled_arm(self, capsys, monkeypatch):
+        from repro import bench
+
+        # The verdicts are covered above; keep this run to the arms.
+        monkeypatch.setattr(bench, "bench_optimize",
+                            lambda progress: {})
+        assert main(["bench", "crypto", "--repeat", "1"]) == 0
         out = capsys.readouterr().out
-        assert "crypto" in out
-        assert "AGGREGATE" in out
-        assert "avrora" not in out
+        # The row and the aggregate carry both gated ratios.
+        assert re.search(r"^crypto .* x\d+\.\d\d  x\d+\.\d\d prof$", out,
+                         re.MULTILINE)
+        assert "vs legacy" in out and "profiled" in out
 
-    def test_workloads_glob_filters_explicit_names(self, capsys):
-        assert main(["bench", "crypto", "avrora", "--workloads", "av*",
-                     "--repeat", "1", "--no-legacy"]) == 0
+    def test_serve_load_adds_the_fleet_section(self, capsys, monkeypatch):
+        from repro import bench
+        from repro.serve import loadgen
+
+        real = loadgen.run_fleet_load
+        monkeypatch.setattr(loadgen, "run_fleet_load", lambda: real(
+            shards=(1,), clients=1, requests_per_client=1))
+        # The verdicts are covered above; keep this run to the fleet.
+        monkeypatch.setattr(bench, "bench_optimize",
+                            lambda progress: {})
+        assert main(["bench", "crypto", "--repeat", "1",
+                     "--serve-load"]) == 0
         out = capsys.readouterr().out
-        assert "avrora" in out
-        assert "crypto" not in out
-
-    def test_workloads_glob_no_match_is_error(self, capsys):
-        assert main(["bench", "--workloads", "zzz-*"]) == 2
-        assert "no workloads match" in capsys.readouterr().err
-
-    def test_profiled_arm(self, capsys):
-        assert main(["bench", "--workloads", "crypto", "--repeat", "1",
-                     "--no-legacy", "--profiled"]) == 0
-        assert "prof" in capsys.readouterr().out
-
-    def test_store_arm(self, capsys):
-        # The serve-load arm runs at its smallest size alongside.
-        assert main(["bench", "--workloads", "crypto", "--repeat", "1",
-                     "--no-legacy", "--store-arm", "--serve-load",
-                     "--clients", "1", "--serve-shards", "1",
-                     "--serve-requests", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "store" in out
         assert "SERVE-LOAD" in out
+        assert "AGGREGATE" in out
 
 
 class TestFuzz:
@@ -396,7 +407,6 @@ class TestOptionCoverage:
         test or CI step, so no option survives that nothing runs."""
         import argparse
         import pathlib
-        import re
 
         from repro.cli import build_parser
 
