@@ -26,11 +26,11 @@ instructions per wall-clock second (ips) and memory accesses per second
     is measured against; the two arms' MachineResults are compared on
     every run, so the bench doubles as an equivalence check.
 ``allfamilies``
-    One shared run feeding all six profiler families (DJXPerf,
-    code-centric, allocation-frequency, reuse-distance, object-replica,
-    load/store-redundancy) — the heaviest realistic bus load, including
-    full-trace and value-carrying ``wants_accesses`` collectors.
-    Recorded, not gated.
+    One shared run feeding the five sampled profiler families (DJXPerf,
+    code-centric, allocation-frequency, object-replica,
+    load/store-redundancy).  Its time is recorded, not gated; its
+    ``allfamilies_access_events_built`` is gated exactly at 0.  The
+    full-trace reuse-distance profiler is not in it.
 
 Every run times all five arms, serially, with each workload's own
 seed, so a run always measures what the committed baseline recorded and
@@ -81,8 +81,10 @@ from repro.workloads.base import Workload, get_workload
 #: section (one load run per fleet size plus the reshard phase) and
 #: records the ``seed`` override the engine counters depend on;
 #: ``/10`` dropped the store arm and the ``seed`` override: every run
-#: times the same arms with each workload's own seed.
-SCHEMA = "repro-bench-throughput/10"
+#: times the same arms with each workload's own seed;
+#: ``/11`` dropped reuse distance from ``allfamilies`` and records that
+#: arm's ``allfamilies_access_events_built``.
+SCHEMA = "repro-bench-throughput/11"
 
 #: Allowed fractional drop of a gated ratio below its committed value.
 TOLERANCE = 0.20
@@ -95,7 +97,7 @@ TAIL_TOLERANCE = 1.0
 #: Per-workload counts the seeded simulator reproduces exactly;
 #: ``--check`` compares them, and every ``fusion`` counter, exactly.
 EXACT_COUNTS = ("instructions", "accesses", "profiled_instructions",
-                "profiled_accesses")
+                "profiled_accesses", "allfamilies_access_events_built")
 
 #: The workloads a run times unless others are named: the heaviest row
 #: of each flavour, two streaming-native rows, and the engine-bound
@@ -158,6 +160,8 @@ class BenchRow:
     #: Superinstruction observability from the fastpath arm's machine:
     #: blocks_fused / fused_executions / guard_bailouts.
     fusion: Dict[str, int]
+    #: AccessEvents the allfamilies arm built (0: all sampled).
+    allfamilies_access_events_built: int = 0
 
     @property
     def speedup_vs_legacy(self) -> float:
@@ -245,6 +249,8 @@ class BenchReport:
                 "accesses": row.accesses,
                 "profiled_instructions": row.profiled_instructions,
                 "profiled_accesses": row.profiled_accesses,
+                "allfamilies_access_events_built":
+                    row.allfamilies_access_events_built,
                 **{name: arm(getattr(row, name)) for name in ARMS},
                 "speedup_vs_legacy": round(row.speedup_vs_legacy, 3),
                 "profiled_speedup": round(row.profiled_speedup, 3),
@@ -309,19 +315,16 @@ def _timing(result: MachineResult, seconds: float) -> "tuple[ArmTiming, int, int
 
 
 def _profiled_arms(workload: Workload, repeat: int
-                   ) -> "tuple[ArmTiming, ArmTiming, ArmTiming, int, int]":
-    """Time the three profiled arms on the instrumented program.
+                   ) -> "tuple[ArmTiming, ArmTiming, ArmTiming, int, int, int]":
+    """Time the three profiled arms on the instrumented program; the
+    last element is the AccessEvents the allfamilies arm built.
 
     Raises :class:`EquivalenceError` if the skip-ahead and per-access
     counting boundaries disagree on the MachineResult or on the number
     of samples DJXPerf handled — they must be bit-identical.
     """
     # Imported lazily: a fleet-only run never needs the profiler stack.
-    from repro.baselines import (
-        AllocFrequencyProfiler,
-        CodeCentricProfiler,
-        ReuseDistanceProfiler,
-    )
+    from repro.baselines import AllocFrequencyProfiler, CodeCentricProfiler
     from repro.core import DJXPerf, DjxConfig
     from repro.core.javaagent import instrument_program
 
@@ -363,11 +366,10 @@ def _profiled_arms(workload: Workload, repeat: int
         djx_attach(machine)
         CodeCentricProfiler(sample_period=DJX_PERIOD).attach(machine)
         AllocFrequencyProfiler().attach(machine)
-        ReuseDistanceProfiler().attach(machine)
         ReplicaProfiler(sample_period=DJX_PERIOD).attach(machine)
         RedundancyProfiler(sample_period=DJX_PERIOD).attach(machine)
 
-    _, families_seconds, _ = _time_run(
+    _, families_seconds, families_machine = _time_run(
         program, dataclasses.replace(base_config, skip_ahead=True),
         repeat, attach_families)
 
@@ -377,7 +379,8 @@ def _profiled_arms(workload: Workload, repeat: int
                                 ips=instructions / families_seconds,
                                 aps=accesses / families_seconds)
     return (skip_timing, peraccess_timing, families_timing,
-            instructions, accesses)
+            instructions, accesses,
+            families_machine.bus.access_events_built)
 
 
 def bench_workload(workload: Workload, repeat: int = 3) -> BenchRow:
@@ -398,14 +401,15 @@ def bench_workload(workload: Workload, repeat: int = 3) -> BenchRow:
             f"(fast={fast_result!r}, legacy={legacy_result!r})")
     legacy, _, _ = _timing(legacy_result, legacy_seconds)
     (profiled, peraccess, families, profiled_instructions,
-     profiled_accesses) = _profiled_arms(workload, repeat)
+     profiled_accesses, families_events) = _profiled_arms(workload, repeat)
     return BenchRow(name=workload.name, instructions=instructions,
                     accesses=accesses, fastpath=fast, legacy=legacy,
                     profiled_instructions=profiled_instructions,
                     profiled_accesses=profiled_accesses,
                     profiled=profiled, profiled_peraccess=peraccess,
                     allfamilies=families,
-                    fusion=dataclasses.asdict(fast_machine.fusion))
+                    fusion=dataclasses.asdict(fast_machine.fusion),
+                    allfamilies_access_events_built=families_events)
 
 
 def bench_suite(names: Sequence[str] = SMALL_SUITE, repeat: int = 3,

@@ -164,8 +164,8 @@ def cmd_replay(args) -> int:
         from repro.families import replay_family
 
         if args.resample:
-            print("error: --resample is DJXPerf-only (family profilers "
-                  "consume the exact access stream)", file=sys.stderr)
+            print("error: --resample is DJXPerf-only (family traces "
+                  "replay at their recorded period)", file=sys.stderr)
             return 2
         analysis = replay_family(args.trace, args.family,
                                  sample_period=args.period,

@@ -36,9 +36,9 @@ its label.
 The profiler families (:mod:`repro.families`) subclass this agent, so
 this class is the only implementation of object attribution.  A
 subclass changes it only through class attributes — ``payload_type``,
-``default_costs`` (families pay no NUMA query), ``inserts_unknown_moves``
-— and, when ``object_hooks`` is set, the :meth:`DjxJvmtiAgent._tracked`,
-:meth:`DjxJvmtiAgent._moved` and :meth:`DjxJvmtiAgent._finalized` hooks.
+``default_costs`` (families pay no NUMA query), ``inserts_unknown_moves``,
+``arms_watchpoints`` — and, when ``object_hooks`` is set, the
+:meth:`DjxJvmtiAgent._tracked` hook.
 The agent itself sets no hook, so its per-event path makes no extra call.
 """
 
@@ -75,10 +75,9 @@ class AgentCostModel:
     sample_base: int = 300              # signal + splay lookup + CCT
     sample_per_frame: int = 12
     numa_query: int = 60                # move_pages syscall
-    #: Per-access shadow-state update paid by the value-aware families
-    #: (JXPerf's watchpoint/shadow-memory cost); the agent itself never
-    #: reads the access stream.
-    access_check: int = 9
+    #: Watchpoint trap: signal + splay lookup + verdict, paid by the
+    #: redundancy family per trap (JXPerf's debug-register handler).
+    watch_trap: int = 300
     memmove_record: int = 15            # append to relocation map
     gc_batch_per_entry: int = 40        # splay delete+insert
     finalize_remove: int = 30
@@ -88,8 +87,8 @@ class AgentCostModel:
 class AgentStats:
     allocations_seen: int = 0
     allocations_filtered: int = 0       # below the size threshold S
-    accesses_seen: int = 0              # families only
-    accesses_untracked: int = 0         # no tracked object / no value
+    traps_handled: int = 0              # watchpoint families only
+    traps_untracked: int = 0            # trapped outside tracked objects
     samples_handled: int = 0
     samples_unknown: int = 0
     relocations_applied: int = 0
@@ -114,9 +113,12 @@ class DjxJvmtiAgent(Collector):
     #: A move of an object the agent never saw allocated inserts an
     #: unknown interval at its destination (paper §4.5).
     inserts_unknown_moves = True
-    #: Route every payload through the ``_tracked``/``_moved``/
-    #: ``_finalized`` hooks (families keep per-object shadow state).
+    #: Hand every new payload to :meth:`_tracked` (the replica family
+    #: keeps every tracked object).
     object_hooks = False
+    #: Open the samplers with ``watch=True``: each sample arms a
+    #: watchpoint on its address (the JXPerf redundancy family).
+    arms_watchpoints = False
 
     def __init__(self, machine, events: List[PmuEvent],
                  sample_period: int, size_threshold: int,
@@ -161,7 +163,8 @@ class DjxJvmtiAgent(Collector):
         for event in self.events:
             self._sampler_ids.add(
                 bus.open_sampler(event, self.sample_period,
-                                 owner=self.label))
+                                 owner=self.label,
+                                 watch=self.arms_watchpoints))
         # Attach mode: threads already running get profiles now; their
         # pre-attach allocations stay unknown (paper §4.5).
         for thread in self.machine.threads:
@@ -284,7 +287,6 @@ class DjxJvmtiAgent(Collector):
         if not self._relocation_map:
             return
         thread = self._gc_thread()
-        hooks = self.object_hooks
         cost = 0
         # Apply moves in ascending destination order: the collector slides
         # objects downward, so this order never tramples a pending source.
@@ -295,8 +297,6 @@ class DjxJvmtiAgent(Collector):
             if payload is not None:
                 self.splay.insert(dst, dst + size, payload)
                 self.stats.relocations_applied += 1
-                if hooks:
-                    self._moved(payload, dst)
                 continue
             self.stats.relocations_unknown += 1
             if self.inserts_unknown_moves:
@@ -322,20 +322,10 @@ class DjxJvmtiAgent(Collector):
             return
         self.stats.finalized_removed += 1
         self.charge(self._gc_thread(), self.costs.finalize_remove)
-        if self.object_hooks:
-            self._finalized(removed)
 
-    # ------------------------------------------------------------------
-    # Object hooks (called only when ``object_hooks`` is set)
-    # ------------------------------------------------------------------
     def _tracked(self, obj: TrackedObject, addr: int) -> None:
-        """Hook: ``obj`` entered the splay tree at ``addr``."""
-
-    def _moved(self, obj: TrackedObject, dst: int) -> None:
-        """Hook: a GC batch moved ``obj`` to ``dst``."""
-
-    def _finalized(self, obj: TrackedObject) -> None:
-        """Hook: ``obj``'s lifetime ended (it left the splay tree)."""
+        """Hook (``object_hooks`` only): ``obj`` entered the splay tree
+        at ``addr``."""
 
     # ------------------------------------------------------------------
     # Memory footprint (for the memory-overhead experiments)

@@ -7,19 +7,17 @@ hosts the sibling-paper families; each subclasses the DJXPerf agent
 (:class:`~repro.families.base.ObjectFamilyProfiler`):
 
 * :class:`ReplicaProfiler` — OJXPerf-style object replica detection:
-  objects whose written payloads are byte-identical are grouped, and
+  objects whose heap contents are identical are grouped, and
   allocation sites are ranked by replicated bytes weighted by sampled
   cache misses.
 * :class:`RedundancyProfiler` — JXPerf-style (Su & Chabbi) load/store
-  redundancy: dead stores (a store never loaded before the next store
-  or the object's free) and silent loads (a load observing the value
-  the previous load already saw), attributed to the allocation site of
-  the touched object.
+  redundancy: sampled loads and stores arm watchpoints whose traps flag
+  dead stores and silent stores/loads, attributed to the allocation
+  site of the touched object.
 
-Both families consume the demand-driven event streams: they declare
-``wants_accesses``/``wants_allocs`` so the machine only constructs the
-events somebody asked for, and both run **offline** against recorded
-traces (:func:`replay_family`) exactly as they run live.
+Both families sample, as DJXPerf does: neither sets ``wants_accesses``,
+so the machine keeps its fast path, and both run **offline** against
+recorded traces (:func:`replay_family`) exactly as they run live.
 """
 
 from repro.families.base import ObjectFamilyProfiler
@@ -52,19 +50,15 @@ def replay_family(trace_path: str, family: str, sample_period: int = 64,
                   size_threshold: int = 0):
     """Re-run a family analyzer over a recorded trace (no simulation).
 
-    The trace must have been recorded with ``include_accesses=True`` —
-    family collectors are access-stream consumers.  Returns the same
+    Any trace of a family run will do: its samples, watchpoint traps
+    and object contents are the family's whole input.  The replay runs
+    at the recorded sampling period; asking for another raises
+    ``ValueError``.  Returns the same
     :class:`~repro.core.analyzer.AnalysisResult` the live run produces,
     byte-identical under ``to_dict``.
     """
     from repro.obs.replay import replay_events
-    from repro.obs.trace import TraceReader
 
-    reader = TraceReader(trace_path)
-    if not reader.includes_accesses:
-        raise ValueError(
-            f"{trace_path}: trace has no raw access events; family "
-            f"analyzers need them — record with include_accesses=True")
     collector = make_family(family, machine=None,
                             sample_period=sample_period,
                             size_threshold=size_threshold)

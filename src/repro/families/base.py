@@ -11,55 +11,33 @@ GC relocation map, finalize handling, offline sampler adoption and the
 cycle cost model.  What differs per family is the *signal*: which event
 stream it consumes and how it turns events into per-site metrics.
 
-This class adds only what families need on top of the agent:
+This class adds only the ``_derive_metrics`` and ``_rank`` hooks of
+:meth:`ObjectFamilyProfiler.analyze`, ``attach``/``detach``, and replay
+at the recorded sampling period only.  It departs from the agent's
+defaults in two declared ways: a move of an untracked object is dropped
+rather than inserted as an unknown interval, and samples pay no NUMA
+query.
 
-* a :class:`FamilyObject` payload that carries its current base address
-  (updated on each GC relocation) and an ``alive`` flag, through the
-  agent's object hooks;
-* ``_objects``, every tracked object in allocation order;
-* the per-access ``access_check`` charge for subclasses'
-  ``on_access`` handlers;
-* the ``_finalized``, ``_derive_metrics`` and ``_rank`` hooks and
-  :meth:`ObjectFamilyProfiler.analyze`.
-
-It departs from the agent's defaults in three declared ways: a move of
-an untracked object is dropped rather than inserted as an unknown
-interval (without the allocation event there is no shadow state to
-maintain), samples pay no NUMA query, and the payload type differs.
-
-Unlike the sampling-only DJXPerf agent, families set ``wants_accesses``
-and read the raw access stream (the JXPerf/OJXPerf papers use PEBS with
-precise loads *and* stores; the simulator gives the exact stream
-instead).  The bus still constructs those events only while a
-subscriber wants them, so machines running DJXPerf alone keep the
-demand-driven skip path.
+Like DJXPerf, and like the JXPerf and OJXPerf papers, families sample:
+none reads the raw access stream, so profiling a run with a family
+keeps the skip-ahead PMU, fused blocks and the pooled L1 path.  Their
+signals are PMU samples, watchpoint traps armed by samples
+(:class:`~repro.families.RedundancyProfiler`) and object contents read
+from the heap (:class:`~repro.families.ReplicaProfiler`), all of which
+ride the recordable event stream, so replaying a trace reproduces the
+live analysis exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.analyzer import AnalysisResult, analyze_profiles
 from repro.core.jvmtiagent import AgentCostModel, DjxJvmtiAgent
-from repro.core.profile import FrameResolver, TrackedObject
+from repro.core.profile import FrameResolver
 from repro.jvmti.agent_iface import JvmtiEnv
+from repro.obs.events import SamplerOpenEvent
 from repro.pmu.events import PmuEvent
-
-
-@dataclass
-class FamilyObject(TrackedObject):
-    """Splay payload with mutable placement state.
-
-    Families need per-object shadow state addressed by *offset into the
-    object*, so the payload tracks its own current base address (updated
-    on every GC relocation — batches preserve stream order, so the base
-    is always consistent with the access events around it) and whether
-    the object is still live.
-    """
-
-    addr: int = 0
-    alive: bool = True
 
 
 class ObjectFamilyProfiler(DjxJvmtiAgent):
@@ -78,25 +56,19 @@ class ObjectFamilyProfiler(DjxJvmtiAgent):
     """
 
     label = "family"
-    wants_accesses = True
     wants_allocs = True
     #: Metric name the family ranks by; also ``AnalysisResult.primary_event``.
     primary_metric = "family"
     #: PMU events sampled while attached (default: none).
     events: Tuple[PmuEvent, ...] = ()
-    payload_type = FamilyObject
     default_costs = AgentCostModel(numa_query=0)
     inserts_unknown_moves = False
-    object_hooks = True
 
     def __init__(self, machine=None, sample_period: int = 64,
                  size_threshold: int = 0,
                  costs: Optional[AgentCostModel] = None) -> None:
         super().__init__(machine, self.events, sample_period,
                          size_threshold, costs=costs)
-        #: Every tracked object ever, in allocation order (dead ones
-        #: keep their shadow state) — the unit replica grouping walks.
-        self._objects: List[FamilyObject] = []
 
     def attach(self, machine=None) -> "ObjectFamilyProfiler":
         """Subscribe to the bus (and open any samplers the family uses)."""
@@ -109,20 +81,16 @@ class ObjectFamilyProfiler(DjxJvmtiAgent):
         """Stop collecting.  Profiles and tracked state stay readable."""
         self.stop()
 
-    # ------------------------------------------------------------------
-    # Object hooks
-    # ------------------------------------------------------------------
-    def _tracked(self, obj: FamilyObject, addr: int) -> None:
-        obj.addr = addr
-        self._objects.append(obj)
-
-    def _moved(self, obj: FamilyObject, dst: int) -> None:
-        obj.addr = dst
-
-    def _finalized(self, obj: FamilyObject) -> None:
-        """Hook: the object's lifetime ended (shadow state is final).
-        Subclasses extend it and call ``super()._finalized(obj)``."""
-        obj.alive = False
+    def on_sampler_open(self, event: SamplerOpenEvent) -> None:
+        # A recorded sample stream cannot be re-derived at another
+        # period: traps and contents follow from the recorded samples.
+        if self.machine is None and event.owner == self.label \
+                and event.period != self.sample_period:
+            raise ValueError(
+                f"{self.label} trace was recorded at sampling period "
+                f"{event.period}; a family replays only at its recorded "
+                f"period, not {self.sample_period}")
+        super().on_sampler_open(event)
 
     # ------------------------------------------------------------------
     # Analysis

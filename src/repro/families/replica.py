@@ -9,15 +9,15 @@ sharing one canonical instance.
 The simulator port keeps the paper's shape while riding the DJXPerf
 attribution substrate:
 
-* The **content hash** comes from a write-through shadow: every scalar
-  store carries its canonicalised value on the
-  :class:`~repro.obs.events.AccessEvent`, and the profiler mirrors it
-  into a per-object ``{offset: value}`` shadow.  Two objects are
-  replicas when type, size and final shadow contents all match —
-  including the all-default (never-written) case, which real replica
-  detectors flag too.  Building content from the event stream rather
-  than by hashing live heap bytes is what lets the exact same analysis
-  run offline against a recorded trace.
+* The **content** is read from the simulated heap, not mirrored from
+  the access stream: the machine digests each object's payload as the
+  object dies and, for survivors, when the run ends, and publishes an
+  :class:`~repro.obs.events.ObjectContentEvent` to collectors that set
+  ``wants_contents``.  Two objects are replicas when type, size and
+  final content digest match — including the all-default (never
+  written) case, which real replica detectors flag too.  Because the
+  digests ride the recordable event stream, the exact same analysis
+  runs offline against a recorded trace.
 * The **cost weight** comes from a sampled PMU event (L1D misses, like
   DJXPerf's default): sites are ranked by
   ``replica-bytes * (1 + sampled misses)``, so a site producing many
@@ -26,57 +26,52 @@ attribution substrate:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.core.analyzer import AnalysisResult
-from repro.families.base import FamilyObject, ObjectFamilyProfiler
-from repro.obs.events import AccessEvent
+from repro.core.profile import TrackedObject
+from repro.families.base import ObjectFamilyProfiler
+from repro.obs.events import ObjectContentEvent
 from repro.pmu.events import L1_MISS
 
 
 @dataclass
-class ReplicaObject(FamilyObject):
-    """Tracked object plus its write-through content shadow."""
+class ReplicaObject(TrackedObject):
+    """Tracked object plus its content digest, once read."""
 
-    shadow: Dict[int, object] = field(default_factory=dict)
-
-    def content_key(self) -> tuple:
-        # Offsets are unique ints, so sorting never compares values
-        # (which may be of mixed, unorderable types).
-        return tuple(sorted(self.shadow.items()))
+    content: Optional[str] = None
 
 
 class ReplicaProfiler(ObjectFamilyProfiler):
     """Rank allocation sites by replicated bytes weighted by misses."""
 
     label = "replica"
-    wants_accesses = True
-    wants_allocs = True
+    wants_contents = True
     primary_metric = "replica-score"
 
     #: The sampled PMU event is the cost weight.
     events = (L1_MISS,)
     payload_type = ReplicaObject
+    object_hooks = True
 
-    # ------------------------------------------------------------------
-    # Content shadow
-    # ------------------------------------------------------------------
-    def on_access(self, event: AccessEvent) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: Every tracked object ever, in allocation order.
+        self._objects: List[ReplicaObject] = []
+
+    def _tracked(self, obj: ReplicaObject, addr: int) -> None:
+        self._objects.append(obj)
+
+    def on_object_content(self, event: ObjectContentEvent) -> None:
         if not self.enabled:
             return
-        self.stats.accesses_seen += 1
-        self.charge(event.thread, self.costs.access_check)
-        if not event.is_write or event.value is None:
-            return
-        obj = self.splay.lookup(event.address)
-        if obj is None:
-            self.stats.accesses_untracked += 1
-            return
-        obj.shadow[event.address - obj.addr] = event.value
+        obj = self.splay.lookup(event.addr)
+        if isinstance(obj, ReplicaObject):
+            obj.content = event.digest
 
     # ------------------------------------------------------------------
-    # Replica grouping (analyze time; final shadows are the contents)
+    # Replica grouping (analyze time; the last read is the content)
     # ------------------------------------------------------------------
     def _derive_metrics(self) -> None:
         # Assign from scratch so analyze() stays idempotent.
@@ -86,7 +81,9 @@ class ReplicaProfiler(ObjectFamilyProfiler):
                 site.metrics.pop("replicas", None)
         firsts: Dict[tuple, ReplicaObject] = {}
         for obj in self._objects:
-            key = (obj.type_name, obj.size, obj.content_key())
+            if obj.content is None:
+                continue            # never read (the run did not end)
+            key = (obj.type_name, obj.size, obj.content)
             if key not in firsts:
                 # The first object with these contents is the canonical
                 # instance; only the duplicates after it are waste.
@@ -120,4 +117,4 @@ class ReplicaProfiler(ObjectFamilyProfiler):
                               thread_count=result.thread_count)
 
     def _shadow_cells(self) -> int:
-        return sum(len(obj.shadow) for obj in self._objects)
+        return sum(obj.content is not None for obj in self._objects)

@@ -29,19 +29,13 @@ Equivalence contract (the fast path must be observationally invisible):
   (which keeps ``frame.pc`` current at all times) would expose.  Pure
   stack/arithmetic handlers skip the store — nothing can observe the
   stale value in between.
-* Each method gets **two** tables.  The ``observed`` variant keeps the
-  contract above.  The unobserved variant additionally drops the
-  ``frame.pc`` store from the plain memory-access handlers (array/field
-  /static loads and stores, ARRAYLENGTH): it is only run for stretches
-  during which no sampler is armed and no collector records accesses,
-  so no async unwind can fire mid-handler.  Allocation sites, NATIVE
-  and INVOKE keep their stores in both variants (natives and the
-  allocation hook may observe the stack regardless), and every stretch
-  exit — frame switch, trap, budget exhaustion — persists ``pc``
-  explicitly, so the choice of table is invisible at stretch
-  boundaries.  The interpreter re-picks the variant each stretch, which
-  is why a mid-run subscribe or ``open_sampler`` takes effect on the
-  next stretch (at the latest, the next scheduler quantum).
+* One handler table serves every stretch, observed or not; the values
+  its memory handlers pass to :meth:`Machine.memory_access` matter
+  only while a sampler is armed (they arm watchpoints).  Only the fused
+  tables come in an observed and an unobserved variant (see "Guard
+  protocol" below); the interpreter re-picks the variant each stretch,
+  which is why a mid-run subscribe or ``open_sampler`` takes effect on
+  the next stretch (at the latest, the next scheduler quantum).
 * INVOKE stores the *return address* before pushing the callee frame,
   as the legacy path does, so async unwinds attribute caller frames to
   the instruction after the call site.
@@ -67,17 +61,11 @@ from repro.jvm.bytecode import Instruction, Op
 Handler = Callable[[object, object], int]
 
 
-def compile_dispatch(machine, runtime, observed: bool = True
-                     ) -> List[Handler]:
+def compile_dispatch(machine, runtime) -> List[Handler]:
     """Build a handler table for ``runtime``'s method.
 
-    ``observed=True`` keeps ``frame.pc`` current across every
-    event-publishing handler (required while samplers are armed or
-    accesses recorded); ``observed=False`` drops the store from the
-    plain memory-access handlers.  Cached on
-    ``runtime.dispatch_table_observed`` / ``runtime.dispatch_table`` by
-    the interpreter; safe to reuse across JIT recompilations because
-    the bytecode is immutable.
+    Cached on ``runtime.dispatch_table`` by the interpreter; safe to
+    reuse across JIT recompilations because the bytecode is immutable.
     """
     from repro.jvm.interpreter import (
         ArithmeticTrap,
@@ -125,29 +113,19 @@ def compile_dispatch(machine, runtime, observed: bool = True
                 return nxt
 
         elif op is Op.ALOAD:
-            if observed:
-                def h(thread, frame, bci=bci, ins=ins, nxt=nxt):
-                    frame.pc = bci
-                    stack = frame.stack
-                    index = stack.pop()
-                    obj = deref(stack.pop(), bci, ins)
-                    # element_address bounds-checks; the direct list read
-                    # replaces get_element's re-check of the same bounds.
-                    address = obj.element_address(index)
-                    value = obj.elements[index]
-                    memory_access(thread, address, obj.elem_size(),
-                                  is_write=False, value=value)
-                    stack.append(value)
-                    return nxt
-            else:
-                def h(thread, frame, bci=bci, ins=ins, nxt=nxt):
-                    stack = frame.stack
-                    index = stack.pop()
-                    obj = deref(stack.pop(), bci, ins)
-                    memory_access(thread, obj.element_address(index),
-                                  obj.elem_size(), is_write=False)
-                    stack.append(obj.elements[index])
-                    return nxt
+            def h(thread, frame, bci=bci, ins=ins, nxt=nxt):
+                frame.pc = bci
+                stack = frame.stack
+                index = stack.pop()
+                obj = deref(stack.pop(), bci, ins)
+                # element_address bounds-checks; the direct list read
+                # replaces get_element's re-check of the same bounds.
+                address = obj.element_address(index)
+                value = obj.elements[index]
+                memory_access(thread, address, obj.elem_size(),
+                              is_write=False, value=value)
+                stack.append(value)
+                return nxt
 
         elif op is Op.IINC:
             index, delta = ins.args
@@ -198,30 +176,19 @@ def compile_dispatch(machine, runtime, observed: bool = True
                 return nxt
 
         elif op is Op.ASTORE:
-            if observed:
-                def h(thread, frame, bci=bci, ins=ins, nxt=nxt):
-                    frame.pc = bci
-                    stack = frame.stack
-                    value = stack.pop()
-                    index = stack.pop()
-                    obj = deref(stack.pop(), bci, ins)
-                    # element_address bounds-checks; the direct list write
-                    # replaces set_element's re-check of the same bounds.
-                    memory_access(thread, obj.element_address(index),
-                                  obj.elem_size(), is_write=True,
-                                  value=value)
-                    obj.elements[index] = value
-                    return nxt
-            else:
-                def h(thread, frame, bci=bci, ins=ins, nxt=nxt):
-                    stack = frame.stack
-                    value = stack.pop()
-                    index = stack.pop()
-                    obj = deref(stack.pop(), bci, ins)
-                    memory_access(thread, obj.element_address(index),
-                                  obj.elem_size(), is_write=True)
-                    obj.elements[index] = value
-                    return nxt
+            def h(thread, frame, bci=bci, ins=ins, nxt=nxt):
+                frame.pc = bci
+                stack = frame.stack
+                value = stack.pop()
+                index = stack.pop()
+                obj = deref(stack.pop(), bci, ins)
+                # element_address bounds-checks; the direct list write
+                # replaces set_element's re-check of the same bounds.
+                memory_access(thread, obj.element_address(index),
+                              obj.elem_size(), is_write=True,
+                              value=value)
+                obj.elements[index] = value
+                return nxt
 
         elif op is Op.ACONST_NULL:
             def h(thread, frame, nxt=nxt):
@@ -403,111 +370,65 @@ def compile_dispatch(machine, runtime, observed: bool = True
         elif op is Op.GETFIELD:
             field_name = ins.args[0]
 
-            if observed:
-                def h(thread, frame, field_name=field_name, ins=ins,
-                      bci=bci, nxt=nxt):
-                    frame.pc = bci
-                    stack = frame.stack
-                    obj = deref(stack.pop(), bci, ins)
-                    value = obj.get_field(field_name)
-                    memory_access(thread, obj.field_address(field_name),
-                                  8, is_write=False, value=value)
-                    stack.append(value)
-                    return nxt
-            else:
-                def h(thread, frame, field_name=field_name, ins=ins,
-                      bci=bci, nxt=nxt):
-                    stack = frame.stack
-                    obj = deref(stack.pop(), bci, ins)
-                    value = obj.get_field(field_name)
-                    memory_access(thread, obj.field_address(field_name),
-                                  8, is_write=False)
-                    stack.append(value)
-                    return nxt
+            def h(thread, frame, field_name=field_name, ins=ins,
+                  bci=bci, nxt=nxt):
+                frame.pc = bci
+                stack = frame.stack
+                obj = deref(stack.pop(), bci, ins)
+                value = obj.get_field(field_name)
+                memory_access(thread, obj.field_address(field_name),
+                              8, is_write=False, value=value)
+                stack.append(value)
+                return nxt
 
         elif op is Op.PUTFIELD:
             field_name = ins.args[0]
 
-            if observed:
-                def h(thread, frame, field_name=field_name, ins=ins,
-                      bci=bci, nxt=nxt):
-                    frame.pc = bci
-                    stack = frame.stack
-                    value = stack.pop()
-                    obj = deref(stack.pop(), bci, ins)
-                    memory_access(thread, obj.field_address(field_name),
-                                  8, is_write=True, value=value)
-                    obj.set_field(field_name, value)
-                    return nxt
-            else:
-                def h(thread, frame, field_name=field_name, ins=ins,
-                      bci=bci, nxt=nxt):
-                    stack = frame.stack
-                    value = stack.pop()
-                    obj = deref(stack.pop(), bci, ins)
-                    memory_access(thread, obj.field_address(field_name),
-                                  8, is_write=True)
-                    obj.set_field(field_name, value)
-                    return nxt
+            def h(thread, frame, field_name=field_name, ins=ins,
+                  bci=bci, nxt=nxt):
+                frame.pc = bci
+                stack = frame.stack
+                value = stack.pop()
+                obj = deref(stack.pop(), bci, ins)
+                memory_access(thread, obj.field_address(field_name),
+                              8, is_write=True, value=value)
+                obj.set_field(field_name, value)
+                return nxt
 
         elif op is Op.GETSTATIC:
             key = ins.args[0]
 
-            if observed:
-                def h(thread, frame, key=key, bci=bci, nxt=nxt):
-                    frame.pc = bci
-                    address = machine.static_address(key)
-                    value = machine.get_static(key)
-                    memory_access(thread, address, 8, is_write=False,
-                                  value=value)
-                    frame.stack.append(value)
-                    return nxt
-            else:
-                def h(thread, frame, key=key, nxt=nxt):
-                    address = machine.static_address(key)
-                    value = machine.get_static(key)
-                    memory_access(thread, address, 8, is_write=False)
-                    frame.stack.append(value)
-                    return nxt
+            def h(thread, frame, key=key, bci=bci, nxt=nxt):
+                frame.pc = bci
+                address = machine.static_address(key)
+                value = machine.get_static(key)
+                memory_access(thread, address, 8, is_write=False,
+                              value=value)
+                frame.stack.append(value)
+                return nxt
 
         elif op is Op.PUTSTATIC:
             key = ins.args[0]
 
-            if observed:
-                def h(thread, frame, key=key, bci=bci, nxt=nxt):
-                    frame.pc = bci
-                    address = machine.static_address(key)
-                    value = frame.stack.pop()
-                    memory_access(thread, address, 8, is_write=True,
-                                  value=value)
-                    machine.set_static(key, value)
-                    return nxt
-            else:
-                def h(thread, frame, key=key, nxt=nxt):
-                    address = machine.static_address(key)
-                    value = frame.stack.pop()
-                    memory_access(thread, address, 8, is_write=True)
-                    machine.set_static(key, value)
-                    return nxt
+            def h(thread, frame, key=key, bci=bci, nxt=nxt):
+                frame.pc = bci
+                address = machine.static_address(key)
+                value = frame.stack.pop()
+                memory_access(thread, address, 8, is_write=True,
+                              value=value)
+                machine.set_static(key, value)
+                return nxt
 
         elif op is Op.ARRAYLENGTH:
-            if observed:
-                def h(thread, frame, ins=ins, bci=bci, nxt=nxt):
-                    frame.pc = bci
-                    stack = frame.stack
-                    obj = deref(stack.pop(), bci, ins)
-                    # length lives in the header's second word
-                    memory_access(thread, obj.addr + 8, 8, is_write=False,
-                                  value=obj.length)
-                    stack.append(obj.length)
-                    return nxt
-            else:
-                def h(thread, frame, ins=ins, bci=bci, nxt=nxt):
-                    stack = frame.stack
-                    obj = deref(stack.pop(), bci, ins)
-                    memory_access(thread, obj.addr + 8, 8, is_write=False)
-                    stack.append(obj.length)
-                    return nxt
+            def h(thread, frame, ins=ins, bci=bci, nxt=nxt):
+                frame.pc = bci
+                stack = frame.stack
+                obj = deref(stack.pop(), bci, ins)
+                # length lives in the header's second word
+                memory_access(thread, obj.addr + 8, 8, is_write=False,
+                              value=obj.length)
+                stack.append(obj.length)
+                return nxt
 
         elif op is Op.NOP:
             def h(thread, frame, nxt=nxt):
@@ -619,9 +540,13 @@ _ZERO_BRANCHES = {
 # histograms per-access outcome combos and applies them in one
 # ``observe_bulk_map`` step, and on failure it falls back to calling
 # the block's per-handler chain (counting a ``guard_bailouts`` stat),
-# which preserves exact per-access observation order.  Unobserved
-# tables need no guard: their stretches run with no sampler armed and
-# no access collector, which cannot change mid-stretch.
+# which preserves exact per-access observation order.  The fast body
+# also checks each address against the thread's watchpoints (``W``, an
+# empty dict but for watch samplers) and traps a hit in place: a trap
+# unwinds no stack, so it needs no bailout, and no sample can fire in
+# the block to arm another.  Unobserved tables need no guard and no
+# check: their stretches run with no sampler armed (so no watchpoint)
+# and no access collector, which cannot change mid-stretch.
 #
 # Symbolic-stack compilation
 # --------------------------
@@ -846,6 +771,10 @@ def _generate_fused(method, observed: bool,
         return name
 
     def emit_access(out, ind, addr_expr, size_expr, is_write, combo):
+        # Guarded bodies bind the address to ``a`` for emit_watch.
+        if combo:
+            out.append(f"{ind}a = {addr_expr}")
+            addr_expr = "a"
         out.append(f"{ind}r = _ah(thread.cpu, {addr_expr}, {size_expr}, "
                    f"{is_write})")
         out.append(f"{ind}thread.cycles += r.latency")
@@ -859,6 +788,10 @@ def _generate_fused(method, observed: bool,
                            f"+ (4 if r.tlb_misses else 0) "
                            f"+ (1 if r.remote else 0)")
             out.append(f"{ind}combos[ci] = combos.get(ci, 0) + 1")
+
+    def emit_watch(out, ind, is_write, value):
+        out.append(f"{ind}if W and a in W: _wt(thread, a, {is_write}, "
+                   f"{value})")
 
     def gen_fast_body(block, start, ind, guarded) -> List[str]:
         """Symbolic-stack compilation of one block's fast body.
@@ -1014,6 +947,8 @@ def _generate_fused(method, observed: bool,
                             f"{obj}.elem_size()", False, guarded)
                 t = newt()
                 out.append(f"{ind}{t} = {obj}.elements[{idx}]")
+                if guarded:
+                    emit_watch(out, ind, False, t)
                 syms.append(t)
             elif op is Op.ASTORE:
                 v = spop()
@@ -1026,6 +961,9 @@ def _generate_fused(method, observed: bool,
                 out.append(f"{ind}{obj} = _deref({ref}, {bci}, i{bci})")
                 emit_access(out, ind, f"{obj}.element_address({idx})",
                             f"{obj}.elem_size()", True, guarded)
+                if guarded:
+                    v = mat(v)
+                    emit_watch(out, ind, True, v)
                 out.append(f"{ind}{obj}.elements[{idx}] = {v}")
             elif op is Op.GETFIELD:
                 ref = spop()
@@ -1038,6 +976,8 @@ def _generate_fused(method, observed: bool,
                             "8", False, guarded)
                 t = newt()
                 out.append(f"{ind}{t} = {obj}.get_field({name})")
+                if guarded:
+                    emit_watch(out, ind, False, t)
                 syms.append(t)
             elif op is Op.PUTFIELD:
                 v = spop()
@@ -1049,6 +989,9 @@ def _generate_fused(method, observed: bool,
                 out.append(f"{ind}{obj} = _deref({ref}, {bci}, i{bci})")
                 emit_access(out, ind, f"{obj}.field_address({name})",
                             "8", True, guarded)
+                if guarded:
+                    v = mat(v)
+                    emit_watch(out, ind, True, v)
                 out.append(f"{ind}{obj}.set_field({name}, {v})")
             elif op is Op.GETSTATIC:
                 marker(j)
@@ -1056,12 +999,17 @@ def _generate_fused(method, observed: bool,
                 emit_access(out, ind, f"_sa({key})", "8", False, guarded)
                 t = newt()
                 out.append(f"{ind}{t} = _gs({key})")
+                if guarded:
+                    emit_watch(out, ind, False, t)
                 syms.append(t)
             elif op is Op.PUTSTATIC:
                 v = spop()
                 marker(j)
                 key = lit(ins.args[0], f"c{bci}")
                 emit_access(out, ind, f"_sa({key})", "8", True, guarded)
+                if guarded:
+                    v = mat(v)
+                    emit_watch(out, ind, True, v)
                 out.append(f"{ind}_ss({key}, {v})")
             elif op is Op.ARRAYLENGTH:
                 ref = spop()
@@ -1071,6 +1019,8 @@ def _generate_fused(method, observed: bool,
                 out.append(f"{ind}{obj} = _deref({ref}, {bci}, i{bci})")
                 emit_access(out, ind, f"{obj}.addr + 8", "8", False,
                             guarded)
+                if guarded:
+                    emit_watch(out, ind, False, f"{obj}.length")
                 syms.append(f"{obj}.length")    # immutable: defer
             elif op is Op.NOP:
                 pass
@@ -1128,6 +1078,7 @@ def _generate_fused(method, observed: bool,
                        f"L.extend([None] * ({maxstore} + 1 - len(L)))")
         if guarded:
             pro.append(f"{ind}combos = {{}}")
+            pro.append(f"{ind}W = thread.watch")
         return pro + out
 
     blocks = fused_blocks(code)
@@ -1193,9 +1144,8 @@ def compile_fused(machine, runtime, table: List[Handler],
                   observed: bool = True) -> List[FusedEntry]:
     """Compile ``runtime``'s superinstruction table.
 
-    ``table`` is the matching plain dispatch table (same ``observed``
-    variant); observed blocks call back into it when the bulk-budget
-    guard fails.  Cached on ``runtime.fused_table_observed`` /
+    ``table`` is the method's plain dispatch table; observed blocks
+    call back into it when the bulk-budget guard fails.  Cached on ``runtime.fused_table_observed`` /
     ``runtime.fused_table`` by the fused driver; like the plain tables
     it survives JIT recompiles because bytecode is immutable.
 
@@ -1246,6 +1196,7 @@ def compile_fused(machine, runtime, table: List[Handler],
         "_bus": bus,
         "_bb": bus.bulk_budget,
         "_obm": bus.observe_bulk_map,
+        "_wt": bus.watch_trap,
         "_LB": _LEVEL_BASE,
         "_fusion": machine.fusion,
     }

@@ -98,6 +98,10 @@ class JavaThread:
         #: reads and clears it to charge partial block progress and pin
         #: ``frame.pc`` exactly as per-handler execution would.
         self.fused_fault: Optional["tuple[int, int]"] = None
+        #: Armed watchpoints, address → (sampler_id, armed_write,
+        #: armed_value, armed_at); see :mod:`repro.obs.bus`.  Mutated
+        #: in place only, so fused blocks may bind it once.
+        self.watch: Dict[int, tuple] = {}
 
     @property
     def current_frame(self) -> Frame:
@@ -183,29 +187,22 @@ class Interpreter:
         while executed < budget and thread.state is runnable:
             frame = frames[-1]
             runtime = frame.runtime
-            # Table choice is per stretch: the observed variants keep
-            # frame.pc current for async unwinds whenever a sampler is
-            # armed or accesses are recorded; otherwise the unobserved
-            # variants skip those dead stores.  Observation state only
-            # changes through subscribe/open_sampler, which take effect
-            # here on the next stretch.
+            # Fused-table choice is per stretch: the observed variant
+            # guards its blocks whenever a sampler is armed or accesses
+            # are recorded.  Observation state only changes through
+            # subscribe/open_sampler, which take effect here on the
+            # next stretch.
+            table = runtime.dispatch_table
+            if table is None:
+                table = compile_dispatch(machine, runtime)
+                runtime.dispatch_table = table
             if bus.sampling or bus._accesses_wanted:
-                table = runtime.dispatch_table_observed
-                if table is None:
-                    table = compile_dispatch(machine, runtime,
-                                             observed=True)
-                    runtime.dispatch_table_observed = table
                 fused = runtime.fused_table_observed
                 if fused is None:
                     fused = compile_fused(machine, runtime, table,
                                           observed=True)
                     runtime.fused_table_observed = fused
             else:
-                table = runtime.dispatch_table
-                if table is None:
-                    table = compile_dispatch(machine, runtime,
-                                             observed=False)
-                    runtime.dispatch_table = table
                 fused = runtime.fused_table
                 if fused is None:
                     fused = compile_fused(machine, runtime, table,

@@ -37,8 +37,8 @@ class MethodRuntime:
 
     __slots__ = ("method", "invocation_count", "compiled", "method_id",
                  "version", "cycles_per_instruction_cached",
-                 "dispatch_table", "dispatch_table_observed",
-                 "fused_table", "fused_table_observed", "legacy_table")
+                 "dispatch_table", "fused_table", "fused_table_observed",
+                 "legacy_table")
 
     def __init__(self, method: JMethod, method_id: int) -> None:
         self.method = method
@@ -51,19 +51,13 @@ class MethodRuntime:
         #: Lazily built by :func:`repro.jvm.dispatch.compile_dispatch`:
         #: one bound handler closure per bytecode.  The bytecode never
         #: changes, so the tables survive (re)compilations — only the
-        #: per-instruction cycle cost above varies by tier.  Two
-        #: variants: ``dispatch_table`` (unobserved; memory handlers
-        #: skip the ``frame.pc`` store nothing can read) and
-        #: ``dispatch_table_observed`` (keeps ``frame.pc`` current for
-        #: async unwinds while samplers or access recording are live).
-        #: The interpreter picks per stretch.
+        #: per-instruction cycle cost above varies by tier.
         self.dispatch_table = None
-        self.dispatch_table_observed = None
         #: Superinstruction tables (:func:`repro.jvm.dispatch
-        #: .compile_fused`), parallel to the plain tables above: an
+        #: .compile_fused`), parallel to the plain table above: an
         #: entry per bytecode, ``(closure, count)`` at each fused-block
-        #: leader and ``None`` elsewhere.  Same two observation
-        #: variants, same immutability argument.
+        #: leader and ``None`` elsewhere.  Two variants, unobserved and
+        #: observed (guarded); the interpreter picks per stretch.
         self.fused_table = None
         self.fused_table_observed = None
         #: The legacy engine's decoded method (``fastpath=False``): one

@@ -51,7 +51,8 @@ from repro.obs.events import (
     GcMoveEvent,
     GcNotifyEvent,
     JitCompileEvent,
-    canon_value,
+    ObjectContentEvent,
+    content_digest,
 )
 from repro.pmu.events import NUM_COMBOS
 
@@ -216,6 +217,9 @@ class Machine:
         self._register_default_natives()
 
         self.collector.on_notification.append(self._charge_gc_pause)
+        # A moving collection invalidates every watched address.
+        self.collector.on_gc_start.append(
+            lambda _gc_id: self.bus.disarm_watches())
         if cfg.gc_touches_caches:
             self.collector.on_memmove.append(self._gc_pollute_caches)
         # Republish GC and JIT observables onto the bus.
@@ -249,8 +253,7 @@ class Machine:
     # Memory
     # ------------------------------------------------------------------
     def memory_access(self, thread: JavaThread, address: int, size: int,
-                      is_write: bool, internal: bool = False,
-                      value=None) -> AccessResult:
+                      is_write: bool, value=None) -> AccessResult:
         """Route one access through the hierarchy and charge latency.
 
         Uses the hierarchy's pooled L1 fast path unless a collector is
@@ -260,9 +263,9 @@ class Machine:
 
         ``value`` is the loaded or stored value when the call site knows
         it (scalar interpreter accesses); bulk walks leave it ``None``.
-        It is canonicalised and attached to the AccessEvent only when a
-        subscribed collector wants raw accesses, so sampled-only runs
-        never pay for it.
+        While a sampler is armed the access first traps any watchpoint
+        the thread holds on ``address``, then counts on the PMU, whose
+        watch samplers arm a watchpoint with ``value`` on overflow.
         """
         if self._fastpath and not self.bus._accesses_wanted:
             result = self.hierarchy.access_hot(
@@ -270,14 +273,12 @@ class Machine:
         else:
             result = self.hierarchy.access(thread.cpu, address, size, is_write)
         thread.cycles += result.latency
-        if not internal:
-            bus = self.bus
-            if bus.sampling or bus._accesses_wanted:
-                if value is not None and bus._accesses_wanted:
-                    value = canon_value(value)
-                else:
-                    value = None
-                bus.observe_access(thread, result, value)
+        bus = self.bus
+        if bus.sampling or bus._accesses_wanted:
+            watch = thread.watch
+            if watch and address in watch:
+                bus.watch_trap(thread, address, is_write, value)
+            bus.observe_access(thread, result, value)
         return result
 
     def touch_range(self, thread: JavaThread, start: int, end: int,
@@ -299,10 +300,12 @@ class Machine:
         construction.  When the budget hits zero — the *next* counted
         event may overflow — exactly one observed per-line access runs,
         pinning any sample to its precise line address, and bulk
-        walking resumes with the re-armed budget.  The resulting sample
-        stream is bit-identical to per-line counting.  Raw-access
-        recording, ``fastpath=False`` and ``skip_ahead=False`` degrade
-        to one observed :meth:`memory_access` per line throughout.
+        walking resumes with the re-armed budget.  A watchpoint inside
+        the range pins its line the same way: that line is walked
+        observed and traps every watched address it covers, with no
+        value.  The resulting event stream is identical to per-line
+        observation.  Raw-access recording, ``fastpath=False`` and
+        ``skip_ahead=False`` degrade to observed lines throughout.
         """
         bus = self.bus
         if self._fastpath and not (bus.sampling or bus._accesses_wanted):
@@ -310,6 +313,9 @@ class Machine:
                 thread.cpu, start, end, is_write)
             return
         line = self._line_size
+        watch = thread.watch
+        pins = sorted(a for a in watch if start <= a < end) \
+            if watch else []
         addr = start
         if (self._fastpath and bus.skip_ahead
                 and not bus._accesses_wanted):
@@ -319,20 +325,23 @@ class Machine:
             bulk_budget = bus.bulk_budget
             observe_bulk = bus.observe_bulk
             while addr < end:
-                budget = bulk_budget(tid, is_write)
+                # Bulk-walk no further than the first pinned line.
+                stop = addr + (pins[0] - addr) // line * line if pins \
+                    else end
+                budget = bulk_budget(tid, is_write) if stop > addr else 0
                 if budget <= 0:
-                    self.memory_access(thread, addr, 8, is_write)
-                    addr += line
+                    addr = self._observed_line(thread, addr, is_write, pins)
                     continue
                 if budget >= NO_LIMIT:
                     # No armed counter can count this write-class at
                     # all (e.g. zeroing writes under loads-only
                     # events): the walk is observationally invisible.
                     thread.cycles += hierarchy.touch_range(
-                        cpu, addr, end, is_write)
-                    return
-                nlines = (end - addr + line - 1) // line
-                chunk_end = addr + budget * line if nlines > budget else end
+                        cpu, addr, stop, is_write)
+                    addr = stop
+                    continue
+                nlines = (stop - addr + line - 1) // line
+                chunk_end = addr + budget * line if nlines > budget else stop
                 combo_counts = [0] * NUM_COMBOS
                 latency = hierarchy.touch_range(
                     cpu, addr, chunk_end, is_write, combo_counts)
@@ -342,8 +351,19 @@ class Machine:
                 observe_bulk(tid, combo_counts)
                 addr = chunk_end
         while addr < end:
-            self.memory_access(thread, addr, 8, is_write)
-            addr += line
+            addr = self._observed_line(thread, addr, is_write, pins)
+
+    def _observed_line(self, thread: JavaThread, addr: int, is_write: bool,
+                       pins: List[int]) -> int:
+        """Walk the line at ``addr`` observed, trapping each pinned
+        address it covers; returns the next line's address."""
+        self.memory_access(thread, addr, 8, is_write)
+        nxt = addr + self._line_size
+        while pins and pins[0] < nxt:
+            address = pins.pop(0)
+            if address in thread.watch:
+                self.bus.watch_trap(thread, address, is_write, None)
+        return nxt
 
     def _zero_touch(self, thread: JavaThread, obj: HeapObject) -> None:
         self.touch_range(thread, obj.addr, obj.end, is_write=True)
@@ -432,9 +452,17 @@ class Machine:
         self.bus.publish(GcMoveEvent(oid=event.oid, src=event.src,
                                      dst=event.dst, size=event.size))
 
+    def _publish_content(self, obj: HeapObject) -> None:
+        values = obj.elements if obj.elements is not None \
+            else obj.fields.values()
+        self.bus.publish(ObjectContentEvent(addr=obj.addr,
+                                            digest=content_digest(values)))
+
     def _publish_gc_finalize(self, event: FinalizeEvent) -> None:
         if not self.bus.active:
             return
+        if self.bus._contents_wanted:
+            self._publish_content(self.heap.objects[event.oid])
         self.bus.publish(GcFinalizeEvent(oid=event.oid, addr=event.addr,
                                          size=event.size,
                                          type_name=event.type_name))
@@ -489,7 +517,7 @@ class Machine:
     # Warm-up
     # ------------------------------------------------------------------
     def warm_dispatch(self) -> None:
-        """Precompile every registered method's dispatch and fused
+        """Precompile every registered method's dispatch table and fused
         superinstruction tables (both observation variants) so timed
         runs measure execution rather than table building.  No-op on
         the legacy engine."""
@@ -498,18 +526,13 @@ class Machine:
         from repro.jvm.dispatch import compile_dispatch, compile_fused
         for runtime in self.method_table.runtimes():
             if runtime.dispatch_table is None:
-                runtime.dispatch_table = compile_dispatch(
-                    self, runtime, observed=False)
-            if runtime.dispatch_table_observed is None:
-                runtime.dispatch_table_observed = compile_dispatch(
-                    self, runtime, observed=True)
+                runtime.dispatch_table = compile_dispatch(self, runtime)
             if runtime.fused_table is None:
                 runtime.fused_table = compile_fused(
                     self, runtime, runtime.dispatch_table, observed=False)
             if runtime.fused_table_observed is None:
                 runtime.fused_table_observed = compile_fused(
-                    self, runtime, runtime.dispatch_table_observed,
-                    observed=True)
+                    self, runtime, runtime.dispatch_table, observed=True)
 
     # ------------------------------------------------------------------
     # Thread lifecycle & scheduling
@@ -552,6 +575,9 @@ class Machine:
         while True:
             alive = [t for t in self.threads if t.alive]
             if not alive:
+                if self.bus._contents_wanted:   # survivors' contents
+                    for obj in self.heap.objects.values():
+                        self._publish_content(obj)
                 break
             if max_instructions is not None \
                     and executed_this_call >= max_instructions:

@@ -48,6 +48,16 @@ actually built).  Trace recording opts in explicitly, restoring the
 full stream.  Capability changes mid-run take effect at the next
 dispatch stretch, i.e. by the next scheduler quantum.
 
+Watchpoints
+-----------
+A ``watch=True`` sampler arms a simulated debug-register watchpoint at
+each overflow of an access with a known value, as JXPerf does, in the
+thread's ``watch`` map (at most :data:`WATCH_SLOTS`).  The thread's next
+access to that address traps: :meth:`EventBus.watch_trap` disarms it and
+publishes both values.  A full map reclaims its oldest watchpoint only
+after :data:`WATCH_PATIENCE` untrapped events (a watch on a dead object
+never fires); until then new samples go unmonitored.
+
 Two cheap flags gate the hot path: ``active`` (any subscriber) and
 ``sampling`` (any armed sampler).  When both are false a memory access
 costs two attribute reads.
@@ -55,7 +65,7 @@ costs two attribute reads.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.obs.collector import Collector
 from repro.obs.events import (
@@ -65,6 +75,8 @@ from repro.obs.events import (
     SamplerOpenEvent,
     ThreadEndEvent,
     ThreadStartEvent,
+    WatchTrapEvent,
+    canon_value,
 )
 from repro.pmu.events import LEVEL_INDEX, NUM_COMBOS, PmuEvent
 from repro.pmu.pmu import PerfCounter, PerfEventConfig
@@ -79,6 +91,13 @@ _LEVEL_BASE = {level: index * 8 for level, index in LEVEL_INDEX.items()}
 #: ``bulk_budget`` result when no enabled counter constrains the walk —
 #: callers seeing it may run the walk without histogramming at all.
 NO_LIMIT = 1 << 60
+
+#: Watchpoints one thread can hold at once (x86 debug registers).
+WATCH_SLOTS = 4
+
+#: Events counted on a thread's watch samplers after which its oldest
+#: untrapped watchpoint yields its slot to a new sample.
+WATCH_PATIENCE = 4096
 
 
 class EventBus:
@@ -108,6 +127,12 @@ class EventBus:
         self._hot_entry: Optional[tuple] = None
         self._accesses_wanted = 0
         self._allocs_wanted = 0
+        self._contents_wanted = 0
+        #: Samplers whose overflows arm watchpoints.
+        self._watch_samplers: Set[int] = set()
+        #: Watch sampler that overflowed on the access being observed
+        #: (0: none); :meth:`observe_access` arms it after counting.
+        self._arm_sid = 0
         #: False switches every counter to legacy per-access counting
         #: (:meth:`PerfCounter.observe` for each access) — the
         #: differential suite's reference arm.  Sample streams are
@@ -142,6 +167,8 @@ class EventBus:
             self._accesses_wanted += 1
         if collector.wants_allocs:
             self._allocs_wanted += 1
+        if collector.wants_contents:
+            self._contents_wanted += 1
         self.active = True
         collector.on_subscribed(self)
 
@@ -157,6 +184,8 @@ class EventBus:
             self._accesses_wanted -= 1
         if collector.wants_allocs:
             self._allocs_wanted -= 1
+        if collector.wants_contents:
+            self._contents_wanted -= 1
         self.active = bool(self._collectors)
         collector.bus = None
         collector.on_unsubscribed(self)
@@ -198,10 +227,11 @@ class EventBus:
     # PMU sampler management (perf_event_open analogue)
     # ------------------------------------------------------------------
     def open_sampler(self, event: PmuEvent, period: int,
-                     owner: str = "") -> int:
+                     owner: str = "", watch: bool = False) -> int:
         """Arm a per-thread counter set for ``event`` at ``period``.
 
-        Returns the sampler id carried by every resulting SampleEvent.
+        With ``watch`` each overflow also arms a watchpoint.  Returns
+        the sampler id carried by every resulting SampleEvent.
         A :class:`SamplerOpenEvent` is published so trace replay can
         re-associate sampler ids with their owning profiler.
         """
@@ -209,6 +239,8 @@ class EventBus:
         sampler_id = self._next_sampler_id
         self._next_sampler_id += 1
         self._samplers[sampler_id] = (config, owner)
+        if watch:
+            self._watch_samplers.add(sampler_id)
         for tid in self._threads:
             self._arm(sampler_id, config, tid)
         self.sampling = True
@@ -218,8 +250,16 @@ class EventBus:
         return sampler_id
 
     def close_sampler(self, sampler_id: int) -> None:
-        """Disarm one sampler on every thread (counter close)."""
+        """Disarm one sampler, and its watchpoints, on every thread
+        (counter close)."""
         self._samplers.pop(sampler_id, None)
+        if sampler_id in self._watch_samplers:
+            self._watch_samplers.discard(sampler_id)
+            for thread in self._threads.values():
+                watch = thread.watch
+                for address in [a for a, w in watch.items()
+                                if w[0] == sampler_id]:
+                    del watch[address]
         for tid, counters in self._counters.items():
             for sid, counter in counters:
                 if sid == sampler_id:
@@ -274,6 +314,8 @@ class EventBus:
 
     def _make_overflow_handler(self, sampler_id: int):
         def handler(sample) -> None:
+            if sampler_id in self._watch_samplers:
+                self._arm_sid = sampler_id
             thread = sample.ucontext
             path = tuple(thread.call_stack()) if thread is not None else ()
             self.publish(SampleEvent(
@@ -363,9 +405,9 @@ class EventBus:
         """Hot path: count one access on armed samplers and (only when
         some collector asked for raw accesses) publish an AccessEvent.
 
-        ``value`` is the already-canonicalised loaded/stored value (or
-        ``None`` when the access site does not know it); it is only
-        attached to the event, never consulted by the PMU path.
+        ``value`` is the loaded/stored value (``None`` when the access
+        site does not know it); it is read only when a watch sampler
+        overflows on this access, to arm the watchpoint.
 
         The caller pre-checks ``sampling or _accesses_wanted`` so the
         common unobserved run pays almost nothing.  With skip-ahead on,
@@ -404,9 +446,11 @@ class EventBus:
                 else:
                     for _, counter in entry[2]:
                         counter.observe(tid, result, ucontext=thread)
+            if self._arm_sid:
+                self._arm_watch(thread, result, value)
         if self._accesses_wanted:
             self.access_events_built += 1
-            self.publish(AccessEvent(thread.tid, result, thread, value))
+            self.publish(AccessEvent(thread.tid, result, thread))
 
     def _overflow(self, sampler_id: int, counter: PerfCounter,
                   remaining: int, tid: int, result, thread) -> None:
@@ -417,6 +461,8 @@ class EventBus:
         same register arithmetic, same per-sample path snapshot, same
         publication order.
         """
+        if sampler_id in self._watch_samplers:
+            self._arm_sid = sampler_id
         period = counter.config.sample_period
         event_name = counter.config.event.name
         path = tuple(thread.call_stack()) if thread is not None else ()
@@ -430,6 +476,42 @@ class EventBus:
                 level=result.level, home_node=result.home_node,
                 remote=result.remote, path=path, thread=thread))
             counter.samples_delivered += 1
+
+    def _arm_watch(self, thread, result, value) -> None:
+        """Arm the overflowing watch sampler's watchpoint on the access
+        just observed, if a slot is free or may be reclaimed."""
+        sampler_id = self._arm_sid
+        self._arm_sid = 0
+        if value is None:
+            return
+        watch = thread.watch
+        # The thread's counted events on its watch samplers.
+        clock = sum(counter.total for sid, counter in self._counters[
+            thread.tid] if sid in self._watch_samplers)
+        address = result.address
+        if address not in watch and len(watch) >= WATCH_SLOTS:
+            oldest = min(watch, key=lambda a: watch[a][3])
+            if clock - watch[oldest][3] < WATCH_PATIENCE:
+                return
+            del watch[oldest]
+        watch[address] = (sampler_id, result.is_write, canon_value(value),
+                          clock)
+
+    def watch_trap(self, thread, address: int, is_write: bool,
+                   value) -> None:
+        """The thread's access to a watched ``address`` traps: disarm
+        the watchpoint and publish both values."""
+        sampler_id, armed_write, armed_value, _ = thread.watch.pop(address)
+        self.publish(WatchTrapEvent(
+            sampler_id=sampler_id, tid=thread.tid, address=address,
+            armed_write=armed_write, armed_value=armed_value,
+            is_write=is_write, value=canon_value(value), thread=thread))
+
+    def disarm_watches(self) -> None:
+        """Drop every thread's watchpoints (a moving GC invalidates
+        the watched addresses)."""
+        for thread in self._threads.values():
+            thread.watch.clear()
 
     def bulk_budget(self, tid: int, is_write: Optional[bool]) -> int:
         """How many single-line accesses of one write-class a bulk walk

@@ -26,10 +26,12 @@ from repro.obs.events import (
     GcNotifyEvent,
     JitCompileEvent,
     MachineEvent,
+    ObjectContentEvent,
     SampleEvent,
     SamplerOpenEvent,
     ThreadEndEvent,
     ThreadStartEvent,
+    WatchTrapEvent,
 )
 
 
@@ -47,6 +49,9 @@ class Collector:
     #: snapshot it requires) when no subscriber wants allocations.
     #: Defaults True because most collectors track object lifetimes.
     wants_allocs = True
+    #: Set True to receive ObjectContentEvents: the machine digests
+    #: each object's heap content as it dies and when the run ends.
+    wants_contents = False
 
     def __init__(self) -> None:
         self.bus = None
@@ -63,6 +68,8 @@ class Collector:
             GcNotifyEvent: self.on_gc_notification,
             JitCompileEvent: self.on_jit_compile,
             SamplerOpenEvent: self.on_sampler_open,
+            WatchTrapEvent: self.on_watch_trap,
+            ObjectContentEvent: self.on_object_content,
         }
 
     # ------------------------------------------------------------------
@@ -117,3 +124,7 @@ class Collector:
     def on_jit_compile(self, event: JitCompileEvent) -> None: ...
 
     def on_sampler_open(self, event: SamplerOpenEvent) -> None: ...
+
+    def on_watch_trap(self, event: WatchTrapEvent) -> None: ...
+
+    def on_object_content(self, event: ObjectContentEvent) -> None: ...

@@ -128,16 +128,13 @@ class AllocEvent:
 
 
 def canon_value(value):
-    """Canonicalise an accessed value for events and traces.
+    """Canonicalise a heap value for events and traces.
 
-    Value-aware collectors (the redundancy and replica families) compare
-    values across live runs and trace replays, so the value carried on
-    an :class:`AccessEvent` must be a JSON-stable primitive: ints and
-    floats pass through, bools collapse to ints, heap references encode
-    as ``"@<oid>"`` (object ids are deterministic, so the encoding is
-    identical across engines and replays).  ``None`` stays ``None`` and
-    means *value unknown* — bulk walks (zeroing, streaming natives) and
-    loads of uninitialised reference slots report no value.
+    Watchpoint traps and content digests compare values across engines
+    and replays, so a value becomes a JSON-stable primitive: ints,
+    floats and strings pass through, bools collapse to ints, heap
+    references encode as ``"@<oid>"`` (object ids are deterministic).
+    ``None`` means *value unknown* (bulk walks carry no value).
     """
     if value is None:
         return None
@@ -152,6 +149,15 @@ def canon_value(value):
     return repr(value)
 
 
+def content_digest(values) -> str:
+    """Digest of one object's payload (array elements or field values,
+    in layout order), stable across engines, processes and replays."""
+    import hashlib
+
+    text = repr([canon_value(v) for v in values])
+    return hashlib.blake2b(text.encode(), digest_size=12).hexdigest()
+
+
 class AccessEvent:
     """One raw memory access (full-trace collectors only).
 
@@ -160,21 +166,17 @@ class AccessEvent:
     simulated access when (and only when) a subscribed collector sets
     ``wants_accesses``, so construction cost matters.  Field access
     delegates to the result, which outlives the access because nothing
-    mutates it.  ``value`` is the canonicalised value loaded or stored
-    (see :func:`canon_value`), or ``None`` when the access site does not
-    know it (bulk walks); it only rides events whose construction a
-    collector asked for, so the demand-driven skip path is unchanged.
+    mutates it.
     """
 
     kind = "access"
-    __slots__ = ("tid", "result", "thread", "value")
+    __slots__ = ("tid", "result", "thread")
 
     def __init__(self, tid: int, result: AccessResult,
-                 thread: Optional[object] = None, value=None) -> None:
+                 thread: Optional[object] = None) -> None:
         self.tid = tid
         self.result = result
         self.thread = thread
-        self.value = value
 
     @property
     def address(self) -> int:
@@ -214,30 +216,24 @@ class AccessEvent:
         return self.tid == other.tid and self.to_record() == other.to_record()
 
     def __repr__(self) -> str:
-        return f"AccessEvent(tid={self.tid}, value={self.value!r}, " \
-               f"{self.result!r})"
+        return f"AccessEvent(tid={self.tid}, {self.result!r})"
 
     def to_record(self) -> list:
         r = self.result
-        rec = ["ac", self.tid, r.address, r.size, int(r.is_write), r.cpu,
-               r.level, r.latency, r.l1_misses, r.l2_misses, r.l3_misses,
-               r.tlb_misses, r.home_node, int(r.remote), r.lines]
-        # The value rides as an optional 16th element so value-free
-        # traces (and traces from before values existed) decode
-        # unchanged.
-        if self.value is not None:
-            rec.append(self.value)
-        return rec
+        return ["ac", self.tid, r.address, r.size, int(r.is_write), r.cpu,
+                r.level, r.latency, r.l1_misses, r.l2_misses, r.l3_misses,
+                r.tlb_misses, r.home_node, int(r.remote), r.lines]
 
     @staticmethod
     def from_record(rec) -> "AccessEvent":
+        # Traces from before values were dropped carry a 16th element;
+        # it is ignored.
         result = AccessResult(
             address=rec[2], size=rec[3], is_write=bool(rec[4]), cpu=rec[5],
             level=rec[6], latency=rec[7], l1_misses=rec[8], l2_misses=rec[9],
             l3_misses=rec[10], tlb_misses=rec[11], home_node=rec[12],
             remote=bool(rec[13]), lines=rec[14])
-        return AccessEvent(tid=rec[1], result=result,
-                           value=rec[15] if len(rec) > 15 else None)
+        return AccessEvent(tid=rec[1], result=result)
 
 
 @dataclass(frozen=True)
@@ -386,10 +382,56 @@ class SamplerOpenEvent:
                                 period=rec[3], owner=rec[4])
 
 
+@dataclass(frozen=True)
+class WatchTrapEvent:
+    """A watchpoint armed by a sample trapped (JXPerf): the sampled
+    access's kind and value (``armed_*``) and the trapping access's
+    (``value`` is ``None`` for bulk walks)."""
+
+    kind = "watch_trap"
+    sampler_id: int
+    tid: int
+    address: int
+    armed_write: bool
+    armed_value: object
+    is_write: bool
+    value: object
+    thread: Optional[object] = field(default=None, compare=False,
+                                     repr=False)
+
+    def to_record(self) -> list:
+        return ["wt", self.sampler_id, self.tid, self.address,
+                int(self.armed_write), self.armed_value, int(self.is_write),
+                self.value]
+
+    @staticmethod
+    def from_record(rec) -> "WatchTrapEvent":
+        return WatchTrapEvent(sampler_id=rec[1], tid=rec[2], address=rec[3],
+                              armed_write=bool(rec[4]), armed_value=rec[5],
+                              is_write=bool(rec[6]), value=rec[7])
+
+
+@dataclass(frozen=True)
+class ObjectContentEvent:
+    """One object's :func:`content_digest`, read from the heap as it
+    dies or when the run ends, while a collector ``wants_contents``."""
+
+    kind = "object_content"
+    addr: int
+    digest: str
+
+    def to_record(self) -> list:
+        return ["oc", self.addr, self.digest]
+
+    @staticmethod
+    def from_record(rec) -> "ObjectContentEvent":
+        return ObjectContentEvent(addr=rec[1], digest=rec[2])
+
+
 MachineEvent = Union[
     ThreadStartEvent, ThreadEndEvent, AllocEvent, AccessEvent, SampleEvent,
     GcMoveEvent, GcFinalizeEvent, GcNotifyEvent, JitCompileEvent,
-    SamplerOpenEvent,
+    SamplerOpenEvent, WatchTrapEvent, ObjectContentEvent,
 ]
 
 #: Record tag → decoder, the inverse of each event's ``to_record``.
@@ -404,6 +446,8 @@ RECORD_DECODERS: Dict[str, "callable"] = {
     "gn": GcNotifyEvent.from_record,
     "jc": JitCompileEvent.from_record,
     "so": SamplerOpenEvent.from_record,
+    "wt": WatchTrapEvent.from_record,
+    "oc": ObjectContentEvent.from_record,
 }
 
 

@@ -100,7 +100,6 @@ def profile_program(program, machine_config: MachineConfig,
                                sample_period=config.sample_period,
                                size_threshold=config.size_threshold)
         program = instrument_program(program)
-        trace_accesses = True
     machine = Machine(program, machine_config)
     writer = None
     if trace_path is not None:
@@ -142,9 +141,8 @@ def run_profiled(workload: Workload, variant: str = "baseline",
 
     With ``trace_path`` the machine's observation events are also
     recorded (see :mod:`repro.obs.trace`); ``trace_accesses`` adds the
-    raw access stream so the trace supports period resampling.  Family
-    profilers consume the access stream, so their traces always include
-    it — replaying one reproduces the live analysis exactly.
+    raw access stream so a DJXPerf trace supports period resampling.
+    A family's trace replays at its recorded period without it.
     ``seed`` overrides the machine seed, as in :func:`run_native`.
     """
     workload.check_variant(variant)

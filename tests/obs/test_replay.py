@@ -112,12 +112,20 @@ class TestFamilyReplayParity:
             == json.dumps(run.analysis.to_dict(), sort_keys=True)
 
     def test_family_replay_needs_access_stream(self, tmp_path):
+        # A family trace carries no access stream, and needs none at the
+        # recorded period; another period cannot be re-derived from it.
         from repro.families import replay_family
+        from repro.obs.trace import TraceReader
+        from repro.workloads import run_profiled
 
-        path = tmp_path / "t.jsonl"
-        record_run("dup-strings", path, include_accesses=False)
-        with pytest.raises(ValueError, match="include_accesses"):
-            replay_family(str(path), "replica")
+        path = str(tmp_path / "t.jsonl.gz")
+        run_profiled(get_workload("dup-strings"),
+                     config=DjxConfig(sample_period=64), family="replica",
+                     trace_path=path)
+        assert not TraceReader(path).includes_accesses
+        assert replay_family(path, "replica", sample_period=64).sites
+        with pytest.raises(ValueError, match="recorded period"):
+            replay_family(path, "replica", sample_period=32)
 
 
 class TestSharedRun:

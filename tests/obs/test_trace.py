@@ -14,10 +14,12 @@ from repro.obs.events import (
     GcMoveEvent,
     GcNotifyEvent,
     JitCompileEvent,
+    ObjectContentEvent,
     SampleEvent,
     SamplerOpenEvent,
     ThreadEndEvent,
     ThreadStartEvent,
+    WatchTrapEvent,
     decode_record,
 )
 from repro.obs.trace import TraceReader, TraceWriter
@@ -41,6 +43,9 @@ ROUND_TRIP_EVENTS = [
     JitCompileEvent(method_id=3, qualified_name="C.m", version=2),
     SamplerOpenEvent(sampler_id=2, event="MEM_LOAD_UOPS_RETIRED:L1_MISS",
                      period=64, owner="djxperf"),
+    WatchTrapEvent(sampler_id=3, tid=1, address=0x1010, armed_write=True,
+                   armed_value="@7", is_write=True, value=None),
+    ObjectContentEvent(addr=0x1000, digest="00ff"),
 ]
 
 

@@ -150,3 +150,73 @@ class TestEliminateDeadStores:
         # carry the dead-fill idiom.
         other, _ = advised("unsized-growth")
         assert apply_first("eliminate-dead-stores", other, advices) is None
+
+
+def double_fill_method(name, length, rounds, dead_value):
+    """Silent JXPerf dead-store shape: per round, fill a fresh buffer
+    with ``dead_value``, overwrite every element before any read, then
+    sum it into the blackhole."""
+    from repro.heap.layout import Kind
+    from repro.jvm import MethodBuilder
+    from repro.workloads.dsl import consume, for_range, sum_array
+
+    buf, i, acc, r = 0, 1, 2, 3
+    b = MethodBuilder("Graft", name, source_file="Graft.java",
+                      first_line=1)
+
+    def round_body(b):
+        b.line(2).iconst(length).newarray(Kind.INT).store(buf)
+        for_range(b, i, length,
+                  lambda b: b.line(3).load(buf).load(i)
+                  .iconst(dead_value).astore())
+        for_range(b, i, length,
+                  lambda b: b.line(4).load(buf).load(i).load(i).astore())
+        sum_array(b, buf, length, i, acc)
+        consume(b, acc)
+
+    for_range(b, r, rounds, round_body)
+    b.ret()
+    return b
+
+
+class TestDeadStoreFuzzGeneratorSweep:
+    """Dead-store elimination, driven by the sampled redundancy
+    profile, must be output-preserving on arbitrary generated programs
+    (mirroring the hoist sweep in ``test_hoist.py``).  Each generated
+    program gets a silent double-fill method grafted in as a side
+    thread; the program is profiled with the redundancy family, and the
+    transform applies the first dead-store advice it can.  The graft
+    prints nothing, so output equality isolates the generated program's
+    own behaviour under the rewrite."""
+
+    def test_dead_store_elimination_is_output_preserving_over_seeds(self):
+        from repro.core import DjxConfig
+        from repro.fuzz.generator import (
+            FuzzKnobs,
+            build_program,
+            generate_spec,
+        )
+        from repro.jvm import MachineConfig
+
+        knobs = FuzzKnobs(allow_multithread=False)
+        eliminations = 0
+        for seed in range(8):
+            program = build_program(generate_spec(seed, knobs))
+            program.add_builder(double_fill_method(
+                "refill", length=256 + 128 * (seed % 3),
+                rounds=4 + seed % 3, dead_value=seed))
+            program.add_entry("refill")
+            baseline = Machine(program.clone()).run()
+            run = profile_program(program.clone(), MachineConfig(),
+                                  config=DjxConfig(size_threshold=0),
+                                  family="redundancy")
+            result = apply_first("eliminate-dead-stores", program,
+                                 advise(run.analysis))
+            if result is None:
+                continue
+            eliminations += 1
+            after = Machine(result.program).run()
+            assert after.output == baseline.output, f"seed {seed}"
+            assert after.stores < baseline.stores, f"seed {seed}"
+        # The sweep must actually exercise the transform.
+        assert eliminations >= 8

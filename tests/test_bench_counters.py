@@ -1,5 +1,6 @@
 """Tests for the bench gate on deterministic per-workload counters."""
 
+import dataclasses
 import json
 import pathlib
 
@@ -55,6 +56,15 @@ class TestCounterGate:
             "one-more-instruction"])
     def test_planted_change_fails(self, planted, message):
         assert check_regression(report(planted), BASELINE) == [message]
+
+    def test_an_allfamilies_access_event_fails(self):
+        # The sampled families never build AccessEvents: one is a
+        # family falling off the fast path.
+        planted = dataclasses.replace(row(),
+                                      allfamilies_access_events_built=1)
+        assert check_regression(report(planted), BASELINE) == [
+            "w allfamilies_access_events_built changed: measured 1, "
+            "committed 0"]
 
     def test_a_baseline_without_a_ratio_fails(self):
         baseline = report(row(), row("v")).to_dict()
