@@ -243,8 +243,8 @@ def test_ablation_gc_handling(benchmark, archive):
                 # from the agent's dispatch table, so the bus still
                 # delivers them but the agent never updates its
                 # relocation map or removes finalized intervals.
-                profiler.agent._dispatch[GcMoveEvent] = lambda event: None
-                profiler.agent._dispatch[GcFinalizeEvent] = \
+                profiler._dispatch[GcMoveEvent] = lambda event: None
+                profiler._dispatch[GcFinalizeEvent] = \
                     lambda event: None
             result = machine.run()
             analysis = profiler.analyze()

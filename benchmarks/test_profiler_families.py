@@ -79,7 +79,7 @@ def run_families_shared():
     shared_wall = shared.wall_cycles
 
     charges = {
-        "djx": djx.agent.charged_cycles,
+        "djx": djx.charged_cycles,
         "perf": perf.charged_cycles,
         "freq": freq.charged_cycles,
         "reuse": reuse.charged_cycles,

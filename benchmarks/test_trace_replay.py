@@ -28,7 +28,7 @@ def live_run_with_trace(name, trace_path):
     workload = get_workload(name)
     program = instrument_program(workload.build_verified())
     machine = Machine(program, workload.machine_config())
-    writer = TraceWriter(str(trace_path), machine=machine)
+    writer = TraceWriter(str(trace_path))
     writer.attach(machine)
     profiler = DJXPerf(DjxConfig())
     profiler.attach(machine)

@@ -37,10 +37,9 @@ def build_service() -> JProgram:
 def main() -> None:
     profiler = DJXPerf(DjxConfig(sample_period=64))
     # Instrumentation happens up front (class retransformation on a real
-    # JVM); the hook is a no-op stub until the profiler attaches.
+    # JVM); the hook publishes to nobody until the profiler attaches.
     program = profiler.instrument(build_service())
     machine = Machine(program, sim_machine(heap_size=1024 * 1024))
-    DJXPerf.install_noop_hook(machine)
 
     print("service running unprofiled...")
     machine.run(max_instructions=3_000)
@@ -56,11 +55,11 @@ def main() -> None:
     analysis = profiler.analyze()
     print()
     print(render_report(analysis, top=2))
-    agent = profiler.agent
-    print(f"\nsampling window stats: {agent.stats.samples_handled} samples, "
-          f"{agent.stats.allocations_seen} allocations seen "
+    stats = profiler.stats
+    print(f"\nsampling window stats: {stats.samples_handled} samples, "
+          f"{stats.allocations_seen} allocations seen "
           f"(pre-attach allocations were missed, as in the paper), "
-          f"{agent.stats.relocations_applied} GC moves applied")
+          f"{stats.relocations_applied} GC moves applied")
 
 
 if __name__ == "__main__":

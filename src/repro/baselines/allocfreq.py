@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.profile import FrameResolver, RawPath, ResolvedPath
-from repro.jvm.machine import Machine
-from repro.jvmti.agent_iface import JvmtiEnv
 from repro.obs.collector import Collector
 from repro.obs.events import AllocEvent
 
@@ -49,7 +47,9 @@ class AllocFreqResult:
 
 
 class AllocFrequencyProfiler(Collector):
-    """Counts every allocation by call path via the instrumentation hook."""
+    """Counts every allocation by call path via the instrumentation hook
+    (the program must be instrumented with
+    :func:`repro.core.javaagent.instrument_program`)."""
 
     label = "allocfreq"
     #: The allocation stream is this profiler's entire input.
@@ -61,21 +61,8 @@ class AllocFrequencyProfiler(Collector):
     def __init__(self, charge_overhead: bool = True) -> None:
         super().__init__()
         self.charge_overhead = charge_overhead
-        self.machine: Optional[Machine] = None
-        self.env: Optional[JvmtiEnv] = None
         self._counts: Dict[RawPath, Dict] = {}
         self.total_allocations = 0
-
-    def attach(self, machine: Machine) -> None:
-        """Subscribe for AllocEvents (the program must be instrumented
-        with :func:`repro.core.javaagent.instrument_program`)."""
-        self.machine = machine
-        self.env = JvmtiEnv(machine)
-        machine.bus.subscribe(self)
-
-    def detach(self) -> None:
-        if self.bus is not None:
-            self.bus.unsubscribe(self)
 
     def on_alloc(self, event: AllocEvent) -> None:
         path = event.path
@@ -107,9 +94,3 @@ class AllocFrequencyProfiler(Collector):
         sites = sorted(merged.values(), key=lambda s: s.count, reverse=True)
         return AllocFreqResult(sites=sites,
                                total_allocations=self.total_allocations)
-
-    def frame_resolver(self) -> FrameResolver:
-        env = self.env
-        if env is None:
-            raise RuntimeError("profiler not attached")
-        return env.frame_resolver()

@@ -11,11 +11,9 @@ problematic object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.profile import FrameResolver, RawPath, ResolvedFrame
-from repro.jvm.machine import Machine
-from repro.jvmti.agent_iface import JvmtiEnv
 from repro.obs.collector import Collector
 from repro.obs.events import SampleEvent
 from repro.pmu.events import L1_MISS, PmuEvent
@@ -81,30 +79,9 @@ class CodeCentricProfiler(Collector):
         super().__init__()
         self.events = list(events)
         self.sample_period = sample_period
-        self.machine: Optional[Machine] = None
-        self.env: Optional[JvmtiEnv] = None
-        self._sampler_ids: Set[int] = set()
         #: (method_id, bci) leaf → per-event counts + call paths
         self._by_leaf: Dict[Tuple[int, int], Dict] = {}
         self.total_samples: Dict[str, int] = {}
-        self.enabled = False
-
-    def attach(self, machine: Machine) -> None:
-        self.machine = machine
-        self.env = JvmtiEnv(machine)
-        self.enabled = True
-        machine.bus.subscribe(self)
-        for event in self.events:
-            self._sampler_ids.add(
-                machine.bus.open_sampler(event, self.sample_period,
-                                         owner=self.label))
-
-    def detach(self) -> None:
-        self.enabled = False
-        if self.bus is not None:
-            for sampler_id in self._sampler_ids:
-                self.bus.close_sampler(sampler_id)
-            self.bus.unsubscribe(self)
 
     # ------------------------------------------------------------------
     def on_sample(self, event: SampleEvent) -> None:
@@ -145,9 +122,3 @@ class CodeCentricProfiler(Collector):
             primary_event=primary,
             locations=locations,
             total_samples=dict(self.total_samples))
-
-    def frame_resolver(self) -> FrameResolver:
-        env = self.env
-        if env is None:
-            raise RuntimeError("profiler not attached")
-        return env.frame_resolver()

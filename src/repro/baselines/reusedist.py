@@ -29,8 +29,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.profile import FrameResolver, RawPath, ResolvedFrame
 from repro.core.splay import IntervalSplayTree
-from repro.jvm.machine import Machine
-from repro.jvmti.agent_iface import JvmtiEnv
 from repro.obs.collector import Collector
 from repro.obs.events import (
     AccessEvent,
@@ -211,25 +209,10 @@ class ReuseDistanceProfiler(Collector):
         self.line_size = line_size
         self.charge_overhead = charge_overhead
         self.tracker = ReuseDistanceTracker()
-        self.machine: Optional[Machine] = None
-        self.env: Optional[JvmtiEnv] = None
         self._splay = IntervalSplayTree()
         self._sites: Dict[RawPath, ObjectReuseStats] = {}
-        self.enabled = False
 
     # ------------------------------------------------------------------
-    def attach(self, machine: Machine) -> None:
-        """Subscribe to the machine's bus and start tracing accesses."""
-        self.machine = machine
-        self.env = JvmtiEnv(machine)
-        machine.bus.subscribe(self)
-        self.enabled = True
-
-    def detach(self) -> None:
-        self.enabled = False
-        if self.bus is not None:
-            self.bus.unsubscribe(self)
-
     def _charge(self, thread, cycles: int) -> None:
         if self.charge_overhead:
             self.charge(thread, cycles)
@@ -291,9 +274,3 @@ class ReuseDistanceProfiler(Collector):
             histogram=dict(self.tracker.histogram),
             total_accesses=self.tracker.accesses,
             modelled_cache_lines=self.modelled_cache_lines)
-
-    def frame_resolver(self) -> FrameResolver:
-        env = self.env
-        if env is None:
-            raise RuntimeError("profiler not attached")
-        return env.frame_resolver()

@@ -340,7 +340,7 @@ def _profiled_arms(workload: Workload, repeat: int
     agents = []
 
     def attach_skip(machine: Machine) -> None:
-        agents.append(djx_attach(machine).agent)
+        agents.append(djx_attach(machine))
 
     skip_result, skip_seconds, _ = _time_run(
         program, dataclasses.replace(base_config, skip_ahead=True),
@@ -366,8 +366,10 @@ def _profiled_arms(workload: Workload, repeat: int
         djx_attach(machine)
         CodeCentricProfiler(sample_period=DJX_PERIOD).attach(machine)
         AllocFrequencyProfiler().attach(machine)
-        ReplicaProfiler(sample_period=DJX_PERIOD).attach(machine)
-        RedundancyProfiler(sample_period=DJX_PERIOD).attach(machine)
+        family_config = DjxConfig(sample_period=DJX_PERIOD,
+                                  size_threshold=0)
+        ReplicaProfiler(family_config).attach(machine)
+        RedundancyProfiler(family_config).attach(machine)
 
     _, families_seconds, families_machine = _time_run(
         program, dataclasses.replace(base_config, skip_ahead=True),

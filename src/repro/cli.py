@@ -17,9 +17,10 @@ Commands
     Profile and print ranked optimisation advice.
 ``replay <trace>``
     Re-run the offline analyzer over a recorded observation trace
-    (``profile --trace``), optionally with a different threshold or —
-    for traces recorded with ``--trace-accesses`` — a different
-    sampling period (``--resample``).  No simulation happens.
+    (``profile --trace``) under any ``--family``, optionally with a
+    different threshold.  The replay runs at the recorded sampling
+    period; only a DJXPerf trace recorded with ``--trace-accesses`` can
+    change it (``--resample``).  No simulation happens.
 ``suite``
     Run the Figure-4 overhead study over the benchmark suite, fanned
     out over a process pool (``--jobs``).
@@ -65,7 +66,7 @@ import dataclasses
 import sys
 from typing import List, Optional
 
-from repro.core import DJXPerf, DjxConfig, render_numa_report, render_report
+from repro.core import DjxConfig, render_numa_report, render_report
 from repro.core.htmlreport import write_html
 from repro.optim import advise
 from repro.workloads import (
@@ -78,14 +79,14 @@ from repro.workloads import (
 
 
 def _add_profiler_options(parser: argparse.ArgumentParser) -> None:
-    from repro.families import FAMILY_CHOICES
+    from repro.families import FAMILIES
 
     parser.add_argument("--period", type=int, default=64,
                         help="PMU sampling period (default 64)")
     parser.add_argument("--threshold", type=int, default=1024,
                         help="size threshold S in bytes (default 1024; "
                              "0 monitors every allocation)")
-    parser.add_argument("--family", choices=FAMILY_CHOICES,
+    parser.add_argument("--family", choices=sorted(FAMILIES),
                         default="djxperf",
                         help="profiler family: djxperf (bloat, default), "
                              "replica (duplicate objects) or redundancy "
@@ -160,21 +161,10 @@ def cmd_overhead(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    if args.family != "djxperf":
-        from repro.families import replay_family
+    from repro.obs.replay import replay_analyze
 
-        if args.resample:
-            print("error: --resample is DJXPerf-only (family traces "
-                  "replay at their recorded period)", file=sys.stderr)
-            return 2
-        analysis = replay_family(args.trace, args.family,
-                                 sample_period=args.period,
-                                 size_threshold=args.threshold)
-    else:
-        from repro.obs.replay import replay_analyze
-
-        analysis = replay_analyze(args.trace, config=_config(args),
-                                  resample=args.resample)
+    analysis = replay_analyze(args.trace, config=_config(args),
+                              family=args.family, resample=args.resample)
     print(render_report(analysis, top=args.top))
     if analysis.top_remote_sites(1):
         print()

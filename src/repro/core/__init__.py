@@ -1,4 +1,11 @@
-"""DJXPerf core: object-centric profiling (the paper's contribution)."""
+"""DJXPerf core: object-centric profiling (the paper's contribution).
+
+The paper's three parts (§4): the Java agent's allocation
+instrumentation (:mod:`repro.core.javaagent`), the JVMTI agent that
+samples and attributes — :class:`DJXPerf` itself, a bus collector
+(:mod:`repro.core.profiler`) — and the offline analyzer
+(:mod:`repro.core.analyzer`, rendered by :mod:`repro.core.report`).
+"""
 
 from repro.core.analyzer import AnalysisResult, analyze_profiles
 from repro.core.cct import CallingContextTree, CctNode
@@ -9,7 +16,6 @@ from repro.core.javaagent import (
     instrument_method,
     instrument_program,
 )
-from repro.core.jvmtiagent import AgentCostModel, AgentStats, DjxJvmtiAgent
 from repro.core.profile import (
     ObjectSiteStats,
     ResolvedFrame,
@@ -17,7 +23,7 @@ from repro.core.profile import (
     ThreadProfile,
     TrackedObject,
 )
-from repro.core.profiler import DJXPerf, DjxConfig
+from repro.core.profiler import AgentCostModel, AgentStats, DJXPerf, DjxConfig
 from repro.core.report import render_numa_report, render_report, render_site
 from repro.core.splay import IntervalSplayTree
 from repro.core.tuning import (
@@ -38,7 +44,6 @@ __all__ = [
     "CctNode",
     "DJXPerf",
     "DjxConfig",
-    "DjxJvmtiAgent",
     "IntervalSplayTree",
     "ObjectSiteStats",
     "ResolvedFrame",

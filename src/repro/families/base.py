@@ -4,19 +4,21 @@ Every family in this package answers the same shape of question DJXPerf
 answers for bloat: *which allocation site produced the objects behind
 this inefficiency?*  So every family **is** a DJXPerf agent:
 :class:`ObjectFamilyProfiler` subclasses
-:class:`~repro.core.jvmtiagent.DjxJvmtiAgent` and inherits its
-attribution protocol unchanged — the allocation-size filter feeding the
-interval splay tree, sample attribution to allocation call paths, the
-GC relocation map, finalize handling, offline sampler adoption and the
-cycle cost model.  What differs per family is the *signal*: which event
-stream it consumes and how it turns events into per-site metrics.
+:class:`~repro.core.profiler.DJXPerf` and inherits its attribution
+protocol and lifecycle unchanged — the allocation-size filter feeding
+the interval splay tree, sample attribution to allocation call paths,
+the GC relocation map, finalize handling, offline sampler adoption at
+the recorded period, attach/detach and the cycle cost model.  What
+differs per family is the *signal*: which event stream it consumes and
+how it turns events into per-site metrics.
 
 This class adds only the ``_derive_metrics`` and ``_rank`` hooks of
-:meth:`ObjectFamilyProfiler.analyze`, ``attach``/``detach``, and replay
-at the recorded sampling period only.  It departs from the agent's
-defaults in two declared ways: a move of an untracked object is dropped
-rather than inserted as an unknown interval, and samples pay no NUMA
-query.
+:meth:`ObjectFamilyProfiler.analyze`.  A family samples its own
+``events`` and takes only the sampling period and size threshold from
+its :class:`~repro.core.profiler.DjxConfig`.  It departs from the
+agent's defaults in two declared ways: a move of an untracked object is
+dropped rather than inserted as an unknown interval, and samples pay no
+NUMA query.
 
 Like DJXPerf, and like the JXPerf and OJXPerf papers, families sample:
 none reads the raw access stream, so profiling a run with a family
@@ -33,26 +35,25 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.core.analyzer import AnalysisResult, analyze_profiles
-from repro.core.jvmtiagent import AgentCostModel, DjxJvmtiAgent
 from repro.core.profile import FrameResolver
-from repro.jvmti.agent_iface import JvmtiEnv
-from repro.obs.events import SamplerOpenEvent
+from repro.core.profiler import AgentCostModel, DJXPerf, DjxConfig
 from repro.pmu.events import PmuEvent
 
 
-class ObjectFamilyProfiler(DjxJvmtiAgent):
+class ObjectFamilyProfiler(DJXPerf):
     """Base collector for the profiler families.
 
     Live use::
 
-        profiler = ReplicaProfiler(machine, sample_period=64)
-        profiler.attach()
+        profiler = ReplicaProfiler(DjxConfig(sample_period=64))
+        profiler.attach(machine)
         ... run ...
         result = profiler.analyze()
 
-    Offline use (``machine=None``): feed it a recorded trace via
-    :func:`repro.families.replay_family`; sampler ids are adopted from
-    the trace's :class:`SamplerOpenEvent` records by ``owner`` label.
+    Offline use: feed it a recorded trace via
+    :func:`repro.obs.replay.replay_analyze`; sampler ids are adopted
+    from the trace's :class:`SamplerOpenEvent` records by ``owner``
+    label.
     """
 
     label = "family"
@@ -61,36 +62,14 @@ class ObjectFamilyProfiler(DjxJvmtiAgent):
     primary_metric = "family"
     #: PMU events sampled while attached (default: none).
     events: Tuple[PmuEvent, ...] = ()
-    default_costs = AgentCostModel(numa_query=0)
     inserts_unknown_moves = False
 
-    def __init__(self, machine=None, sample_period: int = 64,
-                 size_threshold: int = 0,
-                 costs: Optional[AgentCostModel] = None) -> None:
-        super().__init__(machine, self.events, sample_period,
-                         size_threshold, costs=costs)
-
-    def attach(self, machine=None) -> "ObjectFamilyProfiler":
-        """Subscribe to the bus (and open any samplers the family uses)."""
-        if machine is not None:
-            self.machine = machine
-        self.start()
-        return self
-
-    def detach(self) -> None:
-        """Stop collecting.  Profiles and tracked state stay readable."""
-        self.stop()
-
-    def on_sampler_open(self, event: SamplerOpenEvent) -> None:
-        # A recorded sample stream cannot be re-derived at another
-        # period: traps and contents follow from the recorded samples.
-        if self.machine is None and event.owner == self.label \
-                and event.period != self.sample_period:
-            raise ValueError(
-                f"{self.label} trace was recorded at sampling period "
-                f"{event.period}; a family replays only at its recorded "
-                f"period, not {self.sample_period}")
-        super().on_sampler_open(event)
+    def __init__(self, config: Optional[DjxConfig] = None) -> None:
+        super().__init__(config or DjxConfig(size_threshold=0))
+        # The family's own events and costs replace the config's.
+        self.events = list(type(self).events)
+        self.costs = AgentCostModel(numa_query=0)
+        self.track_numa = self.collect_access_contexts = True
 
     # ------------------------------------------------------------------
     # Analysis
@@ -115,10 +94,3 @@ class ObjectFamilyProfiler(DjxJvmtiAgent):
     def _rank(self, result: AnalysisResult) -> AnalysisResult:
         """Hook: post-process the merged result (scores, re-ranking)."""
         return result
-
-    def frame_resolver(self) -> FrameResolver:
-        if self.machine is None:
-            raise RuntimeError(
-                "offline profiler has no machine; resolve frames with the "
-                "trace reader's frame_resolver()")
-        return JvmtiEnv(self.machine).frame_resolver()

@@ -122,14 +122,12 @@ def _profiled_arm(spec: ProgramSpec, trace_path: str, *,
     machine = Machine(program, machine_config(spec, fastpath, skip_ahead))
     # Writer first so SamplerOpenEvents land in the trace; sanitizer
     # last so it checks the agent state *after* each batch is applied.
-    writer = TraceWriter(trace_path, machine=machine,
-                         meta={"fuzz_seed": spec.seed})
+    writer = TraceWriter(trace_path, meta={"fuzz_seed": spec.seed})
     writer.attach(machine)
     profiler.attach(machine)
     sanitizer = None
     if sanitize:
-        sanitizer = MachineStateSanitizer(machine, agent=profiler.agent)
-        machine.bus.subscribe(sanitizer)
+        sanitizer = MachineStateSanitizer(profiler).attach(machine)
     try:
         result = machine.run()
     finally:
@@ -137,7 +135,8 @@ def _profiled_arm(spec: ProgramSpec, trace_path: str, *,
     analysis = profiler.analyze()
     return ArmRun(result=result, report=render_report(analysis, top=10),
                   trace=_read_trace(trace_path), trace_path=trace_path,
-                  sanitizer=sanitizer, profiles=profiler.profiles())
+                  sanitizer=sanitizer,
+                  profiles=list(profiler.profiles.values()))
 
 
 def _native_arm(spec: ProgramSpec) -> object:

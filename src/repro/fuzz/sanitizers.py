@@ -310,8 +310,8 @@ def check_hierarchy(hierarchy) -> List[Violation]:
 class MachineStateSanitizer(Collector):
     """Runs every machine-state check at each quantum boundary.
 
-    Subscribe *after* the profiler so each batch is checked against the
-    agent state that results from processing it.  The sanitizer charges
+    Attach *after* the profiler so each batch is checked against the
+    profiler state that results from processing it.  The sanitizer charges
     no cycles and publishes nothing, so attaching it never perturbs the
     run it is checking.  Violations accumulate in ``self.violations``;
     with ``raise_on_violation`` the first bad batch raises
@@ -323,11 +323,10 @@ class MachineStateSanitizer(Collector):
     wants_accesses = False
     wants_allocs = False
 
-    def __init__(self, machine, agent=None,
+    def __init__(self, profiler=None,
                  raise_on_violation: bool = True) -> None:
         super().__init__()
-        self.machine = machine
-        self.agent = agent
+        self.profiler = profiler
         self.raise_on_violation = raise_on_violation
         self.violations: List[Violation] = []
         self.batches_checked = 0
@@ -346,11 +345,11 @@ class MachineStateSanitizer(Collector):
             machine.heap,
             compact_top=machine.config.gc_policy == "mark-compact"))
         found.extend(check_hierarchy(machine.hierarchy))
-        if self.agent is not None:
-            found.extend(check_splay(self.agent.splay))
-            found.extend(check_splay_against_heap(self.agent.splay,
+        if self.profiler is not None:
+            found.extend(check_splay(self.profiler.splay))
+            found.extend(check_splay_against_heap(self.profiler.splay,
                                                   machine.heap))
-            found.extend(check_relocation_map_drained(self.agent))
+            found.extend(check_relocation_map_drained(self.profiler))
         self.batches_checked += 1
         if found:
             self.violations.extend(found)

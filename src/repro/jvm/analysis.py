@@ -143,9 +143,6 @@ class NaturalLoop:
     tail: int                   # block index of the back-edge source
     body: FrozenSet[int]        # block indices, header included
 
-    def contains_bci(self, cfg: ControlFlowGraph, bci: int) -> bool:
-        return cfg.block_of(bci).index in self.body
-
 
 def natural_loops(cfg: ControlFlowGraph) -> List[NaturalLoop]:
     """All natural loops, one per back edge, sorted by header block."""

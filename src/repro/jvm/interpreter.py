@@ -104,10 +104,6 @@ class JavaThread:
         self.watch: Dict[int, tuple] = {}
 
     @property
-    def current_frame(self) -> Frame:
-        return self.frames[-1]
-
-    @property
     def alive(self) -> bool:
         return self.state not in (ThreadState.FINISHED,)
 

@@ -66,12 +66,6 @@ class MethodRuntime:
         #: Per runtime, so per machine: never shared across programs.
         self.legacy_table = None
 
-    @property
-    def cycles_per_instruction(self) -> int:
-        # Resolved through the owning MethodTable's config at call sites;
-        # kept here for clarity of intent.
-        raise NotImplementedError  # pragma: no cover
-
     def __repr__(self) -> str:
         tier = "jit" if self.compiled else "interp"
         return (f"MethodRuntime({self.method.qualified_name} "

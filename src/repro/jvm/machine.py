@@ -77,8 +77,6 @@ class MachineConfig:
     quantum: int = 500
     #: Touch (write) every line of a new object, as TLAB zeroing does.
     zero_on_alloc: bool = True
-    #: GC compaction pollutes the caches of the collecting CPU.
-    gc_touches_caches: bool = True
     #: Collector flavour: "mark-compact" (sliding) or "semispace"
     #: (copying; halves the usable heap, moves every survivor).
     gc_policy: str = "mark-compact"
@@ -220,8 +218,8 @@ class Machine:
         # A moving collection invalidates every watched address.
         self.collector.on_gc_start.append(
             lambda _gc_id: self.bus.disarm_watches())
-        if cfg.gc_touches_caches:
-            self.collector.on_memmove.append(self._gc_pollute_caches)
+        # GC compaction pollutes the caches of the collecting CPU.
+        self.collector.on_memmove.append(self._gc_pollute_caches)
         # Republish GC and JIT observables onto the bus.
         self.collector.on_memmove.append(self._publish_gc_move)
         self.collector.on_finalize.append(self._publish_gc_finalize)

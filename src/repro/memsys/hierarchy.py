@@ -32,9 +32,6 @@ class LatencyModel:
     dram_remote: int = 350
     tlb_miss_penalty: int = 30
 
-    def dram(self, remote: bool) -> int:
-        return self.dram_remote if remote else self.dram_local
-
 
 @dataclass(frozen=True)
 class HierarchyConfig:
@@ -92,10 +89,6 @@ class AccessResult:
         #: True when home_node differs from the accessing CPU's node
         self.remote = remote
         self.lines = lines
-
-    @property
-    def l1_missed(self) -> bool:
-        return self.l1_misses > 0
 
     @property
     def tlb_missed(self) -> bool:

@@ -5,6 +5,15 @@ dispatches each event to a typed ``on_*`` handler.  Subclasses override
 only the handlers they care about; the default implementations are
 no-ops.
 
+Every profiler shares one lifecycle, defined here: :meth:`attach`
+subscribes to a machine's bus and opens one PMU sampler per entry of
+the class's ``events``; :meth:`detach` closes those samplers and
+unsubscribes; :meth:`frame_resolver` resolves raw frames through the
+attached machine's JVMTI surface.  A collector that was never attached
+is *offline*: it can be fed recorded trace batches
+(:mod:`repro.obs.replay`), and resolves frames with the trace reader's
+resolver instead.
+
 Cycle accounting: a collector charges its own simulated work to the
 thread that triggered the event via :meth:`Collector.charge`, which also
 accumulates ``charged_cycles`` per collector.  That per-collector total
@@ -16,7 +25,7 @@ this collector would have cost.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Set, Tuple
 
 from repro.obs.events import (
     AccessEvent,
@@ -52,9 +61,23 @@ class Collector:
     #: Set True to receive ObjectContentEvents: the machine digests
     #: each object's heap content as it dies and when the run ends.
     wants_contents = False
+    #: PMU events :meth:`attach` opens one sampler for, each at
+    #: ``sample_period`` (samples-free collectors open none).
+    events: Tuple = ()
+    sample_period = 0
+    #: Open the samplers with ``watch=True``: each sample arms a
+    #: watchpoint on its address (the JXPerf redundancy family).
+    arms_watchpoints = False
 
     def __init__(self) -> None:
         self.bus = None
+        #: The attached machine; None while offline.
+        self.machine = None
+        #: Handlers act only while enabled (attached, or fed a trace).
+        self.enabled = False
+        #: Bus sampler ids this collector owns; samples from other
+        #: collectors' samplers are ignored.
+        self._sampler_ids: Set[int] = set()
         #: Cycles this collector charged to simulated threads.
         self.charged_cycles = 0
         self._dispatch = {
@@ -94,8 +117,47 @@ class Collector:
             thread.cycles += cycles
 
     # ------------------------------------------------------------------
-    # Lifecycle hooks
+    # Lifecycle
     # ------------------------------------------------------------------
+    def attach(self, machine) -> "Collector":
+        """Subscribe to ``machine``'s bus and open this collector's
+        samplers.  The machine may already be running (attach mode):
+        the collector sees events from now on.  Attaches once."""
+        if self.machine is not None:
+            raise RuntimeError(f"{self.label} collector already attached")
+        self.machine = machine
+        self.enabled = True
+        bus = machine.bus
+        bus.subscribe(self)
+        for event in self.events:
+            self._sampler_ids.add(
+                bus.open_sampler(event, self.sample_period,
+                                 owner=self.label,
+                                 watch=self.arms_watchpoints))
+        return self
+
+    def detach(self) -> None:
+        """Close this collector's samplers and unsubscribe; the program
+        keeps running undisturbed and what was collected stays
+        readable."""
+        self.enabled = False
+        if self.bus is not None:
+            for sampler_id in self._sampler_ids:
+                self.bus.close_sampler(sampler_id)
+            self.bus.unsubscribe(self)
+
+    def frame_resolver(self):
+        """A :data:`~repro.core.profile.FrameResolver` for raw
+        ``(method_id, bci)`` frames of the attached machine."""
+        if self.machine is None:
+            raise RuntimeError(
+                f"{self.label} collector is not attached to a machine; "
+                f"resolve a replayed trace's frames with "
+                f"TraceReader.frame_resolver()")
+        from repro.jvmti.agent_iface import JvmtiEnv
+
+        return JvmtiEnv(self.machine).frame_resolver()
+
     def on_subscribed(self, bus) -> None:
         """Called after this collector is added to a bus."""
 

@@ -1,20 +1,24 @@
 """Offline analysis over recorded traces (the paper's §4.4 split).
 
-``replay_analyze`` rebuilds DJXPerf thread profiles from a trace file
-— **without re-simulating the machine** — and runs the same offline
+``replay_analyze`` rebuilds the thread profiles of any registry
+profiler (:data:`repro.families.FAMILIES`) from a trace file —
+**without re-simulating the machine** — and runs the same offline
 analyzer the live profiler uses.  Two modes:
 
-* **same-period replay** (default): consume the recorded SampleEvents.
-  With the recording configuration this reproduces the live
-  ``AnalysisResult`` exactly; the size threshold may still be
+* **recorded-period replay** (default): consume the recorded
+  SampleEvents (and, for the families, watchpoint traps and object
+  contents).  With the recording configuration this reproduces the
+  live ``AnalysisResult`` exactly; the size threshold may still be
   overridden, because traces carry *every* AllocEvent (the hook fires
-  pre-filter) and thresholding happens in the agent.
-* **resampling** (``resample=True``): discard recorded samples and
-  re-derive them from the raw AccessEvents with fresh per-thread
-  counters at the requested period — the trace must have been recorded
-  with ``include_accesses=True``.  Replayed samples carry empty call
-  paths (raw accesses do not snapshot stacks), so access-context
-  collection is effectively off in this mode.
+  pre-filter) and thresholding happens in the agent.  The replay runs
+  at the recorded sampling period and raises ``ValueError`` for any
+  other.
+* **resampling** (``resample=True``, DJXPerf only): discard recorded
+  samples and re-derive them from the raw AccessEvents with fresh
+  per-thread counters at the requested period — the trace must have
+  been recorded with ``include_accesses=True``.  Replayed samples carry
+  empty call paths (raw accesses do not snapshot stacks), so
+  access-context collection is effectively off in this mode.
 
 This module imports :mod:`repro.core`, which imports the machine, which
 imports :mod:`repro.obs` — so it is deliberately **not** re-exported
@@ -23,10 +27,10 @@ from ``repro.obs.__init__``.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
 from repro.obs.collector import Collector
-from repro.obs.events import AccessEvent, SampleEvent
+from repro.obs.events import AccessEvent, SampleEvent, SamplerOpenEvent
 from repro.obs.trace import TraceReader
 
 #: Synthetic sampler ids for resampling start here, far above anything a
@@ -36,31 +40,16 @@ _RESAMPLE_ID_BASE = 1 << 20
 _BATCH = 4096
 
 
-def replay_events(trace_path: str, collectors: List[Collector],
-                  batch_size: int = _BATCH) -> TraceReader:
-    """Feed a recorded trace to collectors in flush-sized batches.
-
-    Returns the reader (its method metadata is fully populated
-    afterwards, so ``reader.frame_resolver()`` works).
-    """
-    reader = TraceReader(trace_path)
-    _feed(reader.events(), collectors, batch_size)
-    return reader
-
-
-def _feed(events: Iterable, collectors: List[Collector],
-          batch_size: int = _BATCH) -> None:
-    """Deliver ``events`` to every collector in flush-sized batches."""
+def _feed(events: Iterable, collector: Collector) -> None:
+    """Deliver ``events`` to ``collector`` in flush-sized batches."""
     batch: list = []
     for event in events:
         batch.append(event)
-        if len(batch) >= batch_size:
-            for collector in collectors:
-                collector.handle_batch(batch)
+        if len(batch) >= _BATCH:
+            collector.handle_batch(batch)
             batch = []
     if batch:
-        for collector in collectors:
-            collector.handle_batch(batch)
+        collector.handle_batch(batch)
 
 
 class _Resampler:
@@ -81,9 +70,10 @@ class _Resampler:
         self._synthesized: list = []
 
     def transform(self, events: Iterable) -> Iterable:
-        """Drop recorded samples; synthesize fresh ones from accesses."""
+        """Drop recorded samples and their samplers; synthesize fresh
+        samples from accesses."""
         for event in events:
-            if isinstance(event, SampleEvent):
+            if isinstance(event, (SampleEvent, SamplerOpenEvent)):
                 continue
             if isinstance(event, AccessEvent):
                 self.accesses_seen += 1
@@ -116,44 +106,42 @@ class _Resampler:
         return drained
 
 
-def replay_analyze(trace_path: str, config=None, resample: bool = False):
-    """Re-run the offline analyzer over a recorded trace.
+def replay_analyze(trace_path: str, config=None, family: str = "djxperf",
+                   resample: bool = False):
+    """Re-run a registry profiler's offline analysis over a recorded trace.
 
     ``config`` is a :class:`~repro.core.profiler.DjxConfig`; omit it to
-    analyze with the defaults.  Returns an
-    :class:`~repro.core.analyzer.AnalysisResult`.
+    analyze with the defaults.  ``family`` names the profiler in
+    :data:`repro.families.FAMILIES`.  Returns the
+    :class:`~repro.core.analyzer.AnalysisResult` the live run produces,
+    byte-identical under ``to_dict`` at the recording configuration.
     """
-    from repro.core.analyzer import analyze_profiles
-    from repro.core.jvmtiagent import DjxJvmtiAgent
     from repro.core.profiler import DjxConfig
+    from repro.families import make_family
 
     config = config or DjxConfig()
-    agent = DjxJvmtiAgent(
-        machine=None,
-        events=list(config.events),
-        sample_period=config.sample_period,
-        size_threshold=config.size_threshold,
-        track_numa=config.track_numa,
-        collect_access_contexts=config.collect_access_contexts,
-        costs=config.costs)
-    agent.enabled = True
+    profiler = make_family(family, config)
+    profiler.enabled = True
 
     reader = TraceReader(trace_path)
     resampler: Optional[_Resampler] = None
     stream = reader.events()
     if resample:
+        if family != "djxperf":
+            raise ValueError(
+                f"resampling is DJXPerf-only: a {family} trace's traps "
+                f"and contents follow from its recorded samples, so it "
+                f"replays at its recorded period")
         resampler = _Resampler(config.events, config.sample_period)
         for sampler_id in resampler.sampler_ids:
-            agent.accept_sampler(sampler_id)
+            profiler.accept_sampler(sampler_id)
         stream = resampler.transform(stream)
 
-    _feed(stream, [agent])
+    _feed(stream, profiler)
 
     if resample and resampler.accesses_seen == 0:
         raise ValueError(
             f"{trace_path}: trace has no raw access events; record with "
             f"include_accesses=True to resample at a different period")
 
-    return analyze_profiles(
-        list(agent.profiles.values()), reader.frame_resolver(),
-        primary_event=config.events[0].name)
+    return profiler.analyze(resolver=reader.frame_resolver())

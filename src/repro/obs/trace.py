@@ -4,9 +4,10 @@ The paper splits DJXPerf into an online collector and an *offline*
 analyzer (§4.4).  :class:`TraceWriter` makes that split real for the
 simulator: it subscribes to the bus like any other collector and writes
 every event as one compact JSON array per line, so the offline analyzer
-can re-run with different thresholds or sampling periods **without
-re-simulating** — and so suite runs can fan analysis out over a process
-pool keyed on trace files.
+can re-run with different thresholds (or, from a trace that carries
+raw accesses, sampling periods) **without re-simulating** — and so
+suite runs can fan analysis out over a process pool keyed on trace
+files.
 
 Format (one JSON value per line; ``.gz`` paths are gzip-compressed):
 
@@ -49,12 +50,10 @@ class TraceWriter(Collector):
     #: construction even alongside samples-only collectors.
     wants_allocs = True
 
-    def __init__(self, path: str, machine=None,
-                 include_accesses: bool = False,
+    def __init__(self, path: str, include_accesses: bool = False,
                  meta: Optional[dict] = None) -> None:
         super().__init__()
         self.path = str(path)
-        self.machine = machine
         #: Instance-level override of the Collector class flag: raw
         #: accesses are bulky, so they are opt-in (needed only for
         #: period-resampling replays and full-trace baselines).
@@ -75,15 +74,10 @@ class TraceWriter(Collector):
             self._write(header)
         return self
 
-    def attach(self, machine) -> None:
+    def attach(self, machine) -> "TraceWriter":
         """Open the file and subscribe to the machine's bus."""
-        self.machine = machine
         self.open()
-        machine.bus.subscribe(self)
-
-    def detach(self) -> None:
-        if self.bus is not None:
-            self.bus.unsubscribe(self)
+        return super().attach(machine)
 
     def close(self) -> None:
         self.detach()

@@ -20,7 +20,7 @@ import abc
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.jvm.bytecode import ALLOCATION_OPS, Instruction, Op
+from repro.jvm.bytecode import Instruction, Op
 from repro.jvm.classfile import JMethod, JProgram
 from repro.jvm.verifier import verify_program
 from repro.optim.advice import Advice, AdviceKind
@@ -79,12 +79,6 @@ def site_method(program: JProgram, advice: Advice) -> Optional[JMethod]:
     if method is None or method.class_name != leaf.class_name:
         return None
     return method
-
-
-def site_alloc_bcis(method: JMethod, line: int) -> Sequence[int]:
-    """BCIs of allocation instructions attributed to ``line``."""
-    return [bci for bci, ins in enumerate(method.code)
-            if ins.op in ALLOCATION_OPS and method.line_of_bci(bci) == line]
 
 
 def replace_method(program: JProgram, method: JMethod,

@@ -13,7 +13,7 @@ from repro.pmu.events import (
     event_by_name,
     load_latency_event,
 )
-from repro.pmu.pmu import PerfCounter, PerfEventConfig, Sample, ThreadPmu
+from repro.pmu.pmu import PerfCounter, PerfEventConfig, Sample
 
 __all__ = [
     "ALL_LOADS",
@@ -28,7 +28,6 @@ __all__ = [
     "PerfEventConfig",
     "PmuEvent",
     "Sample",
-    "ThreadPmu",
     "event_by_name",
     "load_latency_event",
 ]

@@ -19,7 +19,7 @@ agree with bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.memsys.hierarchy import AccessResult
 from repro.pmu.events import PmuEvent
@@ -125,45 +125,3 @@ class PerfCounter:
             delivered += 1
         return delivered
 
-
-class ThreadPmu:
-    """The virtualised PMU of one thread: a set of programmed counters.
-
-    The OS virtualises physical PMU registers per thread; this class is
-    that virtual view.  ``perf_event_open`` ≈ :meth:`open`; ``ioctl
-    (PERF_EVENT_IOC_DISABLE)`` ≈ :meth:`disable_all`.
-    """
-
-    def __init__(self, tid: int) -> None:
-        self.tid = tid
-        self.counters: List[PerfCounter] = []
-
-    def open(self, config: PerfEventConfig,
-             handler: SampleHandler) -> PerfCounter:
-        counter = PerfCounter(config, handler)
-        self.counters.append(counter)
-        return counter
-
-    def observe(self, result: AccessResult, ucontext: object = None) -> None:
-        for counter in self.counters:
-            counter.observe(self.tid, result, ucontext)
-
-    def disable_all(self) -> None:
-        for counter in self.counters:
-            counter.enabled = False
-
-    def enable_all(self) -> None:
-        for counter in self.counters:
-            counter.enabled = True
-
-    def close(self) -> None:
-        self.disable_all()
-        self.counters.clear()
-
-    def total_for(self, event_name: str) -> int:
-        return sum(c.total for c in self.counters
-                   if c.config.event.name == event_name)
-
-    def samples_for(self, event_name: str) -> int:
-        return sum(c.samples_delivered for c in self.counters
-                   if c.config.event.name == event_name)

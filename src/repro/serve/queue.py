@@ -26,10 +26,9 @@ Under fleet traffic many tenants share one spool, and strict FIFO lets
 one chatty tenant starve everyone behind it.  A :class:`FairnessPolicy`
 adds three controls:
 
-* **weighted claim order** — tenants are scheduled by stride
-  scheduling: each claim charges the winning tenant ``1/weight`` of a
-  pass, so a weight-3 tenant is claimed three times as often as a
-  weight-1 tenant while both have pending work, and an idle tenant
+* **equal-share claim order** — tenants are scheduled by stride
+  scheduling: each claim advances the winning tenant's pass by one,
+  so tenants with pending work are claimed in turn, and an idle tenant
   never accumulates an unbounded head start;
 * **bounded per-tenant in-flight** — a tenant at its
   ``max_inflight_per_tenant`` limit is skipped by :meth:`claim` until
@@ -55,11 +54,6 @@ JOB_KINDS = ("profile", "optimize")
 
 _STATES = ("pending", "running", "done", "failed")
 
-#: Stride-scheduling numerator: a tenant's pass advances by
-#: ``_STRIDE_ONE // weight`` per claim, so larger weights mean smaller
-#: strides and therefore more frequent claims.
-_STRIDE_ONE = 1 << 20
-
 
 class QuotaExceeded(RuntimeError):
     """A submit was refused by the fairness policy (backpressure).
@@ -76,7 +70,7 @@ class QuotaExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class FairnessPolicy:
-    """Per-tenant quotas and weights for one spool (see module doc)."""
+    """Per-tenant quotas for one spool (see module doc)."""
 
     #: Pending jobs one tenant may have queued (None = unlimited).
     max_pending_per_tenant: Optional[int] = None
@@ -84,13 +78,8 @@ class FairnessPolicy:
     max_inflight_per_tenant: Optional[int] = None
     #: Total pending jobs across all tenants (None = unlimited).
     max_queue_depth: Optional[int] = None
-    #: Relative claim rates; unlisted tenants get weight 1.
-    tenant_weights: Dict[str, int] = field(default_factory=dict)
     #: Retry-after hint attached to QuotaExceeded, in seconds.
     retry_after: float = 1.0
-
-    def weight(self, tenant: str) -> int:
-        return max(1, int(self.tenant_weights.get(tenant, 1)))
 
 
 #: The quotas every ``repro fleet`` shard runs under, whether the shard
@@ -260,7 +249,7 @@ class SpoolQueue:
     def claim(self) -> Optional[JobSpec]:
         """Atomically move one pending job to running, fairly.
 
-        Tenants are scheduled by weighted stride order; within a tenant
+        Tenants are scheduled by equal-share stride order; within a tenant
         the highest-priority, oldest job wins.  Tenants at their
         in-flight bound are skipped.  Returns None when nothing is
         claimable (empty queue, or every pending tenant throttled).  A
@@ -307,7 +296,6 @@ class SpoolQueue:
             self._passes.setdefault(tenant, floor)
         for tenant in sorted(eligible,
                              key=lambda t: (self._passes[t], t)):
-            weight = policy.weight(tenant) if policy is not None else 1
             for _prio, _ts, name in by_tenant[tenant]:
                 pending_path = os.path.join(self._dir("pending"), name)
                 running_path = os.path.join(self._dir("running"), name)
@@ -321,7 +309,7 @@ class SpoolQueue:
                 except (TypeError, ValueError) as exc:
                     self._reject(name, data, exc)
                     continue
-                self._passes[tenant] += _STRIDE_ONE // weight
+                self._passes[tenant] += 1
                 return spec
         return None
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.analyzer import AnalysisResult
-from repro.core.profiler import DJXPerf, DjxConfig
+from repro.core.profiler import DjxConfig
 from repro.jvm.machine import Machine, MachineConfig, MachineResult
 from repro.workloads.base import Workload
 
@@ -43,10 +43,9 @@ def _resolve_machine_config(workload: Workload,
 class ProfiledRun:
     """A workload run under a profiler (DJXPerf or another family).
 
-    ``profiler`` is a :class:`~repro.core.profiler.DJXPerf` for the
-    default family and an
-    :class:`~repro.families.ObjectFamilyProfiler` otherwise; both
-    expose ``analyze()`` and ``memory_footprint()``.
+    ``profiler`` is the :class:`~repro.core.profiler.DJXPerf` agent, or
+    the :class:`~repro.families.ObjectFamilyProfiler` subclass of it
+    that ``family`` names.
     """
 
     profiler: object
@@ -88,19 +87,10 @@ def profile_program(program, machine_config: MachineConfig,
     program must be verified and UNinstrumented — instrumentation for
     the selected family happens here.
     """
-    config = config or DjxConfig()
-    if family == DEFAULT_FAMILY:
-        profiler = DJXPerf(config)
-        program = profiler.instrument(program)
-    else:
-        from repro.core.javaagent import instrument_program
-        from repro.families import make_family
+    from repro.families import make_family
 
-        profiler = make_family(family,
-                               sample_period=config.sample_period,
-                               size_threshold=config.size_threshold)
-        program = instrument_program(program)
-    machine = Machine(program, machine_config)
+    profiler = make_family(family, config or DjxConfig())
+    machine = Machine(profiler.instrument(program), machine_config)
     writer = None
     if trace_path is not None:
         from repro.obs.trace import TraceWriter
@@ -110,8 +100,7 @@ def profile_program(program, machine_config: MachineConfig,
         # adopt the recorded sampler ids).
         meta = dict(trace_meta or {})
         meta.setdefault("family", family)
-        writer = TraceWriter(trace_path, machine=machine,
-                             include_accesses=trace_accesses,
+        writer = TraceWriter(trace_path, include_accesses=trace_accesses,
                              meta=meta)
         writer.attach(machine)
     profiler.attach(machine)
@@ -134,10 +123,10 @@ def run_profiled(workload: Workload, variant: str = "baseline",
                  family: str = DEFAULT_FAMILY) -> ProfiledRun:
     """Run a variant under a profiler (launch mode) and analyze.
 
-    ``family`` selects the profiler: ``"djxperf"`` (default) or any
-    name in :data:`repro.families.FAMILIES` (``"replica"``,
-    ``"redundancy"``).  Family profilers take their sampling period and
-    size threshold from ``config``.
+    ``family`` selects the profiler by its name in
+    :data:`repro.families.FAMILIES`: ``"djxperf"`` (default),
+    ``"replica"`` or ``"redundancy"``.  Family profilers take their
+    sampling period and size threshold from ``config``.
 
     With ``trace_path`` the machine's observation events are also
     recorded (see :mod:`repro.obs.trace`); ``trace_accesses`` adds the

@@ -8,8 +8,7 @@ the agent, so the shared-protocol tests run over every family too.
 
 import pytest
 
-from repro.core import DJXPerf, DjxConfig
-from repro.core.jvmtiagent import AgentCostModel, DjxJvmtiAgent
+from repro.core import AgentCostModel, DJXPerf, DjxConfig
 from repro.families.redundancy import RedundancyProfiler
 from repro.families.replica import ReplicaProfiler
 from repro.heap.layout import Kind
@@ -24,8 +23,10 @@ from repro.obs.events import (
 from tests.jvm.helpers import counting_loop
 
 
-#: Every collector that runs the agent's attribution protocol.
-COLLECTORS = [DjxJvmtiAgent, ReplicaProfiler, RedundancyProfiler]
+#: Every collector that runs the agent's attribution protocol
+#: (DJXPerf's id names its role: the JVMTI agent).
+COLLECTORS = [pytest.param(DJXPerf, id="DjxJvmtiAgent"),
+              ReplicaProfiler, RedundancyProfiler]
 
 
 def alloc_program(iterations=5):
@@ -39,8 +40,9 @@ def alloc_program(iterations=5):
     return p
 
 
-def attached_agent(iterations=5, heap=1024 * 1024, threshold=0):
-    profiler = DJXPerf(DjxConfig(sample_period=64, size_threshold=threshold))
+def attached_agent(iterations=5, heap=1024 * 1024, threshold=0,
+                   cls=DJXPerf):
+    profiler = cls(DjxConfig(sample_period=64, size_threshold=threshold))
     machine = Machine(profiler.instrument(alloc_program(iterations)),
                       MachineConfig(heap_size=heap))
     profiler.attach(machine)
@@ -49,15 +51,9 @@ def attached_agent(iterations=5, heap=1024 * 1024, threshold=0):
 
 def ran_collector(cls):
     """A ``cls`` collector attached to a finished run, and its machine."""
-    if cls is DjxJvmtiAgent:
-        profiler, machine = attached_agent()
-        machine.run()
-        return profiler.agent, machine
-    machine = Machine(DJXPerf().instrument(alloc_program()),
-                      MachineConfig(heap_size=1024 * 1024))
-    collector = cls(machine, sample_period=64).attach()
+    profiler, machine = attached_agent(cls=cls)
     machine.run()
-    return collector, machine
+    return profiler, machine
 
 
 def gc_notify(gc_id=1, reclaimed_objects=0, reclaimed_bytes=0,
@@ -90,7 +86,7 @@ class TestRelocationMap:
     def test_move_of_untracked_object_inserts_unknown(self):
         profiler, machine = attached_agent()
         machine.run()
-        agent = profiler.agent
+        agent = profiler
         agent.on_gc_move(GcMoveEvent(oid=0, src=0x777000, dst=0x888000,
                                      size=64))
         agent.on_gc_notification(gc_notify(moved_objects=1, moved_bytes=64))
@@ -117,7 +113,7 @@ class TestRelocationMap:
     def test_unknown_object_samples_counted_unknown(self):
         profiler, machine = attached_agent()
         machine.run()
-        agent = profiler.agent
+        agent = profiler
         agent.on_gc_move(GcMoveEvent(oid=0, src=0x777000, dst=0x888000,
                                      size=64))
         agent.on_gc_notification(gc_notify(moved_objects=1, moved_bytes=64))
@@ -151,7 +147,7 @@ class TestDisabledAgent:
     @pytest.mark.parametrize("cls", COLLECTORS)
     def test_events_ignored_after_stop(self, cls):
         agent, _machine = ran_collector(cls)
-        getattr(agent, "detach", agent.stop)()   # families: detach
+        agent.detach()
         before = len(agent.splay)
         agent.on_gc_move(GcMoveEvent(oid=0, src=0x1, dst=0x2, size=8))
         assert agent._relocation_map == {}
@@ -165,7 +161,7 @@ class TestCostCharging:
         costs = AgentCostModel()
         profiler, machine = attached_agent(threshold=1 << 20)  # filter all
         machine.run()
-        agent = profiler.agent
+        agent = profiler
         assert agent.stats.allocations_seen == 5
         assert agent.stats.allocations_filtered == 5
         # Dispatch cost must have been charged for each filtered alloc;

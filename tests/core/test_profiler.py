@@ -111,7 +111,7 @@ class TestSizeThreshold:
         p = hot_array_program(n=16, iterations=5)
         profiler, _, _ = profiled_run(
             p, DjxConfig(sample_period=4, events=(ALL_LOADS,)))
-        assert profiler.agent.stats.allocations_filtered == 5
+        assert profiler.stats.allocations_filtered == 5
         analysis = profiler.analyze()
         assert all(s.alloc_count == 0 for s in analysis.sites)
 
@@ -120,7 +120,7 @@ class TestSizeThreshold:
         profiler, _, _ = profiled_run(
             p, DjxConfig(sample_period=4, size_threshold=0,
                          events=(ALL_LOADS,)))
-        assert profiler.agent.stats.allocations_filtered == 0
+        assert profiler.stats.allocations_filtered == 0
         analysis = profiler.analyze()
         assert analysis.top_sites(1)[0].alloc_count == 5
 
@@ -134,8 +134,8 @@ class TestSizeThreshold:
         p.add_builder(b)
         p.add_entry("main")
         profiler, _, _ = profiled_run(p)
-        assert profiler.agent.stats.allocations_seen == 2
-        assert profiler.agent.stats.allocations_filtered == 1
+        assert profiler.stats.allocations_seen == 2
+        assert profiler.stats.allocations_filtered == 1
 
 
 class TestGcHandling:
@@ -157,7 +157,7 @@ class TestGcHandling:
         profiler, machine, result = profiled_run(
             p, machine_config=MachineConfig(heap_size=256 * 1024))
         assert result.gc_collections > 0
-        assert profiler.agent.stats.relocations_applied > 0
+        assert profiler.stats.relocations_applied > 0
         analysis = profiler.analyze()
         victim = analysis.site_at("App", "main", line=2)
         assert victim is not None
@@ -171,15 +171,15 @@ class TestGcHandling:
         profiler, machine, result = profiled_run(
             p, machine_config=MachineConfig(heap_size=128 * 1024))
         assert result.gc_collections > 0
-        assert profiler.agent.stats.finalized_removed > 0
+        assert profiler.stats.finalized_removed > 0
         # Only live tracked objects remain in the splay tree.
-        assert len(profiler.agent.splay) <= len(machine.heap)
+        assert len(profiler.splay) <= len(machine.heap)
 
     def test_relocation_map_reset_after_notification(self):
         p = hot_array_program(iterations=40, n=2048)
         profiler, _, _ = profiled_run(
             p, machine_config=MachineConfig(heap_size=128 * 1024))
-        assert profiler.agent._relocation_map == {}
+        assert profiler._relocation_map == {}
 
 
 class TestNumaDetection:
@@ -231,7 +231,6 @@ class TestAttachDetach:
         profiler = DJXPerf(DjxConfig(sample_period=16))
         program = profiler.instrument(hot_array_program(iterations=10))
         machine = Machine(program, MachineConfig(heap_size=4 * 1024 * 1024))
-        DJXPerf.install_noop_hook(machine)
         machine.run(max_instructions=40000)   # part of the program
         profiler.attach(machine)              # attach mode
         machine.run()
@@ -248,11 +247,11 @@ class TestAttachDetach:
         machine = Machine(program, MachineConfig(heap_size=4 * 1024 * 1024))
         profiler.attach(machine)
         machine.run(max_instructions=40000)
-        taken = profiler.agent.stats.samples_handled
+        taken = profiler.stats.samples_handled
         assert taken > 0
         profiler.detach()
         machine.run()
-        assert profiler.agent.stats.samples_handled == taken
+        assert profiler.stats.samples_handled == taken
 
     def test_double_attach_rejected(self):
         profiler = DJXPerf()
@@ -286,20 +285,20 @@ class TestAttachDetach:
         first.attach(machine)
         machine.run(max_instructions=40000)
         first.detach()
-        assert not first.attached
+        assert not first.enabled
         assert not machine.bus.active          # nobody left subscribed
 
         second = DJXPerf(DjxConfig(sample_period=16))
         second.attach(machine)
         machine.run()
-        assert second.attached
-        assert second.agent.stats.samples_handled > 0
+        assert second.enabled
+        assert second.stats.samples_handled > 0
         analysis = second.analyze()
         assert analysis.total() > 0
         # The first profiler's results survive its detach untouched.
-        first_taken = first.agent.stats.samples_handled
+        first_taken = first.stats.samples_handled
         assert first_taken > 0
-        assert first.agent.stats.samples_handled == first_taken
+        assert first.stats.samples_handled == first_taken
 
     def test_analyze_requires_attach(self):
         with pytest.raises(RuntimeError):
@@ -322,7 +321,7 @@ class TestMultiThread:
             p.add_entry("worker")
         profiler, _, _ = profiled_run(
             p, machine_config=MachineConfig(heap_size=8 * 1024 * 1024))
-        assert len(profiler.profiles()) == 4
+        assert len(profiler.profiles) == 4
         analysis = profiler.analyze()
         # One merged site: 4 threads x 3 allocations.
         site = analysis.top_sites(1)[0]

@@ -265,8 +265,6 @@ def run_oracle(name: str, family: str, period: int) -> AnalysisResult:
     program = instrument_program(workload.build_verified())
     config = dataclasses.replace(workload.machine_config(), fastpath=False)
     machine = ValueMachine(program, config)
-    oracle = ORACLES[family](
-        machine, sample_period=period,
-        size_threshold=DjxConfig().size_threshold).attach()
+    oracle = ORACLES[family](DjxConfig(sample_period=period)).attach(machine)
     machine.run()
     return oracle.analyze()

@@ -1,6 +1,6 @@
 """Unit tests for the family detection logic, fed synthetic events.
 
-Offline profilers (``machine=None``) driven directly through
+Offline profilers (never attached) driven directly through
 ``handle_batch`` — the same entry point trace replay uses — so these
 tests pin each detector's semantics without a simulator run:
 
@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.core import DjxConfig
 from repro.core.profile import ResolvedFrame
 from repro.families.redundancy import RedundancyProfiler
 from repro.families.replica import ReplicaProfiler
@@ -38,7 +39,7 @@ def _resolver(frame):
 
 
 def _offline(cls, **kwargs):
-    profiler = cls(machine=None, **kwargs)
+    profiler = cls(DjxConfig(**{"size_threshold": 0, **kwargs}))
     profiler.enabled = True
     return profiler
 

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.core import DjxConfig
 from repro.core.javaagent import instrument_program
 from repro.families import make_family
 from repro.jvm.machine import Machine
@@ -32,7 +33,9 @@ def _run(name, family, engine):
     config = dataclasses.replace(workload.machine_config(),
                                  **ENGINES[engine])
     machine = Machine(program, config)
-    profiler = make_family(family, machine, sample_period=PERIOD).attach()
+    profiler = make_family(family, DjxConfig(sample_period=PERIOD,
+                                             size_threshold=0))
+    profiler.attach(machine)
     machine.run()
     return json.dumps(profiler.analyze().to_dict(), sort_keys=True)
 

@@ -22,6 +22,7 @@ from repro.workloads import get_workload
 from repro.workloads.planted import PLANTED_SITES
 
 PERIOD = 64
+FAMILY_CONFIG = DjxConfig(sample_period=PERIOD, size_threshold=0)
 
 
 def _machine(name="dup-strings"):
@@ -39,9 +40,9 @@ class TestCapabilityUnion:
         machine = _machine()
         bus = machine.bus
         assert _wanted(bus) == (0, 0, 0)
-        replica = ReplicaProfiler(sample_period=PERIOD).attach(machine)
+        replica = ReplicaProfiler(FAMILY_CONFIG).attach(machine)
         assert _wanted(bus) == (0, 1, 1)
-        redundancy = RedundancyProfiler(sample_period=PERIOD).attach(machine)
+        redundancy = RedundancyProfiler(FAMILY_CONFIG).attach(machine)
         assert _wanted(bus) == (0, 2, 1)
         redundancy.detach()
         assert _wanted(bus) == (0, 1, 1)
@@ -54,7 +55,7 @@ class TestCapabilityUnion:
         djx = DJXPerf(DjxConfig(sample_period=PERIOD))
         djx.attach(machine)
         assert (bus._accesses_wanted, bus._allocs_wanted) == (0, 1)
-        family = RedundancyProfiler(sample_period=PERIOD).attach(machine)
+        family = RedundancyProfiler(FAMILY_CONFIG).attach(machine)
         assert (bus._accesses_wanted, bus._allocs_wanted) == (0, 2)
         family.detach()
         # DJXPerf's alloc subscription survives the family's departure.
@@ -65,7 +66,7 @@ class TestCapabilityUnion:
         # machine on the demand-driven skip path: a samples-only
         # collector set builds zero Access/Alloc events end to end.
         machine = _machine()
-        RedundancyProfiler(sample_period=PERIOD).attach(machine).detach()
+        RedundancyProfiler(FAMILY_CONFIG).attach(machine).detach()
         perf = CodeCentricProfiler(sample_period=PERIOD)
         perf.attach(machine)
         machine.run()
@@ -76,7 +77,7 @@ class TestCapabilityUnion:
 
     def test_attached_family_builds_allocs_not_accesses(self):
         machine = _machine()
-        family = ReplicaProfiler(sample_period=PERIOD).attach(machine)
+        family = ReplicaProfiler(FAMILY_CONFIG).attach(machine)
         machine.run()
         bus = machine.bus
         assert bus.access_events_built == 0
@@ -98,7 +99,7 @@ class _StreamingReplica(ReplicaProfiler):
 
 def _assert_fast_path(name, family_cls):
     machine = _machine(name)
-    family_cls(sample_period=PERIOD).attach(machine)
+    family_cls(FAMILY_CONFIG).attach(machine)
     machine.run()
     assert machine.bus.access_events_built == 0
     assert machine.fusion.guard_bailouts \
@@ -126,7 +127,7 @@ class TestCoexistenceWithDjxperf:
         machine = Machine(program, workload.machine_config())
         djx = DJXPerf(DjxConfig(sample_period=PERIOD))
         djx.attach(machine)
-        family = ReplicaProfiler(sample_period=PERIOD).attach(machine)
+        family = ReplicaProfiler(FAMILY_CONFIG).attach(machine)
         machine.run()
 
         _, (cls, method, line) = PLANTED_SITES["dup-strings"]
@@ -137,12 +138,11 @@ class TestCoexistenceWithDjxperf:
         # DJXPerf still resolves sites from the same run.
         djx_analysis = djx.analyze()
         assert djx_analysis.sites
-        assert djx.agent.stats.allocations_seen > 0
+        assert djx.stats.allocations_seen > 0
 
     def test_detach_midstream_freezes_family_state(self):
         machine = _machine()
-        family = make_family("redundancy", machine,
-                             sample_period=PERIOD).attach()
+        family = make_family("redundancy", FAMILY_CONFIG).attach(machine)
         family.detach()
         machine.run()
         assert family.stats.traps_handled == 0

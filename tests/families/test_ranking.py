@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.core import DjxConfig
-from repro.families import replay_family
+from repro.obs.replay import replay_analyze
 from repro.workloads import get_workload, run_profiled
 from repro.workloads.planted import PLANTED_SITES
 
@@ -44,8 +44,8 @@ class TestPlantedRanking:
         if len(top) > 1:
             assert top[0].metric(primary) > top[1].metric(primary)
 
-        replayed = replay_family(trace, family, sample_period=period,
-                                 size_threshold=DjxConfig().size_threshold)
+        replayed = replay_analyze(trace, DjxConfig(sample_period=period),
+                                  family=family)
         assert _canon(replayed) == _canon(analysis)
 
 

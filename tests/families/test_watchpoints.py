@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from repro.core import DjxConfig
 from repro.core.javaagent import instrument_program
 from repro.jvm import Machine, MachineConfig
 from repro.jvm.interpreter import JavaThread
@@ -50,7 +51,8 @@ def _family_run(name, period, config):
         workload.machine_config(), **CONFIGS[config]))
     recording = Recording()
     machine.bus.subscribe(recording)
-    RedundancyProfiler(machine, sample_period=period).attach()
+    RedundancyProfiler(DjxConfig(sample_period=period,
+                                 size_threshold=0)).attach(machine)
     machine.run()
     return recording.records
 

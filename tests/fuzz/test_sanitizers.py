@@ -69,9 +69,8 @@ class TestRelocationInjection:
         program = profiler.instrument(build_program(spec))
         machine = Machine(program, machine_config(spec))
         profiler.attach(machine)
-        profiler.agent._relocation_map[0x1234] = (0x5678, 64)
-        sanitizer = MachineStateSanitizer(machine, agent=profiler.agent)
-        machine.bus.subscribe(sanitizer)
+        profiler._relocation_map[0x1234] = (0x5678, 64)
+        sanitizer = MachineStateSanitizer(profiler).attach(machine)
         with pytest.raises(SanitizerError) as exc:
             machine.run()
         assert "stale relocation-map" in str(exc.value)

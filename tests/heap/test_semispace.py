@@ -147,7 +147,7 @@ class TestProfilerUnderSemispace:
                                             gc_policy=policy))
             profiler.attach(machine)
             machine.run()
-            return profiler.agent.stats.relocations_applied
+            return profiler.stats.relocations_applied
 
         assert relocations("semispace") > relocations("mark-compact")
 

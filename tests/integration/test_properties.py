@@ -188,8 +188,8 @@ class TestProfilerHeapInvariant:
 
         # Every interval in the splay tree corresponds to a live object
         # at exactly that address range.
-        for start, end, payload in profiler.agent.splay:
+        for start, end, payload in profiler.splay:
             obj = machine.heap.object_at(start)
             assert obj is not None
             assert (obj.addr, obj.end) == (start, end)
-        profiler.agent.splay.check_invariants()
+        profiler.splay.check_invariants()

@@ -61,7 +61,7 @@ class TestTraceWriterRestoresStreams:
         perf = CodeCentricProfiler(sample_period=PERIOD)
         path = str(tmp_path / "trace.jsonl.gz")
         machine = _machine()
-        writer = TraceWriter(path, machine=machine, include_accesses=True)
+        writer = TraceWriter(path, include_accesses=True)
         writer.attach(machine)
         perf.attach(machine)
         machine.run()
@@ -76,7 +76,7 @@ class TestTraceWriterRestoresStreams:
         profiler = DJXPerf(DjxConfig(sample_period=PERIOD))
         path = str(tmp_path / "trace.jsonl.gz")
         machine = _machine(profiler)
-        writer = TraceWriter(path, machine=machine)
+        writer = TraceWriter(path)
         writer.attach(machine)
         profiler.attach(machine)
         machine.run()

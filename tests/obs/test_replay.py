@@ -24,8 +24,7 @@ def record_run(workload_name, trace_path, config=None,
     workload = get_workload(workload_name)
     program = instrument_program(workload.build_verified())
     machine = Machine(program, workload.machine_config())
-    writer = TraceWriter(str(trace_path), machine=machine,
-                         include_accesses=include_accesses)
+    writer = TraceWriter(str(trace_path), include_accesses=include_accesses)
     writer.attach(machine)                 # before the profiler, so the
     profiler = DJXPerf(config or DjxConfig())   # SamplerOpenEvent lands
     profiler.attach(machine)
@@ -88,6 +87,15 @@ class TestReplayEquivalence:
         with pytest.raises(ValueError, match="include_accesses"):
             replay_analyze(str(path), resample=True)
 
+    def test_replay_at_another_period_refused(self, tmp_path):
+        # Recorded samples cannot be re-derived at another period:
+        # without resampling, a DJXPerf trace replays only at its own.
+        path = tmp_path / "t.jsonl"
+        record_run("objectlayout", path, config=DjxConfig(sample_period=64))
+        assert replay_analyze(str(path), DjxConfig(sample_period=64)).sites
+        with pytest.raises(ValueError, match="recorded period"):
+            replay_analyze(str(path), DjxConfig(sample_period=32))
+
 
 class TestFamilyReplayParity:
     """Family collectors reproduce their live analysis from a trace."""
@@ -99,22 +107,18 @@ class TestFamilyReplayParity:
                                              tmp_path):
         import json
 
-        from repro.families import replay_family
         from repro.workloads import run_profiled
 
         path = str(tmp_path / f"{workload}.trace.jsonl.gz")
         run = run_profiled(get_workload(workload), config=DjxConfig(),
                            family=family, trace_path=path)
-        replayed = replay_family(path, family,
-                                 sample_period=DjxConfig().sample_period,
-                                 size_threshold=DjxConfig().size_threshold)
+        replayed = replay_analyze(path, DjxConfig(), family=family)
         assert json.dumps(replayed.to_dict(), sort_keys=True) \
             == json.dumps(run.analysis.to_dict(), sort_keys=True)
 
     def test_family_replay_needs_access_stream(self, tmp_path):
         # A family trace carries no access stream, and needs none at the
         # recorded period; another period cannot be re-derived from it.
-        from repro.families import replay_family
         from repro.obs.trace import TraceReader
         from repro.workloads import run_profiled
 
@@ -123,9 +127,12 @@ class TestFamilyReplayParity:
                      config=DjxConfig(sample_period=64), family="replica",
                      trace_path=path)
         assert not TraceReader(path).includes_accesses
-        assert replay_family(path, "replica", sample_period=64).sites
+        config = DjxConfig(sample_period=64, size_threshold=0)
+        assert replay_analyze(path, config, family="replica").sites
         with pytest.raises(ValueError, match="recorded period"):
-            replay_family(path, "replica", sample_period=32)
+            replay_analyze(path, DjxConfig(sample_period=32,
+                                           size_threshold=0),
+                           family="replica")
 
 
 class TestSharedRun:
@@ -166,7 +173,7 @@ class TestSharedRun:
 
         # Each collector accounted for its own (hypothetical) cycles —
         # the decomposition the suite benchmark uses.
-        assert djx.agent.charged_cycles > 0
+        assert djx.charged_cycles > 0
         # Overhead charging was off for the baselines, so the shared
         # run's timing equals DJXPerf-alone timing.
         assert reuse.charged_cycles == 0

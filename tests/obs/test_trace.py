@@ -80,8 +80,7 @@ def record_objectlayout(path, include_accesses=False):
     workload = get_workload("objectlayout")
     program = instrument_program(workload.build_verified())
     machine = Machine(program, workload.machine_config())
-    writer = TraceWriter(str(path), machine=machine,
-                         include_accesses=include_accesses,
+    writer = TraceWriter(str(path), include_accesses=include_accesses,
                          meta={"workload": "objectlayout"})
     writer.attach(machine)
     machine.run()

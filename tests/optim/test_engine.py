@@ -136,7 +136,8 @@ class TestFamilyPlumbing:
 def test_engine_import_leaves_the_serving_tier_unloaded():
     """The optimizer needs only the regression engine from the serving
     tier; importing it must not pull in the store, the fleet or the
-    front door (SQLite, asyncio, process pools)."""
+    front door (SQLite, asyncio, process pools), nor the profiler
+    registry, the baselines or trace replay, which load on first use."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))), "src")
     probe = ("import json, sys, repro.optim.engine; "
@@ -148,3 +149,5 @@ def test_engine_import_leaves_the_serving_tier_unloaded():
     assert not loaded & {"sqlite3", "asyncio", "multiprocessing"}
     assert {m for m in loaded if m.startswith("repro.serve.")} == \
         {"repro.serve.regress"}
+    assert not loaded & {"repro.families", "repro.baselines",
+                         "repro.obs.replay"}

@@ -1,9 +1,9 @@
-"""Unit tests for sampling counters and the per-thread PMU."""
+"""Unit tests for sampling counters."""
 
 import pytest
 
 from repro.memsys.hierarchy import LEVEL_DRAM, LEVEL_L1, AccessResult
-from repro.pmu import ALL_LOADS, L1_MISS, PerfEventConfig, ThreadPmu
+from repro.pmu import L1_MISS, PerfEventConfig
 from repro.pmu.pmu import PerfCounter
 
 
@@ -79,33 +79,3 @@ class TestPerfCounter:
         with pytest.raises(ValueError):
             PerfEventConfig(L1_MISS, sample_period=0)
 
-
-class TestThreadPmu:
-    def test_multiple_counters_observe_independently(self):
-        pmu = ThreadPmu(tid=1)
-        miss_samples, load_samples = [], []
-        pmu.open(PerfEventConfig(L1_MISS, 2), miss_samples.append)
-        pmu.open(PerfEventConfig(ALL_LOADS, 4), load_samples.append)
-        for _ in range(8):
-            pmu.observe(load())
-        assert len(miss_samples) == 4
-        assert len(load_samples) == 2
-        assert pmu.total_for(L1_MISS.name) == 8
-        assert pmu.samples_for(ALL_LOADS.name) == 2
-
-    def test_disable_enable_all(self):
-        pmu = ThreadPmu(tid=1)
-        samples = []
-        pmu.open(PerfEventConfig(L1_MISS, 1), samples.append)
-        pmu.disable_all()
-        pmu.observe(load())
-        assert samples == []
-        pmu.enable_all()
-        pmu.observe(load())
-        assert len(samples) == 1
-
-    def test_close_clears_counters(self):
-        pmu = ThreadPmu(tid=1)
-        pmu.open(PerfEventConfig(L1_MISS, 1), lambda s: None)
-        pmu.close()
-        assert pmu.counters == []

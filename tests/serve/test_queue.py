@@ -190,17 +190,17 @@ class TestFairness:
         with pytest.raises(QuotaExceeded, match="depth"):
             queue.submit(spec(tenant="b"))
 
-    def test_weighted_claim_order(self, tmp_path):
-        queue = SpoolQueue(
-            str(tmp_path / "spool"),
-            policy=FairnessPolicy(tenant_weights={"a": 2, "b": 1}))
+    def test_equal_share_claim_order(self, tmp_path):
+        queue = SpoolQueue(str(tmp_path / "spool"),
+                           policy=FairnessPolicy())
         for _ in range(6):
             queue.submit(spec(tenant="a"))
+        for _ in range(3):
             queue.submit(spec(tenant="b"))
         claimed = [queue.claim().tenant for _ in range(6)]
-        # Stride scheduling: weight-2 a is claimed twice as often.
-        assert claimed.count("a") == 4
-        assert claimed.count("b") == 2
+        # Stride scheduling: tenants with pending work take turns, so
+        # b's later submissions are not starved by a's backlog.
+        assert claimed == ["a", "b", "a", "b", "a", "b"]
 
     def test_priority_within_tenant(self, queue):
         low = queue.submit(spec(priority=0))

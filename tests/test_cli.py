@@ -114,6 +114,17 @@ class TestReplay:
         replay_out = capsys.readouterr().out
         assert "RatePath.run:205" in replay_out
 
+    def test_replay_at_another_period_exits_2(self, capsys, tmp_path):
+        # Without --resample the recorded samples are all there is: a
+        # replay at another period is refused, not silently answered
+        # with the recorded period's samples.
+        trace = str(tmp_path / "ol.trace.jsonl.gz")
+        assert main(["profile", "objectlayout", "--period", "64",
+                     "--trace", trace]) == 0
+        capsys.readouterr()
+        assert main(["replay", trace, "--period", "32"]) == 2
+        assert "recorded period" in capsys.readouterr().err
+
     def test_replay_resample_needs_access_trace(self, capsys, tmp_path):
         trace = str(tmp_path / "mc.trace.jsonl.gz")
         assert main(["profile", "montecarlo", "--period", "64",

@@ -49,7 +49,7 @@ class TestRunProfiled:
     def test_profiler_attached_and_enabled(self):
         run = run_profiled(get_workload(FAST),
                            config=DjxConfig(sample_period=32))
-        assert run.profiler.attached
+        assert run.profiler.enabled
 
 
 class TestMeasureSpeedup:
