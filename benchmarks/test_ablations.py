@@ -132,8 +132,9 @@ def test_ablation_touch_range_zeroing(benchmark):
     benchmark.pedantic(zero, setup=lambda: ((fresh_hierarchy(),), {}),
                        rounds=20)
     lines = ZERO_RANGES * ZERO_BYTES // 64
-    ns_per_line = benchmark.stats.stats.median / lines * 1e9
-    print(f"\ntouch_range zeroing: {ns_per_line:.0f} ns/line (median)")
+    if benchmark.stats is not None:     # None under --benchmark-disable
+        ns_per_line = benchmark.stats.stats.median / lines * 1e9
+        print(f"\ntouch_range zeroing: {ns_per_line:.0f} ns/line (median)")
     h = zero(fresh_hierarchy())
     assert h.l3[0].stats.misses == lines
     assert h.l1[0].stats.evictions == lines - 512
@@ -154,9 +155,11 @@ def test_ablation_legacy_dispatch(benchmark):
     result = benchmark.pedantic(
         run_native, args=(workload,),
         kwargs={"machine_config": legacy_config}, rounds=3)
-    ns_per_instr = (benchmark.stats.stats.median
-                    / result.total_instructions * 1e9)
-    print(f"\nlegacy dispatch: {ns_per_instr:.0f} ns/instruction (median)")
+    if benchmark.stats is not None:     # None under --benchmark-disable
+        ns_per_instr = (benchmark.stats.stats.median
+                        / result.total_instructions * 1e9)
+        print(f"\nlegacy dispatch: {ns_per_instr:.0f} ns/instruction "
+              f"(median)")
     assert result.total_instructions == 1_560_010
     assert result.loads == result.stores == 0
     assert result == run_native(workload, machine_config=config)

@@ -123,9 +123,6 @@ class ThreadProfile:
     def record_total(self, event: str) -> None:
         self.total_samples[event] = self.total_samples.get(event, 0) + 1
 
-    def sample_count(self, event: str) -> int:
-        return self.total_samples.get(event, 0)
-
     # ------------------------------------------------------------------
     # Serialisation (a "profile file", resolved for portability)
     # ------------------------------------------------------------------

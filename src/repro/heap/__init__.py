@@ -1,7 +1,6 @@
 """Heap substrate: object layout, bump allocation, and a moving GC."""
 
 from repro.heap.allocator import (
-    AllocHook,
     Heap,
     HeapObject,
     HeapStats,
@@ -9,12 +8,11 @@ from repro.heap.allocator import (
     Ref,
 )
 from repro.heap.gc import (
-    FinalizeEvent,
     GcCostModel,
-    GcNotification,
+    GcObserver,
     GcStats,
     MarkCompactCollector,
-    MemmoveEvent,
+    TracingCollector,
 )
 from repro.heap.layout import (
     ELEM_SIZES,
@@ -29,12 +27,10 @@ from repro.heap.layout import (
 )
 
 __all__ = [
-    "AllocHook",
     "ELEM_SIZES",
     "FieldSpec",
-    "FinalizeEvent",
     "GcCostModel",
-    "GcNotification",
+    "GcObserver",
     "GcStats",
     "HEADER_SIZE",
     "Heap",
@@ -43,10 +39,10 @@ __all__ = [
     "JClass",
     "Kind",
     "MarkCompactCollector",
-    "MemmoveEvent",
     "OBJECT_ALIGNMENT",
     "OutOfMemoryError",
     "Ref",
+    "TracingCollector",
     "align",
     "array_elem_offset",
     "array_size",

@@ -12,7 +12,7 @@ PMU samples and what DJXPerf's splay tree indexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.heap.layout import (
     HEADER_SIZE,
@@ -172,10 +172,6 @@ class HeapStats:
         self.gc_count = 0
 
 
-#: Signature for allocation observers: (obj, thread_id) -> None.
-AllocHook = Callable[[HeapObject, int], None]
-
-
 class Heap:
     """Bump-allocated heap with pluggable GC.
 
@@ -185,6 +181,9 @@ class Heap:
         Heap capacity in bytes.
     base:
         First address of the heap (page aligned by convention).
+
+    The allocation entry points accept the allocating ``thread_id`` but
+    do not read it: allocation events are the machine's to publish.
     """
 
     def __init__(self, size: int = 8 * 1024 * 1024, base: int = 0x100000) -> None:
@@ -199,8 +198,6 @@ class Heap:
         self.stats = HeapStats()
         #: Set by the collector when one is attached.
         self.collector = None  # type: Optional[object]
-        #: Observers invoked after every successful allocation.
-        self.alloc_hooks: List[AllocHook] = []
 
     # ------------------------------------------------------------------
     @property
@@ -232,12 +229,10 @@ class Heap:
             self.stats.peak_used = used
         return addr
 
-    def _register(self, obj: HeapObject, thread_id: int) -> Ref:
+    def _register(self, obj: HeapObject) -> Ref:
         self.objects[obj.oid] = obj
         self.stats.allocations += 1
         self.stats.allocated_bytes += obj.size
-        for hook in self.alloc_hooks:
-            hook(obj, thread_id)
         return Ref(obj.oid)
 
     def allocate_instance(self, jclass: JClass, thread_id: int = 0) -> Ref:
@@ -246,7 +241,7 @@ class Heap:
         obj = HeapObject(self._next_oid, addr, jclass.instance_size,
                          jclass=jclass)
         self._next_oid += 1
-        return self._register(obj, thread_id)
+        return self._register(obj)
 
     def allocate_array(self, elem_kind: Kind, length: int,
                        thread_id: int = 0) -> Ref:
@@ -256,7 +251,7 @@ class Heap:
         obj = HeapObject(self._next_oid, addr, size,
                          elem_kind=elem_kind, length=length)
         self._next_oid += 1
-        return self._register(obj, thread_id)
+        return self._register(obj)
 
     # ------------------------------------------------------------------
     def get(self, ref: Ref) -> HeapObject:

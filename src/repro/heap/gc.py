@@ -1,59 +1,32 @@
-"""Stop-the-world mark-compact garbage collector.
+"""Stop-the-world tracing collectors: the shared ``collect`` and the
+sliding mark-compact policy.
 
-The collector reproduces the two observable behaviours DJXPerf's GC
+Every collector reproduces the two observable behaviours DJXPerf's GC
 handling (paper §4.5) is built on:
 
-* **object movement happens through ``memmove``** — every compaction move
-  is emitted as a ``(src, dst, size)`` event, which a profiler can
-  interpose on exactly as DJXPerf overloads ``memmove`` in OpenJDK;
+* **object movement happens through ``memmove``** — every relocation
+  is reported as a ``(src, dst, size)`` :class:`GcMoveEvent`, which a
+  profiler can interpose on exactly as DJXPerf overloads ``memmove`` in
+  OpenJDK;
 * **``finalize`` runs before reclamation** — every dead object's
-  ``(oid, addr, size)`` is reported before its memory is reused, which is
-  how DJXPerf learns to drop splay-tree intervals.
+  ``(oid, addr, size)`` is reported as a :class:`GcFinalizeEvent` before
+  its memory is reused, which is how DJXPerf learns to drop splay-tree
+  intervals.
 
-On completion the collector emits an MXBean-style *GC notification*
-(the ``GARBAGE_COLLECTION_NOTIFICATION`` analogue) so subscribers can do
-their batched bookkeeping.
+On completion the collector reports an MXBean-style
+:class:`GcNotifyEvent` (the ``GARBAGE_COLLECTION_NOTIFICATION``
+analogue) so subscribers can do their batched bookkeeping.  The
+collector reports each fact by direct call to one :class:`GcObserver`
+(the machine, which publishes the events onto its bus unchanged).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Set
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Set, Tuple
 
-from repro.heap.allocator import Heap, HeapObject
-
-
-@dataclass(frozen=True)
-class MemmoveEvent:
-    """One object move performed during compaction."""
-
-    oid: int
-    src: int
-    dst: int
-    size: int
-
-
-@dataclass(frozen=True)
-class FinalizeEvent:
-    """One object about to be reclaimed."""
-
-    oid: int
-    addr: int
-    size: int
-    type_name: str
-
-
-@dataclass(frozen=True)
-class GcNotification:
-    """MXBean-style summary emitted after each completed collection."""
-
-    gc_id: int
-    reclaimed_objects: int
-    reclaimed_bytes: int
-    moved_objects: int
-    moved_bytes: int
-    live_bytes: int
-    pause_cycles: int
+from repro.heap.allocator import Heap
+from repro.obs.events import GcFinalizeEvent, GcMoveEvent, GcNotifyEvent
 
 
 @dataclass(frozen=True)
@@ -91,52 +64,90 @@ class GcStats:
 RootsProvider = Callable[[], Iterable[int]]
 
 
-class MarkCompactCollector:
-    """Sliding mark-compact collector over a :class:`Heap`.
+class GcObserver:
+    """What a collector reports, one method per fact, in collection
+    order.  :class:`~repro.jvm.machine.Machine` implements it."""
 
-    Attach with ``heap.collector = collector`` (done by the constructor)
-    so allocation failures trigger collection automatically.
+    def gc_start(self, gc_id: int) -> None:
+        """A collection begins (before marking)."""
+
+    def gc_finalize(self, event: GcFinalizeEvent) -> None:
+        """A finalizable dead object, still in ``heap.objects``."""
+
+    def gc_move(self, event: GcMoveEvent) -> None:
+        """A survivor was relocated (its ``addr`` is already ``dst``)."""
+
+    def gc_notify(self, event: GcNotifyEvent) -> None:
+        """The collection is complete and its stats are recorded."""
+
+
+class TracingCollector:
+    """Stop-the-world mark, finalize and relocate over a :class:`Heap`.
+
+    Subclasses supply :meth:`_relocate`, the only step in which
+    collection policies differ.  Attaching sets ``heap.collector`` so
+    allocation failures trigger collection automatically.
     """
 
     def __init__(self, heap: Heap, roots_provider: RootsProvider,
+                 observer: GcObserver,
                  cost_model: Optional[GcCostModel] = None) -> None:
         self.heap = heap
         self.roots_provider = roots_provider
+        self.observer = observer
         self.cost_model = cost_model or GcCostModel()
         self.stats = GcStats()
-        # Event subscribers, in the order DJXPerf consumes them.
-        self.on_gc_start: List[Callable[[int], None]] = []
-        self.on_memmove: List[Callable[[MemmoveEvent], None]] = []
-        self.on_finalize: List[Callable[[FinalizeEvent], None]] = []
-        self.on_gc_end: List[Callable[[int], None]] = []
-        self.on_notification: List[Callable[[GcNotification], None]] = []
         heap.collector = self
 
     # ------------------------------------------------------------------
     def _mark(self) -> Set[int]:
         """Trace the object graph from the roots; returns live oids."""
+        objects = self.heap.objects
         live: Set[int] = set()
         stack: List[int] = [oid for oid in self.roots_provider()
-                            if oid in self.heap.objects]
+                            if oid in objects]
         while stack:
             oid = stack.pop()
             if oid in live:
                 continue
             live.add(oid)
-            obj = self.heap.objects.get(oid)
+            obj = objects.get(oid)
             if obj is None:
                 continue
             for child in obj.referenced_oids():
-                if child not in live and child in self.heap.objects:
+                if child not in live and child in objects:
                     stack.append(child)
         return live
 
-    def collect(self, reason: str = "explicit") -> GcNotification:
+    def _slide_to(self, top: int) -> Tuple[int, int]:
+        """Move the survivors, in address order, to consecutive addresses
+        from ``top``, reporting each move; leaves the heap's bump
+        pointer after the last one.  Returns (moved objects, bytes)."""
+        gc_move = self.observer.gc_move
+        moved_objects = 0
+        moved_bytes = 0
+        for obj in self.heap.live_objects_in_address_order():
+            if obj.addr != top:
+                event = GcMoveEvent(obj.oid, src=obj.addr, dst=top,
+                                    size=obj.size)
+                obj.addr = top
+                moved_objects += 1
+                moved_bytes += obj.size
+                gc_move(event)
+            top += obj.size
+        self.heap._top = top
+        return moved_objects, moved_bytes
+
+    def _relocate(self) -> Tuple[int, int]:
+        """Place the survivors; returns (moved objects, moved bytes)."""
+        raise NotImplementedError
+
+    def collect(self, reason: str = "explicit") -> GcNotifyEvent:
         """Run one full stop-the-world collection."""
         heap = self.heap
+        observer = self.observer
         gc_id = self.stats.collections + 1
-        for cb in self.on_gc_start:
-            cb(gc_id)
+        observer.gc_start(gc_id)
 
         live = self._mark()
 
@@ -145,50 +156,39 @@ class MarkCompactCollector:
         reclaimed_bytes = 0
         for obj in dead:
             if obj.finalizable:
-                event = FinalizeEvent(obj.oid, obj.addr, obj.size,
-                                      obj.type_name)
-                for cb in self.on_finalize:
-                    cb(event)
+                observer.gc_finalize(GcFinalizeEvent(
+                    obj.oid, obj.addr, obj.size, obj.type_name))
             reclaimed_bytes += obj.size
             del heap.objects[obj.oid]
 
-        # Slide the survivors down, preserving address order.
-        moved_objects = 0
-        moved_bytes = 0
-        top = heap.base
-        for obj in heap.live_objects_in_address_order():
-            if obj.addr != top:
-                event = MemmoveEvent(obj.oid, src=obj.addr, dst=top,
-                                     size=obj.size)
-                obj.addr = top
-                moved_objects += 1
-                moved_bytes += obj.size
-                for cb in self.on_memmove:
-                    cb(event)
-            top += obj.size
-        heap._top = top
-
+        moved_objects, moved_bytes = self._relocate()
         pause = self.cost_model.pause(len(live), moved_bytes, len(dead))
 
-        self.stats.collections += 1
-        self.stats.reclaimed_objects += len(dead)
-        self.stats.reclaimed_bytes += reclaimed_bytes
-        self.stats.moved_objects += moved_objects
-        self.stats.moved_bytes += moved_bytes
-        self.stats.total_pause_cycles += pause
+        stats = self.stats
+        stats.collections += 1
+        stats.reclaimed_objects += len(dead)
+        stats.reclaimed_bytes += reclaimed_bytes
+        stats.moved_objects += moved_objects
+        stats.moved_bytes += moved_bytes
+        stats.total_pause_cycles += pause
         heap.stats.gc_count += 1
 
-        for cb in self.on_gc_end:
-            cb(gc_id)
-
-        notification = GcNotification(
+        notification = GcNotifyEvent(
             gc_id=gc_id,
             reclaimed_objects=len(dead),
             reclaimed_bytes=reclaimed_bytes,
             moved_objects=moved_objects,
             moved_bytes=moved_bytes,
-            live_bytes=top - heap.base,
+            live_bytes=heap.used,
             pause_cycles=pause)
-        for cb in self.on_notification:
-            cb(notification)
+        observer.gc_notify(notification)
         return notification
+
+
+class MarkCompactCollector(TracingCollector):
+    """Sliding mark-compact: survivors slide down to the heap base,
+    preserving address order; only objects with garbage below them
+    move."""
+
+    def _relocate(self) -> Tuple[int, int]:
+        return self._slide_to(self.heap.base)

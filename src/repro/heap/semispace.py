@@ -5,28 +5,26 @@ the off-the-shelf JVM because it only relies on two observables:
 ``memmove`` for moves and ``finalize`` before reclamation.  The
 mark-compact collector moves only objects with garbage below them; a
 copying collector moves **every** survivor on **every** collection —
-the adversarial case for the relocation map.  This implementation
-emits the same event protocol as
-:class:`~repro.heap.gc.MarkCompactCollector`, so profilers cannot tell
-(and must not need to know) which collector is running.
+the adversarial case for the relocation map.  Marking, finalization,
+stats and the notification are :class:`~repro.heap.gc.TracingCollector`'s,
+so profilers cannot tell (and must not need to know) which collector is
+running; this module supplies only the space split and the evacuation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Set
+from typing import Optional, Tuple
 
 from repro.heap.allocator import Heap
 from repro.heap.gc import (
-    FinalizeEvent,
     GcCostModel,
-    GcNotification,
-    GcStats,
-    MemmoveEvent,
+    GcObserver,
     RootsProvider,
+    TracingCollector,
 )
 
 
-class SemispaceCollector:
+class SemispaceCollector(TracingCollector):
     """Cheney-style copying collector over a :class:`Heap`.
 
     The heap is split into two equal spaces; allocation bumps through
@@ -36,111 +34,29 @@ class SemispaceCollector:
     """
 
     def __init__(self, heap: Heap, roots_provider: RootsProvider,
+                 observer: GcObserver,
                  cost_model: Optional[GcCostModel] = None) -> None:
-        self.heap = heap
-        self.roots_provider = roots_provider
-        self.cost_model = cost_model or GcCostModel()
-        self.stats = GcStats()
-        self.on_gc_start: List[Callable[[int], None]] = []
-        self.on_memmove: List[Callable[[MemmoveEvent], None]] = []
-        self.on_finalize: List[Callable[[FinalizeEvent], None]] = []
-        self.on_gc_end: List[Callable[[int], None]] = []
-        self.on_notification: List[Callable[[GcNotification], None]] = []
-
+        super().__init__(heap, roots_provider, observer, cost_model)
         half = heap.size // 2
         self._space_size = half
         self._spaces = (heap.base, heap.base + half)
         self._active = 0
         # Constrain the bump allocator to the active space.
         heap.limit = self._spaces[0] + half
-        heap.collector = self
 
     @property
     def active_space(self) -> int:
         """Base address of the space currently allocated into."""
         return self._spaces[self._active]
 
-    def _mark(self) -> Set[int]:
-        live: Set[int] = set()
-        stack = [oid for oid in self.roots_provider()
-                 if oid in self.heap.objects]
-        while stack:
-            oid = stack.pop()
-            if oid in live:
-                continue
-            live.add(oid)
-            obj = self.heap.objects.get(oid)
-            if obj is None:
-                continue
-            for child in obj.referenced_oids():
-                if child not in live and child in self.heap.objects:
-                    stack.append(child)
-        return live
-
-    def collect(self, reason: str = "explicit") -> GcNotification:
-        heap = self.heap
-        gc_id = self.stats.collections + 1
-        for cb in self.on_gc_start:
-            cb(gc_id)
-
-        live = self._mark()
-
-        # Finalize + reclaim the dead (they are simply not evacuated).
-        dead = [obj for oid, obj in heap.objects.items() if oid not in live]
-        reclaimed_bytes = 0
-        for obj in dead:
-            if obj.finalizable:
-                event = FinalizeEvent(obj.oid, obj.addr, obj.size,
-                                      obj.type_name)
-                for cb in self.on_finalize:
-                    cb(event)
-            reclaimed_bytes += obj.size
-            del heap.objects[obj.oid]
-
-        # Evacuate every survivor into to-space, preserving address
-        # order (Cheney's scan order over a breadth-first copy also
-        # preserves allocation order for our flat object graph walk).
+    def _relocate(self) -> Tuple[int, int]:
+        # Evacuate every survivor into to-space in address order (every
+        # one moves: no from-space address is a to-space address), then
+        # flip.
         to_space = self._spaces[1 - self._active]
-        moved_objects = 0
-        moved_bytes = 0
-        top = to_space
-        for obj in heap.live_objects_in_address_order():
-            event = MemmoveEvent(obj.oid, src=obj.addr, dst=top,
-                                 size=obj.size)
-            obj.addr = top
-            top += obj.size
-            moved_objects += 1
-            moved_bytes += obj.size
-            for cb in self.on_memmove:
-                cb(event)
-
-        # Flip.
+        moved = self._slide_to(to_space)
         self._active = 1 - self._active
-        heap._top = top
+        heap = self.heap
         heap.base = to_space
         heap.limit = to_space + self._space_size
-
-        pause = self.cost_model.pause(len(live), moved_bytes, len(dead))
-
-        self.stats.collections += 1
-        self.stats.reclaimed_objects += len(dead)
-        self.stats.reclaimed_bytes += reclaimed_bytes
-        self.stats.moved_objects += moved_objects
-        self.stats.moved_bytes += moved_bytes
-        self.stats.total_pause_cycles += pause
-        heap.stats.gc_count += 1
-
-        for cb in self.on_gc_end:
-            cb(gc_id)
-
-        notification = GcNotification(
-            gc_id=gc_id,
-            reclaimed_objects=len(dead),
-            reclaimed_bytes=reclaimed_bytes,
-            moved_objects=moved_objects,
-            moved_bytes=moved_bytes,
-            live_bytes=top - to_space,
-            pause_cycles=pause)
-        for cb in self.on_notification:
-            cb(notification)
-        return notification
+        return moved

@@ -224,10 +224,6 @@ class MethodBuilder:
         self._fixups.append((len(self._code), label))
         return self.emit(op, label)
 
-    @property
-    def current_bci(self) -> int:
-        return len(self._code)
-
     # -- constants & stack ----------------------------------------------
     def iconst(self, value: int) -> "MethodBuilder":
         return self.emit(Op.ICONST, int(value))

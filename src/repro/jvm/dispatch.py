@@ -683,11 +683,11 @@ class FusedCodegenCache:
 
     Source generation and ``compile()`` are the expensive parts of
     :func:`compile_fused`, and they depend only on the method's
-    bytecode, the observation variant, and line-size fast-path
-    eligibility — never on the machine.  A long-lived shard daemon
-    therefore generates each (method, variant) once and replays the
-    per-block code objects for every later job; fleet placement pins a
-    program to one shard, so repeat traffic is almost all warm hits.
+    bytecode and the observation variant — never on the machine.  A
+    long-lived shard daemon therefore generates each (method, variant)
+    once and replays the per-block code objects for every later job;
+    fleet placement pins a program to one shard, so repeat traffic is
+    almost all warm hits.
     Bounded LRU: eviction only costs a regeneration.  Arguments are
     keyed by type and ``repr``, not equality: ``0.0`` and ``-0.0``
     bind different constants, and a rebuilt NaN must still hit.
@@ -700,18 +700,18 @@ class FusedCodegenCache:
         self._entries: "OrderedDict[tuple, _FusedArtifact]" = OrderedDict()
 
     @staticmethod
-    def key_for(method, observed: bool, fast_ok: bool) -> tuple:
+    def key_for(method, observed: bool) -> tuple:
         code = method.code
-        return (method.qualified_name, bool(observed), bool(fast_ok),
+        return (method.qualified_name, bool(observed),
                 tuple([ins.op for ins in code]),
                 tuple([type(a) for ins in code for a in ins.args]),
                 repr([ins.args for ins in code]))
 
-    def get(self, method, observed: bool, fast_ok: bool,
+    def get(self, method, observed: bool,
             counts: Optional[Dict[str, int]] = None) -> _FusedArtifact:
         """The method's artifact, generated on a miss.  ``counts`` (the
         calling machine's ``warm`` tally) records the lookup too."""
-        key = self.key_for(method, observed, fast_ok)
+        key = self.key_for(method, observed)
         art = self._entries.get(key)
         if counts is not None:
             counts["hits" if art is not None else "misses"] += 1
@@ -720,7 +720,7 @@ class FusedCodegenCache:
             self._entries.move_to_end(key)
             return art
         self.misses += 1
-        art = _generate_fused(method, observed, fast_ok)
+        art = _generate_fused(method, observed)
         self._entries[key] = art
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -748,8 +748,7 @@ def reset_warm_cache() -> None:
     _CODEGEN_CACHE.clear()
 
 
-def _generate_fused(method, observed: bool,
-                    fast_ok: bool) -> _FusedArtifact:
+def _generate_fused(method, observed: bool) -> _FusedArtifact:
     """Generate and compile a method's superinstructions, block by block.
 
     Everything here is machine-independent; :func:`compile_fused`
@@ -1095,8 +1094,7 @@ def _generate_fused(method, observed: bool,
                 wclass = "False"
             else:
                 wclass = "None"
-        guarded = observed and accesses and fast_ok
-        chain = observed and accesses
+        guarded = observed and accesses
 
         src.append(f"def _sf_{start}(thread, frame):")
         src.append("    ipc = 0")
@@ -1109,16 +1107,12 @@ def _generate_fused(method, observed: bool,
                        f"and _bb(thread.tid, {wclass}) "
                        f">= {len(accesses)}):")
             body_ind = "            "
-        elif chain:
-            body_ind = None     # chain-only (tiny lines; fast_ok False)
         else:
             body_ind = "        "
-        if body_ind is not None:
-            src.extend(gen_fast_body(block, start, body_ind, guarded))
-        if chain:
-            if guarded:
-                src.append("        _fusion.guard_bailouts += 1")
-                src.append("        ipc = 0")
+        src.extend(gen_fast_body(block, start, body_ind, guarded))
+        if guarded:
+            src.append("        _fusion.guard_bailouts += 1")
+            src.append("        ipc = 0")
             for j in range(len(block) - 1):
                 if j:
                     src.append(f"        ipc = {j}")
@@ -1168,13 +1162,9 @@ def compile_fused(machine, runtime, table: List[Handler],
     qname = method.qualified_name
     heap = machine.heap
     bus = machine.bus
-    # The inlined fast bodies classify every access as single-line,
-    # which the heap layout guarantees (8-byte accesses at 8-aligned
-    # addresses) only when a cache line holds at least one element.
-    fast_ok = machine._line_size >= 8
 
     fused: List[FusedEntry] = [None] * len(method.code)
-    art = _CODEGEN_CACHE.get(method, observed, fast_ok, machine.warm)
+    art = _CODEGEN_CACHE.get(method, observed, machine.warm)
     if not art.code:
         return fused
 

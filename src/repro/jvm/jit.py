@@ -10,8 +10,8 @@ scheme and the interpreted-vs-compiled cost difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 from repro.jvm.classfile import JMethod
 
@@ -77,16 +77,18 @@ class MethodTable:
 
     The JVMTI layer resolves method IDs back to (class, method, version)
     through :meth:`resolve` — the ``GetMethodName`` analogue.
+    ``on_compile`` is called with the MethodRuntime after each compile
+    (the JVMTI CompiledMethodLoad analogue; the machine publishes it).
     """
 
-    def __init__(self, config: Optional[JitConfig] = None) -> None:
+    def __init__(self, config: Optional[JitConfig] = None,
+                 on_compile: Optional[Callable[[MethodRuntime], None]] = None
+                 ) -> None:
         self.config = config or JitConfig()
         self._next_id = 1
         self._runtimes: Dict[str, MethodRuntime] = {}
         self._by_id: Dict[int, MethodRuntime] = {}
-        #: Subscribers called with the MethodRuntime after each compile
-        #: (the JVMTI CompiledMethodLoad analogue).
-        self.on_compile: List[Callable[[MethodRuntime], None]] = []
+        self.on_compile = on_compile
 
     def register(self, method: JMethod) -> MethodRuntime:
         if method.name in self._runtimes:
@@ -143,11 +145,6 @@ class MethodTable:
         # Historic IDs must stay resolvable: samples taken before the
         # compile still carry the old ID.
         self._by_id[old_id] = runtime
-        for cb in self.on_compile:
-            cb(runtime)
+        if self.on_compile is not None:
+            self.on_compile(runtime)
         return self.config.compile_pause_cycles
-
-    def cost_per_instruction(self, runtime: MethodRuntime) -> int:
-        if runtime.compiled:
-            return self.config.jit_cycles_per_instruction
-        return self.config.interp_cycles_per_instruction

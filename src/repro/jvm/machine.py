@@ -7,15 +7,16 @@ simulated Java threads under a deterministic round-robin scheduler.
 
 Profilers interact with the machine exactly the way DJXPerf interacts
 with a JVM + Linux: through the machine's observation
-:class:`~repro.obs.bus.EventBus`.  The machine publishes typed events —
-thread start/end, allocations (via the default ``_djx_on_alloc``
-native), GC memmove/finalize/notification, JIT compiles — and flushes
-batches to subscribed collectors at scheduler-quantum boundaries.  The
-bus also hosts the per-thread virtualised PMU: the access stream is
-counted synchronously against armed samplers (PEBS), publishing
-SampleEvents on overflow.  Raw low-level callback lists
-(``on_thread_start``/``on_thread_end``) remain for JVMTI-style direct
-subscriptions that need the live thread object.
+:class:`~repro.obs.bus.EventBus`, the only way events leave it.  The
+substrates report to the machine by direct call — the collector through
+the :class:`~repro.heap.gc.GcObserver` methods, the method table through
+its compile callable — and the machine publishes typed events (thread
+start/end, allocations via the default ``_djx_on_alloc`` native, GC
+memmove/finalize/notification, JIT compiles), flushing batches to
+subscribed collectors at scheduler-quantum boundaries.  The bus also
+hosts the per-thread virtualised PMU: the access stream is counted
+synchronously against armed samplers (PEBS), publishing SampleEvents on
+overflow.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.heap.allocator import Heap, HeapObject, Ref
-from repro.heap.gc import (
-    FinalizeEvent,
-    GcCostModel,
-    GcNotification,
-    MarkCompactCollector,
-    MemmoveEvent,
-)
+from repro.heap.gc import GcCostModel, MarkCompactCollector
 from repro.heap.layout import JClass, Kind
 from repro.jvm.classfile import JProgram
 from repro.jvm.interpreter import (
@@ -171,16 +166,17 @@ class Machine:
         self.heap = Heap(size=cfg.heap_size, base=cfg.heap_base)
         if cfg.gc_policy == "mark-compact":
             self.collector = MarkCompactCollector(
-                self.heap, self._gc_roots, cfg.gc_cost)
+                self.heap, self._gc_roots, self, cfg.gc_cost)
         elif cfg.gc_policy == "semispace":
             from repro.heap.semispace import SemispaceCollector
             self.collector = SemispaceCollector(
-                self.heap, self._gc_roots, cfg.gc_cost)
+                self.heap, self._gc_roots, self, cfg.gc_cost)
         else:
             raise ValueError(
                 f"unknown gc_policy {cfg.gc_policy!r}; "
                 f"expected 'mark-compact' or 'semispace'")
-        self.method_table = MethodTable(cfg.jit)
+        self.method_table = MethodTable(cfg.jit,
+                                        on_compile=self._publish_jit_compile)
         self.method_table.register_program(program)
         #: Superinstruction counters; created before the interpreter so
         #: fused-table compilation can always bind it.
@@ -204,27 +200,12 @@ class Machine:
         self._native_roots: List[Ref] = []
 
         # Observation: the event bus carries every profiler-visible
-        # event; the raw callback lists remain for JVMTI-style direct
-        # subscriptions (thread objects, not events).
+        # event.
         self.bus = EventBus()
         self.bus.skip_ahead = cfg.skip_ahead
-        self.on_thread_start: List[Callable[[JavaThread], None]] = []
-        self.on_thread_end: List[Callable[[JavaThread], None]] = []
 
         self.natives: Dict[str, NativeImpl] = {}
         self._register_default_natives()
-
-        self.collector.on_notification.append(self._charge_gc_pause)
-        # A moving collection invalidates every watched address.
-        self.collector.on_gc_start.append(
-            lambda _gc_id: self.bus.disarm_watches())
-        # GC compaction pollutes the caches of the collecting CPU.
-        self.collector.on_memmove.append(self._gc_pollute_caches)
-        # Republish GC and JIT observables onto the bus.
-        self.collector.on_memmove.append(self._publish_gc_move)
-        self.collector.on_finalize.append(self._publish_gc_finalize)
-        self.collector.on_notification.append(self._publish_gc_notification)
-        self.method_table.on_compile.append(self._publish_jit_compile)
 
     # ------------------------------------------------------------------
     # Statics
@@ -423,57 +404,45 @@ class Machine:
             roots.append(ref.oid)
         return roots
 
-    def _charge_gc_pause(self, notification) -> None:
-        for thread in self.threads:
-            if thread.alive:
-                thread.cycles += notification.pause_cycles
+    # The collector's GcObserver: what the machine does with each fact
+    # before publishing the collector's event unchanged.
+    def gc_start(self, gc_id: int) -> None:
+        # A moving collection invalidates every watched address.
+        self.bus.disarm_watches()
 
-    def _gc_pollute_caches(self, event: MemmoveEvent) -> None:
-        thread = self._current_thread
-        if thread is None:
-            return
-        line = self._line_size
-        # The collector streams through both source and destination,
+    def gc_finalize(self, event: GcFinalizeEvent) -> None:
+        if self.bus._contents_wanted:   # read before the object leaves
+            self._publish_content(self.heap.objects[event.oid])
+        self.bus.publish(event)
+
+    def gc_move(self, event: GcMoveEvent) -> None:
+        # GC copying pollutes the caches of the collecting CPU: the
+        # collector streams through both source and destination,
         # interleaved as the copy loop would.  The pooled entry point is
         # used because the results are discarded (only the cache/TLB
         # state perturbation matters); it runs identically with the
         # fast path disabled.
-        access = self.hierarchy.access_hot
-        cpu = thread.cpu
-        for offset in range(0, event.size, line):
-            access(cpu, event.src + offset, 8, False)
-            access(cpu, event.dst + offset, 8, True)
+        thread = self._current_thread
+        if thread is not None:
+            access = self.hierarchy.access_hot
+            cpu = thread.cpu
+            for offset in range(0, event.size, self._line_size):
+                access(cpu, event.src + offset, 8, False)
+                access(cpu, event.dst + offset, 8, True)
+        self.bus.publish(event)
 
-    def _publish_gc_move(self, event: MemmoveEvent) -> None:
-        if not self.bus.active:
-            return
-        self.bus.publish(GcMoveEvent(oid=event.oid, src=event.src,
-                                     dst=event.dst, size=event.size))
+    def gc_notify(self, event: GcNotifyEvent) -> None:
+        # Stop-the-world: every live thread pays the pause.
+        for thread in self.threads:
+            if thread.alive:
+                thread.cycles += event.pause_cycles
+        self.bus.publish(event)
 
     def _publish_content(self, obj: HeapObject) -> None:
         values = obj.elements if obj.elements is not None \
             else obj.fields.values()
         self.bus.publish(ObjectContentEvent(addr=obj.addr,
                                             digest=content_digest(values)))
-
-    def _publish_gc_finalize(self, event: FinalizeEvent) -> None:
-        if not self.bus.active:
-            return
-        if self.bus._contents_wanted:
-            self._publish_content(self.heap.objects[event.oid])
-        self.bus.publish(GcFinalizeEvent(oid=event.oid, addr=event.addr,
-                                         size=event.size,
-                                         type_name=event.type_name))
-
-    def _publish_gc_notification(self, notification: GcNotification) -> None:
-        self.bus.publish(GcNotifyEvent(
-            gc_id=notification.gc_id,
-            reclaimed_objects=notification.reclaimed_objects,
-            reclaimed_bytes=notification.reclaimed_bytes,
-            moved_objects=notification.moved_objects,
-            moved_bytes=notification.moved_bytes,
-            live_bytes=notification.live_bytes,
-            pause_cycles=notification.pause_cycles))
 
     def _publish_jit_compile(self, runtime) -> None:
         self.bus.publish(JitCompileEvent(
@@ -550,14 +519,10 @@ class Machine:
             thread.frames.append(Frame(runtime, list(entry.args)))
             thread.state = ThreadState.RUNNABLE
             self.threads.append(thread)
-            for cb in self.on_thread_start:
-                cb(thread)
             self.bus.thread_started(thread)
         self._started = True
 
     def on_thread_finished(self, thread: JavaThread) -> None:
-        for cb in self.on_thread_end:
-            cb(thread)
         self.bus.thread_ended(thread)
 
     def run(self, max_instructions: Optional[int] = None) -> MachineResult:

@@ -1,5 +1,5 @@
-"""JVMTI-style tool interface for profiling agents."""
+"""JVMTI-style method resolution for profiling agents."""
 
-from repro.jvmti.agent_iface import CallFrame, JvmtiEnv, MethodInfo
+from repro.jvmti.agent_iface import JvmtiEnv, MethodInfo
 
-__all__ = ["CallFrame", "JvmtiEnv", "MethodInfo"]
+__all__ = ["JvmtiEnv", "MethodInfo"]

@@ -123,6 +123,12 @@ class MemoryHierarchy:
         self.topology = topology or NumaTopology()
         self.config = config or HierarchyConfig()
         cfg = self.config
+        if cfg.line_size < 8:
+            # A line holds at least one heap word, so every 8-aligned
+            # 8-byte access is single-line (the fused fast bodies rely
+            # on it).
+            raise ValueError(
+                f"line_size must be at least 8 bytes, got {cfg.line_size}")
         self.page_table = PageTable(self.topology, page_size=cfg.page_size)
         self.l1: List[Cache] = [
             Cache(f"L1d#{c}", cfg.l1_size, cfg.l1_assoc, cfg.line_size)

@@ -45,7 +45,7 @@ from repro.optim.advice import Advice, AdviceThresholds, advise
 from repro.optim.transforms import KIND_TRANSFORMS, TRANSFORMS, transforms_for
 from repro.serve.regress import RegressPolicy, regress_analyses
 from repro.workloads.base import Workload, get_workload
-from repro.workloads.runner import profile_program
+from repro.workloads.runner import profile_program, resolve_machine_config
 
 #: Verdict states.
 ACCEPTED = "accepted"
@@ -184,15 +184,6 @@ class OptimizationVerdict:
         return "\n".join(lines)
 
 
-def _machine_config(workload: Workload,
-                    machine_config: Optional[MachineConfig],
-                    seed: Optional[int]) -> MachineConfig:
-    config = machine_config or workload.machine_config()
-    if seed is not None and config.seed != seed:
-        config = dataclasses.replace(config, seed=seed)
-    return config
-
-
 def _site_metric(analysis, advice: Advice, event: str) -> int:
     leaf = advice.site.leaf
     if leaf is None:
@@ -231,7 +222,7 @@ def optimize_workload(workload: Union[str, Workload],
     # boxes and records the default 1 KiB reporting threshold hides.
     config = config or DjxConfig(size_threshold=0)
     policy = policy or RegressPolicy()
-    mconfig = _machine_config(workload, machine_config, seed)
+    mconfig = resolve_machine_config(workload, machine_config, seed)
     program = workload.build_verified(variant)
 
     native_base = Machine(program.clone(), mconfig).run()

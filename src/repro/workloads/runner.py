@@ -29,9 +29,9 @@ from repro.workloads.base import Workload
 DEFAULT_FAMILY = "djxperf"
 
 
-def _resolve_machine_config(workload: Workload,
-                            machine_config: Optional[MachineConfig],
-                            seed: Optional[int]) -> MachineConfig:
+def resolve_machine_config(workload: Workload,
+                           machine_config: Optional[MachineConfig],
+                           seed: Optional[int]) -> MachineConfig:
     """The workload's machine config, with ``seed`` overriding if given."""
     config = machine_config or workload.machine_config()
     if seed is not None and config.seed != seed:
@@ -69,7 +69,7 @@ def run_native(workload: Workload, variant: str = "baseline",
     workload.check_variant(variant)
     program = workload.build_verified(variant)
     machine = Machine(program,
-                      _resolve_machine_config(workload, machine_config, seed))
+                      resolve_machine_config(workload, machine_config, seed))
     return machine.run()
 
 
@@ -137,7 +137,7 @@ def run_profiled(workload: Workload, variant: str = "baseline",
     workload.check_variant(variant)
     return profile_program(
         workload.build_verified(variant),
-        _resolve_machine_config(workload, machine_config, seed),
+        resolve_machine_config(workload, machine_config, seed),
         config=config, trace_path=trace_path,
         trace_accesses=trace_accesses, family=family,
         trace_meta={"workload": workload.name, "variant": variant,

@@ -62,13 +62,6 @@ class TestAllocation:
         heap.allocate_array(Kind.INT, 100)
         assert heap.stats.peak_used == heap.used
 
-    def test_alloc_hooks_invoked(self):
-        heap = Heap(size=4096)
-        seen = []
-        heap.alloc_hooks.append(lambda obj, tid: seen.append((obj.oid, tid)))
-        ref = heap.allocate_instance(POINT, thread_id=7)
-        assert seen == [(ref.oid, 7)]
-
     def test_invalid_heap_size(self):
         with pytest.raises(ValueError):
             Heap(size=0)

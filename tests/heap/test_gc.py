@@ -1,4 +1,11 @@
-"""Unit tests for the mark-compact collector."""
+"""Unit tests for the tracing collectors.
+
+Marking, finalization, stats and the notification are written once, in
+:class:`~repro.heap.gc.TracingCollector`, so their tests run against
+both collectors: each ``Test*`` class below checks mark-compact and its
+``*Semispace`` subclass checks semispace.  Relocation is per policy:
+mark-compact's is tested here, semispace's in ``test_semispace.py``.
+"""
 
 import pytest
 
@@ -10,32 +17,32 @@ from repro.heap import (
     Kind,
     MarkCompactCollector,
     OutOfMemoryError,
+    SemispaceCollector,
 )
+
+from tests.heap.helpers import RecordingObserver, RootSet
 
 POINT = JClass("Point", [FieldSpec("x"), FieldSpec("y")])
 NODE = JClass("Node", [FieldSpec("next", Kind.REF), FieldSpec("value")])
 
 
-class RootSet:
-    """Mutable root set used by tests as a roots provider."""
-
-    def __init__(self):
-        self.refs = []
-
-    def __call__(self):
-        return [r.oid for r in self.refs]
-
-
-def make_heap(size=4096):
+def make_heap(size=4096, collector_class=MarkCompactCollector):
     heap = Heap(size=size)
     roots = RootSet()
-    collector = MarkCompactCollector(heap, roots)
+    collector = collector_class(heap, roots, RecordingObserver())
     return heap, roots, collector
 
 
-class TestReclamation:
+class CollectorCase:
+    collector_class = MarkCompactCollector
+
+    def make_heap(self):
+        return make_heap(collector_class=self.collector_class)
+
+
+class TestReclamation(CollectorCase):
     def test_unreachable_objects_reclaimed(self):
-        heap, roots, collector = make_heap()
+        heap, roots, collector = self.make_heap()
         heap.allocate_instance(POINT)            # unreachable
         kept = heap.allocate_instance(POINT)
         roots.refs.append(kept)
@@ -45,7 +52,7 @@ class TestReclamation:
         assert heap.get(kept) is not None
 
     def test_reachable_through_field_chain_survives(self):
-        heap, roots, collector = make_heap()
+        heap, roots, collector = self.make_heap()
         a = heap.allocate_instance(NODE)
         b = heap.allocate_instance(NODE)
         c = heap.allocate_instance(NODE)
@@ -56,7 +63,7 @@ class TestReclamation:
         assert len(heap) == 3
 
     def test_reachable_through_ref_array_survives(self):
-        heap, roots, collector = make_heap()
+        heap, roots, collector = self.make_heap()
         arr = heap.allocate_array(Kind.REF, 2)
         p = heap.allocate_instance(POINT)
         heap.get(arr).set_element(0, p)
@@ -65,7 +72,7 @@ class TestReclamation:
         assert len(heap) == 2
 
     def test_cycle_is_collected_when_unrooted(self):
-        heap, roots, collector = make_heap()
+        heap, roots, collector = self.make_heap()
         a = heap.allocate_instance(NODE)
         b = heap.allocate_instance(NODE)
         heap.get(a).set_field("next", b)
@@ -75,26 +82,36 @@ class TestReclamation:
         assert len(heap) == 0
 
     def test_finalize_emitted_before_reclaim(self):
-        heap, roots, collector = make_heap()
+        heap, roots, collector = self.make_heap()
         dead = heap.allocate_instance(POINT)
         dead_obj = heap.get(dead)
-        events = []
-        collector.on_finalize.append(events.append)
+        present = []
+
+        class Observer(RecordingObserver):
+            def gc_finalize(self, event):
+                present.append(event.oid in heap.objects)
+                super().gc_finalize(event)
+
+        collector.observer = Observer()
         collector.collect()
+        assert present == [True]
+        events = collector.observer.events("finalize")
         assert len(events) == 1
         assert events[0].oid == dead.oid
         assert events[0].addr == dead_obj.addr
         assert events[0].size == dead_obj.size
 
     def test_non_finalizable_objects_skip_finalize_event(self):
-        heap, roots, collector = make_heap()
+        heap, roots, collector = self.make_heap()
         dead = heap.allocate_instance(POINT)
         heap.get(dead).finalizable = False
-        events = []
-        collector.on_finalize.append(events.append)
         note = collector.collect()
-        assert events == []
+        assert collector.observer.events("finalize") == []
         assert note.reclaimed_objects == 1
+
+
+class TestReclamationSemispace(TestReclamation):
+    collector_class = SemispaceCollector
 
 
 class TestCompaction:
@@ -104,9 +121,8 @@ class TestCompaction:
         kept = heap.allocate_instance(POINT)
         old_addr = heap.get(kept).addr
         roots.refs.append(kept)
-        moves = []
-        collector.on_memmove.append(moves.append)
         collector.collect()
+        moves = collector.observer.events("move")
         new_addr = heap.get(kept).addr
         assert new_addr == heap.base
         assert new_addr < old_addr
@@ -119,10 +135,8 @@ class TestCompaction:
         heap, roots, collector = make_heap()
         kept = heap.allocate_instance(POINT)     # already at base
         roots.refs.append(kept)
-        moves = []
-        collector.on_memmove.append(moves.append)
         collector.collect()
-        assert moves == []
+        assert collector.observer.events("move") == []
 
     def test_address_order_preserved(self):
         heap, roots, collector = make_heap()
@@ -162,18 +176,22 @@ class TestCompaction:
         assert heap.get(kept).get_element(3) == 1234
 
 
-class TestNotificationsAndStats:
+class TestNotificationsAndStats(CollectorCase):
     def test_gc_start_end_ordering(self):
-        heap, roots, collector = make_heap()
-        trace = []
-        collector.on_gc_start.append(lambda gc_id: trace.append(("start", gc_id)))
-        collector.on_gc_end.append(lambda gc_id: trace.append(("end", gc_id)))
-        collector.on_notification.append(lambda n: trace.append(("note", n.gc_id)))
-        collector.collect()
-        assert trace == [("start", 1), ("end", 1), ("note", 1)]
+        heap, roots, collector = self.make_heap()
+        heap.allocate_instance(POINT)            # dead at base
+        kept = heap.allocate_instance(POINT)     # moves
+        roots.refs.append(kept)
+        note = collector.collect()
+        log = collector.observer.log
+        assert [kind for kind, _ in log] == \
+            ["start", "finalize", "move", "notify"]
+        assert log[0] == ("start", 1)
+        assert log[-1] == ("notify", note)
+        assert note.gc_id == 1
 
     def test_notification_counts(self):
-        heap, roots, collector = make_heap()
+        heap, roots, collector = self.make_heap()
         heap.allocate_array(Kind.INT, 16)        # dead at base
         kept = heap.allocate_instance(POINT)
         roots.refs.append(kept)
@@ -189,7 +207,7 @@ class TestNotificationsAndStats:
         assert large > small
 
     def test_stats_accumulate_over_collections(self):
-        heap, roots, collector = make_heap()
+        heap, roots, collector = self.make_heap()
         heap.allocate_instance(POINT)
         collector.collect()
         heap.allocate_instance(POINT)
@@ -197,3 +215,7 @@ class TestNotificationsAndStats:
         assert collector.stats.collections == 2
         assert collector.stats.reclaimed_objects == 2
         assert heap.stats.gc_count == 2
+
+
+class TestNotificationsAndStatsSemispace(TestNotificationsAndStats):
+    collector_class = SemispaceCollector

@@ -16,23 +16,16 @@ from repro.jvm import JProgram, Machine, MachineConfig, MethodBuilder
 
 from repro.workloads.base import sim_machine
 
+from tests.heap.helpers import RecordingObserver, RootSet
 from tests.jvm.helpers import counting_loop
 
 POINT = JClass("Point", [FieldSpec("x"), FieldSpec("y")])
 
 
-class RootSet:
-    def __init__(self):
-        self.refs = []
-
-    def __call__(self):
-        return [r.oid for r in self.refs]
-
-
 def make_heap(size=8192):
     heap = Heap(size=size)
     roots = RootSet()
-    collector = SemispaceCollector(heap, roots)
+    collector = SemispaceCollector(heap, roots, RecordingObserver())
     return heap, roots, collector
 
 
@@ -45,11 +38,9 @@ class TestSemispace:
         heap, roots, collector = make_heap()
         refs = [heap.allocate_instance(POINT) for _ in range(5)]
         roots.refs.extend(refs)
-        moves = []
-        collector.on_memmove.append(moves.append)
         note = collector.collect()
         assert note.moved_objects == 5
-        assert len(moves) == 5
+        assert len(collector.observer.events("move")) == 5
         # Survivors now live in the other space.
         for ref in refs:
             assert heap.get(ref).addr >= collector.active_space
@@ -68,11 +59,9 @@ class TestSemispace:
         heap.allocate_instance(POINT)            # dead
         kept = heap.allocate_instance(POINT)
         roots.refs.append(kept)
-        events = []
-        collector.on_finalize.append(events.append)
         note = collector.collect()
         assert note.reclaimed_objects == 1
-        assert len(events) == 1
+        assert len(collector.observer.events("finalize")) == 1
         assert len(heap) == 1
 
     def test_data_survives_copies(self):

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DJXPerf, DjxConfig
-from repro.heap import FieldSpec, Heap, JClass, Kind, MarkCompactCollector
+from repro.heap import (
+    FieldSpec,
+    GcObserver,
+    Heap,
+    JClass,
+    Kind,
+    MarkCompactCollector,
+)
 from repro.jvm import (
     JProgram,
     Machine,
@@ -95,7 +102,8 @@ class TestGcConsistency:
     def test_random_mutation_sequences(self, script):
         heap = Heap(size=512 * 1024)
         roots = []
-        collector = MarkCompactCollector(heap, lambda: [r.oid for r in roots])
+        collector = MarkCompactCollector(heap, lambda: [r.oid for r in roots],
+                                         GcObserver())
         last = None
         payload = {}
         for step in script:
@@ -130,28 +138,24 @@ class TestGcConsistency:
         final heap layout — the property DJXPerf's 4.5 handling needs."""
         heap = Heap(size=512 * 1024)
         roots = []
-        collector = MarkCompactCollector(heap, lambda: [r.oid for r in roots])
         shadow = {}   # oid -> addr, maintained purely from events
 
-        def on_alloc(obj, tid):
-            shadow[obj.oid] = obj.addr
+        class Shadow(GcObserver):
+            def gc_move(self, event):
+                # The real tool keys by address; oid is used here only
+                # to check the final state.
+                shadow[event.oid] = event.dst
 
-        def on_move(event):
-            # The real tool keys by address; oid is used here only to
-            # check the final state.
-            shadow[event.oid] = event.dst
+            def gc_finalize(self, event):
+                shadow.pop(event.oid, None)
 
-        def on_finalize(event):
-            shadow.pop(event.oid, None)
-
-        heap.alloc_hooks.append(on_alloc)
-        collector.on_memmove.append(on_move)
-        collector.on_finalize.append(on_finalize)
-
+        collector = MarkCompactCollector(heap, lambda: [r.oid for r in roots],
+                                         Shadow())
         last = None
         for step in script:
             if step[0] == "alloc":
                 last = heap.allocate_array(Kind.INT, step[1])
+                shadow[last.oid] = heap.get(last).addr
             elif step[0] == "retain" and last is not None:
                 roots.append(last)
             elif step[0] == "drop" and roots:

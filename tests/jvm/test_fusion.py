@@ -373,27 +373,17 @@ class TestWarmCodegenCache:
         Machine(mixed_program()).warm_dispatch()
         assert warm_cache_stats()["misses"] > misses_one
 
-    def test_machine_config_variants_keyed_separately(self):
-        """fast_ok depends on the machine's line size, so a machine
-        that cannot take the aligned fast path must not reuse an
-        artifact generated for one that can."""
-        from repro.jvm.dispatch import warm_cache_stats
-
-        Machine(array_program()).warm_dispatch()
-        baseline = warm_cache_stats()["misses"]
+    def test_sub_word_cache_line_rejected(self):
+        """Fused bodies treat every 8-aligned 8-byte access as
+        single-line, so a cache line narrower than one heap word is
+        rejected when the machine is built, not compiled around."""
         from repro.memsys.hierarchy import HierarchyConfig
 
-        narrow = Machine(array_program(),
-                         MachineConfig(hierarchy=HierarchyConfig(
-                             line_size=4)))
-        narrow.warm_dispatch()
-        after_narrow = warm_cache_stats()["misses"]
-        assert after_narrow > baseline
-        # A default machine re-warming hits the original artifacts.
-        wide = Machine(array_program())
-        wide.warm_dispatch()
-        assert warm_cache_stats()["misses"] == after_narrow
-        assert wide.run() is not None
+        with pytest.raises(ValueError, match="at least 8 bytes"):
+            Machine(array_program(),
+                    MachineConfig(hierarchy=HierarchyConfig(line_size=4)))
+        Machine(array_program(),
+                MachineConfig(hierarchy=HierarchyConfig(line_size=8))).run()
 
     def test_lru_capacity_bounds_entries(self):
         from repro.jvm.dispatch import FusedCodegenCache
@@ -401,9 +391,9 @@ class TestWarmCodegenCache:
         cache = FusedCodegenCache(capacity=1)
         m_arith = arith_program().methods["main"]
         m_mixed = mixed_program().methods["main"]
-        cache.get(m_arith, True, True)
-        cache.get(m_mixed, True, True)   # evicts arith
-        cache.get(m_arith, True, True)   # recompiles
+        cache.get(m_arith, True)
+        cache.get(m_mixed, True)   # evicts arith
+        cache.get(m_arith, True)   # recompiles
         stats = cache.stats()
         assert stats["entries"] == 1
         assert stats["misses"] == 3
@@ -416,12 +406,12 @@ class TestWarmCodegenCache:
         m_arith = arith_program().methods["main"]
         m_mixed = mixed_program().methods["main"]
         m_field = field_program().methods["main"]
-        cache.get(m_arith, True, True)
-        cache.get(m_mixed, True, True)
-        cache.get(m_arith, True, True)   # touch: arith is now hot
-        cache.get(m_field, True, True)   # evicts mixed, not arith
+        cache.get(m_arith, True)
+        cache.get(m_mixed, True)
+        cache.get(m_arith, True)   # touch: arith is now hot
+        cache.get(m_field, True)   # evicts mixed, not arith
         assert cache.stats() == {"hits": 1, "misses": 3, "entries": 2}
-        cache.get(m_arith, True, True)
+        cache.get(m_arith, True)
         assert cache.stats()["hits"] == 2
 
     def test_reset_clears_entries_and_counters(self):
@@ -466,8 +456,8 @@ class TestWarmCodegenCache:
             return single_method_program(b).methods["main"]
 
         cache = FusedCodegenCache()
-        cache.get(method(), True, True)
-        cache.get(method(), True, True)
+        cache.get(method(), True)
+        cache.get(method(), True)
         assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
 
 
@@ -491,7 +481,7 @@ def test_large_method_codegen_peak_memory_is_bounded():
     cache = FusedCodegenCache(capacity=1)
     tracemalloc.start()
     try:
-        art = cache.get(method, observed=True, fast_ok=True)
+        art = cache.get(method, observed=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -62,9 +62,9 @@ class TestCompilation:
         assert table.resolve(r.method_id) is r
 
     def test_compile_event_fires(self):
-        table = MethodTable(JitConfig(compile_threshold=1))
         events = []
-        table.on_compile.append(events.append)
+        table = MethodTable(JitConfig(compile_threshold=1),
+                            on_compile=events.append)
         r = table.register(trivial_method())
         table.on_invoke(r)
         assert events == [r]
@@ -79,9 +79,9 @@ class TestCompilation:
     def test_cost_drops_after_compile(self):
         table = MethodTable(JitConfig(compile_threshold=1))
         r = table.register(trivial_method())
-        before = table.cost_per_instruction(r)
+        before = r.cycles_per_instruction_cached
         table.on_invoke(r)
-        after = table.cost_per_instruction(r)
+        after = r.cycles_per_instruction_cached
         assert after < before
 
 

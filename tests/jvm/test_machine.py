@@ -127,11 +127,21 @@ class TestThreads:
         assert machine.threads[0].cpu == 3
 
     def test_thread_start_end_callbacks(self):
-        p = self.multi_thread_program(2)
-        machine = Machine(p)
+        from repro.obs.collector import Collector
+
         started, ended = [], []
-        machine.on_thread_start.append(lambda t: started.append(t.tid))
-        machine.on_thread_end.append(lambda t: ended.append(t.tid))
+
+        class Threads(Collector):
+            label = "threads"
+
+            def on_thread_start(self, event):
+                started.append(event.tid)
+
+            def on_thread_end(self, event):
+                ended.append(event.tid)
+
+        machine = Machine(self.multi_thread_program(2))
+        Threads().attach(machine)
         machine.run()
         assert started == [0, 1]
         assert sorted(ended) == [0, 1]

@@ -1,6 +1,5 @@
-"""Tests for the JVMTI-style agent interface."""
-
-import pytest
+"""Tests for the JVMTI-style agent surface: events an agent observes
+arrive on the machine's bus; methods resolve through ``JvmtiEnv``."""
 
 from repro.heap.layout import Kind
 from repro.jvm import (
@@ -10,7 +9,8 @@ from repro.jvm import (
     MachineConfig,
     MethodBuilder,
 )
-from repro.jvmti import CallFrame, JvmtiEnv
+from repro.jvmti import JvmtiEnv
+from repro.obs.collector import Collector
 
 from tests.jvm.helpers import counting_loop
 
@@ -31,15 +31,38 @@ def nested_program():
     return p
 
 
+class Recorder(Collector):
+    """Logs (kind, event) for every thread and GC event it receives."""
+
+    label = "recorder"
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def on_thread_start(self, event):
+        self.log.append(("start", event))
+
+    def on_thread_end(self, event):
+        self.log.append(("end", event))
+
+    def on_gc_move(self, event):
+        self.log.append(("move", event))
+
+    def on_gc_finalize(self, event):
+        self.log.append(("finalize", event))
+
+    def on_gc_notification(self, event):
+        self.log.append(("note", event))
+
+
 class TestCallbacks:
     def test_thread_callbacks(self):
         machine = Machine(nested_program())
-        env = JvmtiEnv(machine)
-        events = []
-        env.on_thread_start(lambda t: events.append(("start", t.tid)))
-        env.on_thread_end(lambda t: events.append(("end", t.tid)))
+        recorder = Recorder().attach(machine)
         machine.run()
-        assert events == [("start", 0), ("end", 0)]
+        assert [(kind, e.tid) for kind, e in recorder.log] == \
+            [("start", 0), ("end", 0)]
 
     def test_gc_callbacks(self):
         p = JProgram()
@@ -50,22 +73,28 @@ class TestCallbacks:
         p.add_builder(b)
         p.add_entry("main")
         machine = Machine(p, MachineConfig(heap_size=32 * 1024))
-        env = JvmtiEnv(machine)
-        events = []
-        env.on_gc_start(lambda gc_id: events.append(("start", gc_id)))
-        env.on_gc_end(lambda gc_id: events.append(("end", gc_id)))
-        env.on_gc_notification(lambda n: events.append(("note", n.gc_id)))
-        machine.run()
-        assert events
-        assert events[0] == ("start", 1)
-        assert ("note", 1) in events
+        recorder = Recorder().attach(machine)
+        result = machine.run()
+        notes = [e for kind, e in recorder.log if kind == "note"]
+        assert [n.gc_id for n in notes] == \
+            list(range(1, result.gc_collections + 1))
+        assert sum(n.pause_cycles for n in notes) == result.gc_pause_cycles
+        # Each collection reports its finalizes, then its moves, then
+        # its notification.
+        kinds = []
+        for kind, event in recorder.log:
+            if kind == "note":
+                assert kinds == ["finalize"] * event.reclaimed_objects \
+                    + ["move"] * event.moved_objects
+                kinds = []
+            elif kind in ("finalize", "move"):
+                kinds.append(kind)
 
 
 class TestAsyncGetCallTrace:
     def test_unwinds_nested_frames(self):
         # PMU samples on the bus carry the path unwound at overflow
         # time (AsyncGetCallTrace from the overflow handler).
-        from repro.obs.collector import Collector
         from repro.pmu.events import ALL_LOADS
 
         machine = Machine(nested_program())
@@ -95,24 +124,22 @@ class TestAsyncGetCallTrace:
 
     def test_trace_is_root_first(self):
         # Capture a trace while inside `inner` via a native hook.
+        # Event paths are the thread's call stack at the event.
         p = nested_program()
-        machine = Machine(p)
-        env = JvmtiEnv(machine)
         captured = []
         # Rebuild inner to call a capture native.
         inner = MethodBuilder("App", "inner", first_line=30)
         inner.native("capture", 0, False).iconst(1).iret()
         p.methods["inner"] = inner.build()
-        machine2 = Machine(p)
-        env2 = JvmtiEnv(machine2)
-        machine2.register_native(
+        machine = Machine(p)
+        env = JvmtiEnv(machine)
+        machine.register_native(
             "capture",
-            lambda call: captured.append(
-                env2.async_get_call_trace(call.thread)))
-        machine2.run()
+            lambda call: captured.append(tuple(call.thread.call_stack())))
+        machine.run()
         assert captured
-        names = [env2.get_method_info(f.method_id).method_name
-                 for f in captured[0]]
+        names = [env.get_method_info(method_id).method_name
+                 for method_id, _bci in captured[0]]
         assert names == ["main", "outer", "inner"]
 
 
@@ -140,21 +167,6 @@ class TestMethodResolution:
         machine = Machine(nested_program())
         env = JvmtiEnv(machine)
         runtime = machine.method_table.runtime("outer")
-        frame = CallFrame(runtime.method_id, 0)
-        assert env.line_of(frame) == 20
-
-
-class TestNumaSurface:
-    def test_move_pages_query(self):
-        machine = Machine(nested_program())
-        env = JvmtiEnv(machine)
-        machine.hierarchy.page_table.touch(0x5000, cpu=0)
-        assert env.move_pages_query([0x5000]) == [0]
-        assert env.move_pages_query([0x999000]) == [None]
-
-    def test_node_of_cpu(self):
-        machine = Machine(nested_program(),
-                          MachineConfig(num_nodes=2, cpus_per_node=4))
-        env = JvmtiEnv(machine)
-        assert env.node_of_cpu(0) == 0
-        assert env.node_of_cpu(5) == 1
+        frame = env.frame_resolver()((runtime.method_id, 0))
+        assert (frame.class_name, frame.method_name, frame.line) == \
+            ("App", "outer", 20)
