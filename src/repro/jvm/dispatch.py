@@ -1,14 +1,27 @@
-"""Compiled bytecode dispatch: per-method tables of handler closures.
+"""Compiled bytecode dispatch: per-method handler tables and fused blocks.
 
-At class-load/JIT time, :func:`compile_dispatch` translates a method's
-instruction list into a table with one *bound handler closure* per
-bytecode — each closure has its opcode's behaviour specialised on the
-decoded arguments (constants folded, branch targets resolved, argument
-tuples unpacked), so :meth:`repro.jvm.interpreter.Interpreter.run_quantum`
-becomes a tight loop over prebuilt callables instead of re-branching on
-``ins.op`` for every step.  This is the simulator analogue of a
-threaded-code interpreter (and of what HotSpot's template interpreter
-does with its per-opcode code stubs).
+At class-load/JIT time each method gets a table with one *bound
+handler* per bytecode, specialised on the decoded arguments (constants,
+branch targets, local slots), so
+:meth:`repro.jvm.interpreter.Interpreter.run_quantum` becomes a tight
+loop over prebuilt callables instead of re-branching on ``ins.op`` for
+every step, plus fused tables that run whole basic blocks as one call
+(see "Superinstruction fusion" below).  This is the simulator analogue
+of a threaded-code interpreter and of HotSpot's template interpreter,
+which defines each bytecode's semantics once as a code template.
+
+Who writes which entry
+----------------------
+Every op's production semantics is written once.  The fusable ops
+(:data:`_FUSABLE_BODY` and :data:`_FUSABLE_TAIL`) are written only by
+the fused-code emitter, :func:`_emit`: it writes the fused blocks and,
+in its *exact-observation mode*, each op's size-1 per-handler entry.
+That mode compiles one template per opcode shape, once per process,
+with the bci, successor, Instruction and operands as parameters, and
+:func:`compile_dispatch` binds a template per bci with
+:class:`types.FunctionType` (operands as argument defaults).  Only the
+ops in :data:`_HAND_WRITTEN` (calls, natives, returns and allocation)
+are hand-written closures in :func:`compile_dispatch`.
 
 Handler protocol
 ----------------
@@ -23,14 +36,16 @@ recursive INVOKE can change by triggering a JIT compile — after every
 Equivalence contract (the fast path must be observationally invisible):
 
 * ``frame.pc`` is only read by observers *during* instruction execution
-  (PMU overflow unwinds, allocation-hook paths).  Handlers whose body
+  (PMU overflow unwinds, allocation-hook paths).  Entries whose body
   can publish an event therefore store their own bci into ``frame.pc``
   before doing the work, exactly matching what the legacy interpreter
-  (which keeps ``frame.pc`` current at all times) would expose.  Pure
-  stack/arithmetic handlers skip the store — nothing can observe the
-  stale value in between.
+  (which keeps ``frame.pc`` current at all times) would expose: the
+  exact-observation mode does so for every memory access, which it
+  routes through :meth:`Machine.memory_access`.  Pure stack/arithmetic
+  entries skip the store — nothing can observe the stale value in
+  between.
 * One handler table serves every stretch, observed or not; the values
-  its memory handlers pass to :meth:`Machine.memory_access` matter
+  its memory entries pass to :meth:`Machine.memory_access` matter
   only while a sampler is armed (they arm watchpoints).  Only the fused
   tables come in an observed and an unobserved variant (see "Guard
   protocol" below); the interpreter re-picks the variant each stretch,
@@ -48,213 +63,66 @@ Equivalence contract (the fast path must be observationally invisible):
 
 from __future__ import annotations
 
+import builtins
 import re
 
 from collections import OrderedDict
+from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.heap.allocator import Ref
 from repro.heap.layout import Kind
-from repro.jvm.bytecode import Instruction, Op
+from repro.jvm.bytecode import BRANCH_OPS, Instruction, Op
 
 #: A compiled instruction: (thread, frame) -> next pc, or -1 on frame switch.
 Handler = Callable[[object, object], int]
+
+#: A fused-table entry: ``(closure, instruction_count)`` at a block
+#: leader, ``None`` everywhere else.  Closures never return -1.
+FusedEntry = Optional[Tuple[Handler, int]]
+
+
+def compile_tables(machine, runtime, observed) -> List[FusedEntry]:
+    """Build what ``runtime`` lacks of its production tables — the
+    dispatch table and the ``observed`` fused variant — and return
+    that fused table.
+
+    Tables are cached on the runtime and survive JIT recompilations
+    because the bytecode is immutable.
+    """
+    table = runtime.dispatch_table
+    if table is None:
+        table = runtime.dispatch_table = compile_dispatch(machine, runtime)
+    attr = "fused_table_observed" if observed else "fused_table"
+    fused = getattr(runtime, attr)
+    if fused is None:
+        fused = compile_fused(machine, runtime, table, observed)
+        setattr(runtime, attr, fused)
+    return fused
 
 
 def compile_dispatch(machine, runtime) -> List[Handler]:
     """Build a handler table for ``runtime``'s method.
 
-    Cached on ``runtime.dispatch_table`` by the interpreter; safe to
-    reuse across JIT recompilations because the bytecode is immutable.
+    Fusable ops get their exact-observation template bound to the bci;
+    the :data:`_HAND_WRITTEN` ops get the closures below.
     """
-    from repro.jvm.interpreter import (
-        ArithmeticTrap,
-        Frame,
-        NullPointerError,
-        ThreadState,
-        TrapError,
-        _int_div,
-        _int_rem,
-    )
+    from repro.jvm.interpreter import Frame, ThreadState, TrapError
 
     method = runtime.method
     qname = method.qualified_name
-    heap = machine.heap
     method_table = machine.method_table
     finished = ThreadState.FINISHED
-    # Bound once per table: every memory-touching handler calls this.
-    memory_access = machine.memory_access
-
-    def deref(ref, bci: int, ins: Instruction):
-        if not isinstance(ref, Ref):
-            raise NullPointerError(
-                f"{qname} bci {bci} ({ins!r}): dereferencing {ref!r}")
-        return heap.get(ref)
+    ns = _namespace(machine, qname)
 
     table: List[Handler] = []
     for bci, ins in enumerate(method.code):
         op = ins.op
         nxt = bci + 1
 
-        if op is Op.LOAD:
-            index = ins.args[0]
-
-            def h(thread, frame, index=index, nxt=nxt):
-                locals_ = frame.locals
-                frame.stack.append(
-                    locals_[index] if index < len(locals_) else None)
-                return nxt
-
-        elif op is Op.ICONST or op is Op.FCONST:
-            value = ins.args[0]
-
-            def h(thread, frame, value=value, nxt=nxt):
-                frame.stack.append(value)
-                return nxt
-
-        elif op is Op.ALOAD:
-            def h(thread, frame, bci=bci, ins=ins, nxt=nxt):
-                frame.pc = bci
-                stack = frame.stack
-                index = stack.pop()
-                obj = deref(stack.pop(), bci, ins)
-                # element_address bounds-checks; the direct list read
-                # replaces get_element's re-check of the same bounds.
-                address = obj.element_address(index)
-                value = obj.elements[index]
-                memory_access(thread, address, obj.elem_size(),
-                              is_write=False, value=value)
-                stack.append(value)
-                return nxt
-
-        elif op is Op.IINC:
-            index, delta = ins.args
-
-            def h(thread, frame, index=index, delta=delta, nxt=nxt):
-                locals_ = frame.locals
-                if index >= len(locals_):
-                    locals_.extend([None] * (index + 1 - len(locals_)))
-                locals_[index] = locals_[index] + delta
-                return nxt
-
-        elif op in _CMP_BRANCHES:
-            compare = _CMP_BRANCHES[op]
-            target = ins.args[0]
-
-            def h(thread, frame, compare=compare, target=target, nxt=nxt):
-                stack = frame.stack
-                b = stack.pop()
-                return target if compare(stack.pop(), b) else nxt
-
-        elif op in _ZERO_BRANCHES:
-            test = _ZERO_BRANCHES[op]
-            target = ins.args[0]
-
-            def h(thread, frame, test=test, target=target, nxt=nxt):
-                return target if test(frame.stack.pop()) else nxt
-
-        elif op is Op.GOTO:
-            target = ins.args[0]
-
-            def h(thread, frame, target=target):
-                return target
-
-        elif op is Op.POP:
-            def h(thread, frame, nxt=nxt):
-                frame.stack.pop()
-                return nxt
-
-        elif op is Op.STORE:
-            index = ins.args[0]
-
-            def h(thread, frame, index=index, nxt=nxt):
-                value = frame.stack.pop()
-                locals_ = frame.locals
-                if index >= len(locals_):
-                    locals_.extend([None] * (index + 1 - len(locals_)))
-                locals_[index] = value
-                return nxt
-
-        elif op is Op.ASTORE:
-            def h(thread, frame, bci=bci, ins=ins, nxt=nxt):
-                frame.pc = bci
-                stack = frame.stack
-                value = stack.pop()
-                index = stack.pop()
-                obj = deref(stack.pop(), bci, ins)
-                # element_address bounds-checks; the direct list write
-                # replaces set_element's re-check of the same bounds.
-                memory_access(thread, obj.element_address(index),
-                              obj.elem_size(), is_write=True,
-                              value=value)
-                obj.elements[index] = value
-                return nxt
-
-        elif op is Op.ACONST_NULL:
-            def h(thread, frame, nxt=nxt):
-                frame.stack.append(None)
-                return nxt
-
-        elif op is Op.DUP:
-            def h(thread, frame, nxt=nxt):
-                stack = frame.stack
-                stack.append(stack[-1])
-                return nxt
-
-        elif op is Op.SWAP:
-            def h(thread, frame, nxt=nxt):
-                stack = frame.stack
-                stack[-1], stack[-2] = stack[-2], stack[-1]
-                return nxt
-
-        elif op in _BINOPS:
-            binop = _BINOPS[op]
-
-            def h(thread, frame, binop=binop, nxt=nxt):
-                stack = frame.stack
-                b = stack.pop()
-                stack.append(binop(stack.pop(), b))
-                return nxt
-
-        elif op is Op.DIV:
-            def h(thread, frame, nxt=nxt):
-                stack = frame.stack
-                b = stack.pop()
-                a = stack.pop()
-                if isinstance(a, float) or isinstance(b, float):
-                    if b == 0:
-                        raise ArithmeticTrap("float division by zero")
-                    stack.append(a / b)
-                else:
-                    stack.append(_int_div(a, b))
-                return nxt
-
-        elif op is Op.REM:
-            def h(thread, frame, nxt=nxt):
-                stack = frame.stack
-                b = stack.pop()
-                a = stack.pop()
-                stack.append(_int_rem(a, b) if isinstance(a, int)
-                             and isinstance(b, int) else a % b)
-                return nxt
-
-        elif op is Op.NEG:
-            def h(thread, frame, nxt=nxt):
-                stack = frame.stack
-                stack.append(-stack.pop())
-                return nxt
-
-        elif op is Op.I2F:
-            def h(thread, frame, nxt=nxt):
-                stack = frame.stack
-                stack.append(float(stack.pop()))
-                return nxt
-
-        elif op is Op.F2I:
-            def h(thread, frame, nxt=nxt):
-                stack = frame.stack
-                stack.append(int(stack.pop()))
-                return nxt
+        if op in _FUSABLE:
+            h = FunctionType(_template(op, len(ins.args)), ns, None,
+                             (bci, nxt, ins) + ins.args)
 
         elif op is Op.INVOKE:
             method_name, argc = ins.args
@@ -355,7 +223,7 @@ def compile_dispatch(machine, runtime) -> List[Handler]:
                 stack.append(machine.allocate_array(Kind.REF, length, thread))
                 return nxt
 
-        elif op is Op.MULTIANEWARRAY:
+        else:  # Op.MULTIANEWARRAY, the last of _HAND_WRITTEN
             elem_kind, dims = ins.args
 
             def h(thread, frame, elem_kind=elem_kind, dims=dims,
@@ -367,138 +235,50 @@ def compile_dispatch(machine, runtime) -> List[Handler]:
                     machine.allocate_multi_array(elem_kind, lengths, thread))
                 return nxt
 
-        elif op is Op.GETFIELD:
-            field_name = ins.args[0]
-
-            def h(thread, frame, field_name=field_name, ins=ins,
-                  bci=bci, nxt=nxt):
-                frame.pc = bci
-                stack = frame.stack
-                obj = deref(stack.pop(), bci, ins)
-                value = obj.get_field(field_name)
-                memory_access(thread, obj.field_address(field_name),
-                              8, is_write=False, value=value)
-                stack.append(value)
-                return nxt
-
-        elif op is Op.PUTFIELD:
-            field_name = ins.args[0]
-
-            def h(thread, frame, field_name=field_name, ins=ins,
-                  bci=bci, nxt=nxt):
-                frame.pc = bci
-                stack = frame.stack
-                value = stack.pop()
-                obj = deref(stack.pop(), bci, ins)
-                memory_access(thread, obj.field_address(field_name),
-                              8, is_write=True, value=value)
-                obj.set_field(field_name, value)
-                return nxt
-
-        elif op is Op.GETSTATIC:
-            key = ins.args[0]
-
-            def h(thread, frame, key=key, bci=bci, nxt=nxt):
-                frame.pc = bci
-                address = machine.static_address(key)
-                value = machine.get_static(key)
-                memory_access(thread, address, 8, is_write=False,
-                              value=value)
-                frame.stack.append(value)
-                return nxt
-
-        elif op is Op.PUTSTATIC:
-            key = ins.args[0]
-
-            def h(thread, frame, key=key, bci=bci, nxt=nxt):
-                frame.pc = bci
-                address = machine.static_address(key)
-                value = frame.stack.pop()
-                memory_access(thread, address, 8, is_write=True,
-                              value=value)
-                machine.set_static(key, value)
-                return nxt
-
-        elif op is Op.ARRAYLENGTH:
-            def h(thread, frame, ins=ins, bci=bci, nxt=nxt):
-                frame.pc = bci
-                stack = frame.stack
-                obj = deref(stack.pop(), bci, ins)
-                # length lives in the header's second word
-                memory_access(thread, obj.addr + 8, 8, is_write=False,
-                              value=obj.length)
-                stack.append(obj.length)
-                return nxt
-
-        elif op is Op.NOP:
-            def h(thread, frame, nxt=nxt):
-                return nxt
-
-        else:  # pragma: no cover - exhaustive over Op
-            def h(thread, frame, op=op):
-                raise TrapError(f"unimplemented opcode {op}")
-
         table.append(h)
     return table
 
 
-def _add(a, b):
-    return a + b
+def _namespace(machine, qname: str) -> dict:
+    """Globals of ``machine``'s generated code for method ``qname``:
+    the size-1 templates are bound to it and the fused blocks exec'd
+    into it.  ``__builtins__`` is set so bound templates resolve
+    builtins as quickly as exec'd code does."""
+    from repro.jvm.interpreter import (
+        ArithmeticTrap,
+        NullPointerError,
+        _int_div,
+        _int_rem,
+    )
+    from repro.obs.bus import _LEVEL_BASE
 
+    heap = machine.heap
+    bus = machine.bus
 
-def _sub(a, b):
-    return a - b
+    def deref(ref, bci: int, ins: Instruction):
+        if not isinstance(ref, Ref):
+            raise NullPointerError(
+                f"{qname} bci {bci} ({ins!r}): dereferencing {ref!r}")
+        return heap.get(ref)
 
-
-def _mul(a, b):
-    return a * b
-
-
-def _shl(a, b):
-    return a << b
-
-
-def _shr(a, b):
-    return a >> b
-
-
-def _and(a, b):
-    return a & b
-
-
-def _or(a, b):
-    return a | b
-
-
-def _xor(a, b):
-    return a ^ b
-
-
-_BINOPS = {
-    Op.ADD: _add, Op.SUB: _sub, Op.MUL: _mul,
-    Op.SHL: _shl, Op.SHR: _shr,
-    Op.AND: _and, Op.OR: _or, Op.XOR: _xor,
-}
-
-_CMP_BRANCHES = {
-    Op.IF_ICMPEQ: lambda a, b: a == b,
-    Op.IF_ICMPNE: lambda a, b: a != b,
-    Op.IF_ICMPLT: lambda a, b: a < b,
-    Op.IF_ICMPGE: lambda a, b: a >= b,
-    Op.IF_ICMPGT: lambda a, b: a > b,
-    Op.IF_ICMPLE: lambda a, b: a <= b,
-}
-
-_ZERO_BRANCHES = {
-    Op.IF_EQ: lambda v: v == 0,
-    Op.IF_NE: lambda v: v != 0,
-    Op.IF_LT: lambda v: v < 0,
-    Op.IF_GE: lambda v: v >= 0,
-    Op.IF_GT: lambda v: v > 0,
-    Op.IF_LE: lambda v: v <= 0,
-    Op.IF_NULL: lambda v: v is None,
-    Op.IF_NONNULL: lambda v: v is not None,
-}
+    return {
+        "__builtins__": builtins.__dict__,
+        "_deref": deref,
+        "_ma": machine.memory_access,
+        "_ah": machine.hierarchy.access_hot,
+        "_sa": machine.static_address,
+        "_gs": machine.get_static,
+        "_ss": machine.set_static,
+        "_idiv": _int_div,
+        "_irem": _int_rem,
+        "_AT": ArithmeticTrap,
+        "_bus": bus,
+        "_bb": bus.bulk_budget,
+        "_obm": bus.observe_bulk_map,
+        "_wt": bus.watch_trap,
+        "_LB": _LEVEL_BASE,
+        "_fusion": machine.fusion,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -520,18 +300,20 @@ _ZERO_BRANCHES = {
 #   interior lands on a ``None`` fused-table slot and runs per-handler).
 # * Stretch enders (INVOKE/NATIVE/RETURN/IRETURN) and allocation sites
 #   are never fused: they switch frames, may run GC, or publish events
-#   that observe ``frame.pc`` mid-instruction.  The instrumented
+#   that observe ``frame.pc`` mid-instruction.  They are the
+#   hand-written per-handler entries; the instrumented
 #   ``alloc; DUP; hook`` triple therefore always runs per-handler.
 # * A conditional branch or GOTO may only *terminate* a block; the
 #   closure returns the taken target exactly as the handler would.
-# * Minimum block size is 2 — fusing a single handler only adds a
-#   wrapper.
+# * Minimum block size is 2 — a single instruction runs as its size-1
+#   per-handler entry, which the same emitter writes in
+#   exact-observation mode.  Size-1 entries are not fused executions.
 #
 # Guard protocol (observed tables)
 # --------------------------------
 # A fused block's memory accesses are issued back-to-back without the
 # per-access ``frame.pc`` stores and per-access PMU observation the
-# observed handlers perform.  That is only invisible when (a) no
+# exact-observation entries perform.  That is only invisible when (a) no
 # collector records raw accesses, and (b) the whole block provably fits
 # inside every armed counter's countdown — i.e. ``bus.bulk_budget(tid,
 # wclass) >= n_accesses`` under skip-ahead counting, so no overflow (and
@@ -539,8 +321,9 @@ _ZERO_BRANCHES = {
 # guard on entry; on success it runs an inlined fast body that
 # histograms per-access outcome combos and applies them in one
 # ``observe_bulk_map`` step, and on failure it falls back to calling
-# the block's per-handler chain (counting a ``guard_bailouts`` stat),
-# which preserves exact per-access observation order.  The fast body
+# the block's per-bci entries from the dispatch table (counting a
+# ``guard_bailouts`` stat), which preserves exact per-access
+# observation order without growing the fused code.  The fast body
 # also checks each address against the thread's watchpoints (``W``, an
 # empty dict but for watch samplers) and traps a hit in place: a trap
 # unwinds no stack, so it needs no bailout, and no sample can fire in
@@ -576,11 +359,8 @@ _ZERO_BRANCHES = {
 # stack/locals hold the values semantics of per-handler execution
 # (same heap, cache, cycle and sample state; completed instructions'
 # pushes may still be pending in temps) — the faulted frame never
-# resumes, so the difference is unobservable.
-
-#: A fused-table entry: ``(closure, instruction_count)`` at a block
-#: leader, ``None`` everywhere else.  Closures never return -1.
-FusedEntry = Optional[Tuple[Handler, int]]
+# resumes, so the difference is unobservable.  Size-1 entries need no
+# such protocol: the driver already knows their bci and charge.
 
 #: Ops an interior (non-tail) fused instruction may use.
 _FUSABLE_BODY = frozenset({
@@ -592,8 +372,17 @@ _FUSABLE_BODY = frozenset({
 })
 
 #: Ops that may only terminate a fused block.
-_FUSABLE_TAIL = (frozenset(_CMP_BRANCHES) | frozenset(_ZERO_BRANCHES)
-                 | {Op.GOTO})
+_FUSABLE_TAIL = BRANCH_OPS
+
+#: Every op the emitter writes, in blocks and as size-1 entries.
+_FUSABLE = _FUSABLE_BODY | _FUSABLE_TAIL
+
+#: Ops :func:`compile_dispatch` writes by hand: they switch frames,
+#: call natives or allocate.
+_HAND_WRITTEN = frozenset({
+    Op.INVOKE, Op.NATIVE, Op.RETURN, Op.IRETURN,
+    Op.NEW, Op.NEWARRAY, Op.ANEWARRAY, Op.MULTIANEWARRAY,
+})
 
 #: Ops that issue a memory access (size 8, 8-aligned by heap layout).
 _ACCESS_OPS = frozenset({
@@ -654,6 +443,386 @@ def fused_blocks(code) -> List["tuple[int, int]"]:
     return blocks
 
 
+class _Param(str):
+    """An operand of a size-1 template: it is emitted as the name of the
+    parameter that carries it, so one template serves every bci."""
+
+    __repr__ = str.__str__
+
+
+def _emit(block, start: int, ind: str, consts: dict,
+          guarded: bool = False, exact: bool = False) -> List[str]:
+    """Symbolic-stack compilation of ``block``'s body, which starts at
+    bci ``start``.
+
+    Returns the body's source lines (prologue included), indented with
+    ``ind``.  See the section comment above: pure pushes defer,
+    faultable ops materialise into temps at their own ``ipc`` marker,
+    the real stack is popped lazily (in handler order) and repaid in
+    one push at the exit.  Constants that cannot be inlined are bound
+    by name in ``consts``.  ``guarded`` bodies histogram access
+    outcomes and check watchpoints (see "Guard protocol").
+
+    ``exact`` is the exact-observation mode that writes a size-1
+    per-handler entry: each access op stores ``frame.pc = bci`` and
+    calls ``machine.memory_access`` (``_ma``) with the value read or
+    written, and the instruction's bci, successor, Instruction and
+    operands are the names ``bci``, ``nxt``, ``ins`` and ``a0``, ``a1``
+    (the block is one instruction whose args are :class:`_Param`).
+    """
+    out: List[str] = []
+    syms: List[str] = []            # compile-time operand stack
+    state = {"t": 0, "ipc": 0, "stack": False, "locals": False}
+    stores = [ins.args[0] for ins in block
+              if ins.op in (Op.STORE, Op.IINC)]
+    # A template's one store slot is its parameter, which max() returns
+    # without comparing.
+    maxstore = max(stores) if stores else -1
+
+    def lit(value, name: str) -> str:
+        """Inline int/str/bool constants and template operands; bind
+        anything else by name."""
+        if type(value) in (int, str, bool, _Param):
+            return repr(value)
+        consts[name] = value
+        return name
+
+    def newt() -> str:
+        state["t"] += 1
+        return f"t{state['t']}"
+
+    def spop() -> str:
+        if syms:
+            return syms.pop()
+        state["stack"] = True
+        t = newt()
+        out.append(f"{ind}{t} = stack.pop()")
+        return t
+
+    def mat(expr: str) -> str:
+        """Pin a pure expression's value into a temp unless it is
+        already a bare name or an integer literal."""
+        if _ATOM_RE.fullmatch(expr):
+            return expr
+        t = newt()
+        out.append(f"{ind}{t} = {expr}")
+        return t
+
+    def marker(j: int, access: bool = False) -> None:
+        """Instruction ``j`` may fault from here on: move ``ipc`` to it,
+        or, in an exact entry, expose an access op's bci."""
+        if exact:
+            if access:
+                out.append(f"{ind}frame.pc = bci")
+        elif state["ipc"] != j:
+            out.append(f"{ind}ipc = {j}")
+            state["ipc"] = j
+
+    def load_expr(i) -> str:
+        state["locals"] = True
+        if stores and i <= maxstore:    # hoisted extend covers the slot
+            return f"L[{i}]"
+        return f"(L[{i}] if {i} < len(L) else None)"
+
+    def deref(j: int, ins, ref: str) -> str:
+        obj = newt()
+        if exact:
+            out.append(f"{ind}{obj} = _deref({ref}, bci, ins)")
+        else:
+            bci = start + j
+            consts[f"i{bci}"] = ins
+            out.append(f"{ind}{obj} = _deref({ref}, {bci}, i{bci})")
+        return obj
+
+    def access(addr: str, size: str, is_write: bool) -> None:
+        # Guarded bodies bind the address to ``a`` for watch().
+        if guarded:
+            out.append(f"{ind}a = {addr}")
+            addr = "a"
+        out.append(f"{ind}r = _ah(thread.cpu, {addr}, {size}, {is_write})")
+        out.append(f"{ind}thread.cycles += r.latency")
+        if guarded:
+            if is_write:
+                out.append(f"{ind}ci = _LB[r.level] "
+                           f"+ (4 if r.tlb_misses else 0) "
+                           f"+ (3 if r.remote else 2)")
+            else:
+                out.append(f"{ind}ci = _LB[r.level] "
+                           f"+ (4 if r.tlb_misses else 0) "
+                           f"+ (1 if r.remote else 0)")
+            out.append(f"{ind}combos[ci] = combos.get(ci, 0) + 1")
+
+    def watch(is_write: bool, value: str) -> None:
+        out.append(f"{ind}if W and a in W: _wt(thread, a, {is_write}, "
+                   f"{value})")
+
+    def read(addr: str, size: str, value: str,
+             addr_first: bool = True) -> str:
+        """Load ``value`` from ``addr``; returns the temp holding it.
+        Exact entries evaluate the address and the value in the legacy
+        handler's order (``addr_first``), which fixes the trap text."""
+        t = newt()
+        if exact:
+            if addr_first:
+                out.append(f"{ind}a = {addr}")
+                addr = "a"
+            out.append(f"{ind}{t} = {value}")
+            out.append(f"{ind}_ma(thread, {addr}, {size}, False, {t})")
+            return t
+        access(addr, size, False)
+        out.append(f"{ind}{t} = {value}")
+        if guarded:
+            watch(False, t)
+        return t
+
+    def write(addr: str, size: str, v: str) -> str:
+        """Store ``v`` to ``addr``; returns ``v``, pinned if the access
+        reads it too."""
+        if exact:
+            v = mat(v)
+            out.append(f"{ind}_ma(thread, {addr}, {size}, True, {v})")
+            return v
+        access(addr, size, True)
+        if guarded:
+            v = mat(v)
+            watch(True, v)
+        return v
+
+    def emit_one(j: int, ins) -> None:
+        bci = start + j
+        op = ins.op
+        if op is Op.LOAD:
+            i = ins.args[0]
+            e = load_expr(i)
+            if any(b.op in (Op.STORE, Op.IINC) and b.args[0] == i
+                   for b in block[j + 1:]):
+                e = mat(e)      # slot rewritten later: snapshot now
+            syms.append(e)
+        elif op is Op.ICONST or op is Op.FCONST:
+            syms.append(lit(ins.args[0], f"c{bci}"))
+        elif op is Op.ACONST_NULL:
+            syms.append("None")
+        elif op is Op.POP:
+            if syms:
+                syms.pop()      # deferred exprs are pure: just drop
+            else:
+                state["stack"] = True
+                out.append(f"{ind}stack.pop()")
+        elif op is Op.DUP:
+            if syms:
+                if not _ATOM_RE.fullmatch(syms[-1]):
+                    syms[-1] = mat(syms[-1])
+                syms.append(syms[-1])
+            else:
+                state["stack"] = True
+                t = newt()
+                out.append(f"{ind}{t} = stack[-1]")
+                syms.append(t)
+        elif op is Op.SWAP:
+            a = spop()
+            b = spop()
+            syms.append(a)
+            syms.append(b)
+        elif op is Op.IINC:
+            i, delta = ins.args
+            state["locals"] = True
+            marker(j)
+            out.append(f"{ind}L[{i}] = L[{i}] "
+                       f"+ {lit(delta, f'c{bci}')}")
+        elif op is Op.STORE:
+            i = ins.args[0]
+            v = spop()
+            state["locals"] = True
+            out.append(f"{ind}L[{i}] = {v}")
+        elif op in _BINOP_SYMS:
+            b = spop()
+            a = spop()
+            marker(j)
+            t = newt()
+            out.append(f"{ind}{t} = {a} {_BINOP_SYMS[op]} {b}")
+            syms.append(t)
+        elif op is Op.DIV:
+            b = mat(spop())
+            a = mat(spop())
+            marker(j)
+            t = newt()
+            out.append(f"{ind}if isinstance({a}, float) "
+                       f"or isinstance({b}, float):")
+            out.append(f"{ind}    if {b} == 0:")
+            out.append(f"{ind}        raise _AT('float division "
+                       f"by zero')")
+            out.append(f"{ind}    {t} = {a} / {b}")
+            out.append(f"{ind}else:")
+            out.append(f"{ind}    {t} = _idiv({a}, {b})")
+            syms.append(t)
+        elif op is Op.REM:
+            b = mat(spop())
+            a = mat(spop())
+            marker(j)
+            t = newt()
+            out.append(f"{ind}{t} = _irem({a}, {b}) "
+                       f"if isinstance({a}, int) "
+                       f"and isinstance({b}, int) else {a} % {b}")
+            syms.append(t)
+        elif op is Op.NEG:
+            v = spop()
+            marker(j)
+            t = newt()
+            out.append(f"{ind}{t} = -({v})")
+            syms.append(t)
+        elif op is Op.I2F:
+            v = spop()
+            marker(j)
+            t = newt()
+            out.append(f"{ind}{t} = float({v})")
+            syms.append(t)
+        elif op is Op.F2I:
+            v = spop()
+            marker(j)
+            t = newt()
+            out.append(f"{ind}{t} = int({v})")
+            syms.append(t)
+        elif op is Op.ALOAD:
+            idx = spop()
+            ref = spop()
+            marker(j, access=True)
+            idx = mat(idx)
+            obj = deref(j, ins, ref)
+            syms.append(read(f"{obj}.element_address({idx})",
+                             f"{obj}.elem_size()",
+                             f"{obj}.elements[{idx}]"))
+        elif op is Op.ASTORE:
+            v = spop()
+            idx = spop()
+            ref = spop()
+            marker(j, access=True)
+            idx = mat(idx)
+            obj = deref(j, ins, ref)
+            v = write(f"{obj}.element_address({idx})",
+                      f"{obj}.elem_size()", v)
+            out.append(f"{ind}{obj}.elements[{idx}] = {v}")
+        elif op is Op.GETFIELD:
+            ref = spop()
+            marker(j, access=True)
+            name = lit(ins.args[0], f"c{bci}")
+            obj = deref(j, ins, ref)
+            syms.append(read(f"{obj}.field_address({name})", "8",
+                             f"{obj}.get_field({name})",
+                             addr_first=False))
+        elif op is Op.PUTFIELD:
+            v = spop()
+            ref = spop()
+            marker(j, access=True)
+            name = lit(ins.args[0], f"c{bci}")
+            obj = deref(j, ins, ref)
+            v = write(f"{obj}.field_address({name})", "8", v)
+            out.append(f"{ind}{obj}.set_field({name}, {v})")
+        elif op is Op.GETSTATIC:
+            marker(j, access=True)
+            key = lit(ins.args[0], f"c{bci}")
+            syms.append(read(f"_sa({key})", "8", f"_gs({key})"))
+        elif op is Op.PUTSTATIC:
+            v = spop()
+            marker(j, access=True)
+            key = lit(ins.args[0], f"c{bci}")
+            v = write(f"_sa({key})", "8", v)
+            out.append(f"{ind}_ss({key}, {v})")
+        elif op is Op.ARRAYLENGTH:
+            ref = spop()
+            marker(j, access=True)
+            obj = deref(j, ins, ref)
+            if exact:
+                out.append(f"{ind}_ma(thread, {obj}.addr + 8, 8, False, "
+                           f"{obj}.length)")
+            else:
+                access(f"{obj}.addr + 8", "8", False)
+                if guarded:
+                    watch(False, f"{obj}.length")
+            syms.append(f"{obj}.length")    # immutable: defer
+        elif op is Op.NOP:
+            pass
+        else:  # pragma: no cover - fused_blocks admits only these
+            raise AssertionError(
+                f"unfusable op {op} reached the emitter")
+
+    def finish() -> None:
+        """Repay deferred pushes; flush the combo histogram."""
+        if syms:
+            state["stack"] = True
+            if len(syms) == 1:
+                out.append(f"{ind}stack.append({syms[0]})")
+            else:
+                out.append(f"{ind}stack += ({', '.join(syms)},)")
+            syms.clear()
+        if guarded:
+            out.append(f"{ind}_obm(thread.tid, combos)")
+            out.append(f"{ind}combos = None")
+
+    for j, ins in enumerate(block[:-1]):
+        emit_one(j, ins)
+    j = len(block) - 1
+    tail = block[-1]
+    op = tail.op
+    nxt = "nxt" if exact else start + j + 1
+    if op in _CMP_SYMS:
+        b = spop()
+        a = spop()
+        marker(j)
+        finish()
+        out.append(f"{ind}return {tail.args[0]} "
+                   f"if {a} {_CMP_SYMS[op]} {b} else {nxt}")
+    elif op in _ZERO_TESTS:
+        v = spop()
+        marker(j)
+        finish()
+        out.append(f"{ind}return {tail.args[0]} "
+                   f"if {v}{_ZERO_TESTS[op][1:]} else {nxt}")
+    elif op is Op.GOTO:
+        finish()
+        out.append(f"{ind}return {tail.args[0]}")
+    else:
+        emit_one(j, tail)
+        finish()
+        out.append(f"{ind}return {nxt}")
+
+    pro: List[str] = []
+    if state["stack"]:
+        pro.append(f"{ind}stack = frame.stack")
+    if state["locals"]:
+        pro.append(f"{ind}L = frame.locals")
+    if stores:
+        pro.append(f"{ind}if {maxstore} >= len(L): "
+                   f"L.extend([None] * ({maxstore} + 1 - len(L)))")
+    if guarded:
+        pro.append(f"{ind}combos = {{}}")
+        pro.append(f"{ind}W = thread.watch")
+    return pro + out
+
+
+#: Size-1 entry templates by (op, operand count), compiled once per
+#: process and bound per bci by :func:`compile_dispatch`.
+_TEMPLATES: Dict[Tuple[Op, int], CodeType] = {}
+
+
+def _template(op: Op, arity: int) -> CodeType:
+    """The exact-observation entry of ``op`` with ``arity`` operands:
+    ``(thread, frame, bci, nxt, ins, a0, …) -> next pc``."""
+    key = (op, arity)
+    code = _TEMPLATES.get(key)
+    if code is None:
+        operands = [f"a{k}" for k in range(arity)]
+        ins = Instruction(op, tuple(_Param(name) for name in operands))
+        name = f"_{op.name.lower()}"
+        params = ", ".join(["thread", "frame", "bci", "nxt", "ins"]
+                           + operands)
+        src = [f"def {name}({params}):"]
+        src.extend(_emit([ins], 0, "    ", {}, exact=True))
+        scope: dict = {}
+        exec(compile("\n".join(src), f"<entry:{op.value}>", "exec"), scope)
+        code = _TEMPLATES[key] = scope[name].__code__
+    return code
+
+
 class _FusedArtifact:
     """Machine-independent half of a fused compilation.
 
@@ -664,8 +833,8 @@ class _FusedArtifact:
     191 KB module for a 153-block method peaked at 19 MB.
     ``consts`` holds the machine-independent name bindings the code
     needs (Instruction objects, non-inlinable constants),
-    ``chain_bcis`` the bytecode indices whose plain handlers the
-    observed bailout chain calls — those are bound per machine at
+    ``chain_bcis`` the bytecode indices whose dispatch-table entries
+    the observed bailout chain calls — those are bound per machine at
     instantiation time.
     """
 
@@ -752,334 +921,15 @@ def _generate_fused(method, observed: bool) -> _FusedArtifact:
     """Generate and compile a method's superinstructions, block by block.
 
     Everything here is machine-independent; :func:`compile_fused`
-    finishes the job per machine by layering its bound closures (heap
-    deref, hierarchy access, event bus, plain-handler chain) on top of
-    ``consts`` and exec-ing each block's code object.
+    finishes the job per machine by exec-ing each block's code object
+    into the method's namespace (heap deref, hierarchy access, event
+    bus, dispatch-table chain) with ``consts`` layered on top.
     """
     code = method.code
     qname = method.qualified_name
 
     consts: dict = {}
     chain_bcis: set = set()
-
-    def lit(value, name: str) -> str:
-        """Inline int/str/bool constants; bind anything else by name."""
-        if type(value) in (int, str, bool):
-            return repr(value)
-        consts[name] = value
-        return name
-
-    def emit_access(out, ind, addr_expr, size_expr, is_write, combo):
-        # Guarded bodies bind the address to ``a`` for emit_watch.
-        if combo:
-            out.append(f"{ind}a = {addr_expr}")
-            addr_expr = "a"
-        out.append(f"{ind}r = _ah(thread.cpu, {addr_expr}, {size_expr}, "
-                   f"{is_write})")
-        out.append(f"{ind}thread.cycles += r.latency")
-        if combo:
-            if is_write:
-                out.append(f"{ind}ci = _LB[r.level] "
-                           f"+ (4 if r.tlb_misses else 0) "
-                           f"+ (3 if r.remote else 2)")
-            else:
-                out.append(f"{ind}ci = _LB[r.level] "
-                           f"+ (4 if r.tlb_misses else 0) "
-                           f"+ (1 if r.remote else 0)")
-            out.append(f"{ind}combos[ci] = combos.get(ci, 0) + 1")
-
-    def emit_watch(out, ind, is_write, value):
-        out.append(f"{ind}if W and a in W: _wt(thread, a, {is_write}, "
-                   f"{value})")
-
-    def gen_fast_body(block, start, ind, guarded) -> List[str]:
-        """Symbolic-stack compilation of one block's fast body.
-
-        Returns the body's source lines (prologue included), indented
-        with ``ind``.  See the section comment above: pure pushes
-        defer, faultable ops materialise into temps at their own
-        ``ipc`` marker, the real stack is popped lazily (in handler
-        order) and repaid in one push at the exit.
-        """
-        out: List[str] = []
-        syms: List[str] = []            # compile-time operand stack
-        state = {"t": 0, "ipc": 0, "stack": False, "locals": False}
-        store_idx = [ins.args[0] for ins in block
-                     if ins.op in (Op.STORE, Op.IINC)]
-        maxstore = max(store_idx) if store_idx else -1
-
-        def newt() -> str:
-            state["t"] += 1
-            return f"t{state['t']}"
-
-        def spop() -> str:
-            if syms:
-                return syms.pop()
-            state["stack"] = True
-            t = newt()
-            out.append(f"{ind}{t} = stack.pop()")
-            return t
-
-        def mat(expr: str) -> str:
-            """Pin a pure expression's value into a temp unless it is
-            already a bare name or an integer literal."""
-            if _ATOM_RE.fullmatch(expr):
-                return expr
-            t = newt()
-            out.append(f"{ind}{t} = {expr}")
-            return t
-
-        def marker(j: int) -> None:
-            if state["ipc"] != j:
-                out.append(f"{ind}ipc = {j}")
-                state["ipc"] = j
-
-        def load_expr(i: int) -> str:
-            state["locals"] = True
-            if i <= maxstore:       # hoisted extend covers the slot
-                return f"L[{i}]"
-            return f"(L[{i}] if {i} < len(L) else None)"
-
-        def emit_one(j: int, ins) -> None:
-            bci = start + j
-            op = ins.op
-            if op is Op.LOAD:
-                i = ins.args[0]
-                e = load_expr(i)
-                if any(b.op in (Op.STORE, Op.IINC) and b.args[0] == i
-                       for b in block[j + 1:]):
-                    e = mat(e)      # slot rewritten later: snapshot now
-                syms.append(e)
-            elif op is Op.ICONST or op is Op.FCONST:
-                syms.append(lit(ins.args[0], f"c{bci}"))
-            elif op is Op.ACONST_NULL:
-                syms.append("None")
-            elif op is Op.POP:
-                if syms:
-                    syms.pop()      # deferred exprs are pure: just drop
-                else:
-                    state["stack"] = True
-                    out.append(f"{ind}stack.pop()")
-            elif op is Op.DUP:
-                if syms:
-                    if not _ATOM_RE.fullmatch(syms[-1]):
-                        syms[-1] = mat(syms[-1])
-                    syms.append(syms[-1])
-                else:
-                    state["stack"] = True
-                    t = newt()
-                    out.append(f"{ind}{t} = stack[-1]")
-                    syms.append(t)
-            elif op is Op.SWAP:
-                a = spop()
-                b = spop()
-                syms.append(a)
-                syms.append(b)
-            elif op is Op.IINC:
-                i, delta = ins.args
-                state["locals"] = True
-                marker(j)
-                out.append(f"{ind}L[{i}] = L[{i}] "
-                           f"+ {lit(delta, f'c{bci}')}")
-            elif op is Op.STORE:
-                i = ins.args[0]
-                v = spop()
-                state["locals"] = True
-                out.append(f"{ind}L[{i}] = {v}")
-            elif op in _BINOP_SYMS:
-                b = spop()
-                a = spop()
-                marker(j)
-                t = newt()
-                out.append(f"{ind}{t} = {a} {_BINOP_SYMS[op]} {b}")
-                syms.append(t)
-            elif op is Op.DIV:
-                b = mat(spop())
-                a = mat(spop())
-                marker(j)
-                t = newt()
-                out.append(f"{ind}if isinstance({a}, float) "
-                           f"or isinstance({b}, float):")
-                out.append(f"{ind}    if {b} == 0:")
-                out.append(f"{ind}        raise _AT('float division "
-                           f"by zero')")
-                out.append(f"{ind}    {t} = {a} / {b}")
-                out.append(f"{ind}else:")
-                out.append(f"{ind}    {t} = _idiv({a}, {b})")
-                syms.append(t)
-            elif op is Op.REM:
-                b = mat(spop())
-                a = mat(spop())
-                marker(j)
-                t = newt()
-                out.append(f"{ind}{t} = _irem({a}, {b}) "
-                           f"if isinstance({a}, int) "
-                           f"and isinstance({b}, int) else {a} % {b}")
-                syms.append(t)
-            elif op is Op.NEG:
-                v = spop()
-                marker(j)
-                t = newt()
-                out.append(f"{ind}{t} = -({v})")
-                syms.append(t)
-            elif op is Op.I2F:
-                v = spop()
-                marker(j)
-                t = newt()
-                out.append(f"{ind}{t} = float({v})")
-                syms.append(t)
-            elif op is Op.F2I:
-                v = spop()
-                marker(j)
-                t = newt()
-                out.append(f"{ind}{t} = int({v})")
-                syms.append(t)
-            elif op is Op.ALOAD:
-                idx = spop()
-                ref = spop()
-                marker(j)
-                idx = mat(idx)
-                consts[f"i{bci}"] = ins
-                obj = newt()
-                out.append(f"{ind}{obj} = _deref({ref}, {bci}, i{bci})")
-                emit_access(out, ind, f"{obj}.element_address({idx})",
-                            f"{obj}.elem_size()", False, guarded)
-                t = newt()
-                out.append(f"{ind}{t} = {obj}.elements[{idx}]")
-                if guarded:
-                    emit_watch(out, ind, False, t)
-                syms.append(t)
-            elif op is Op.ASTORE:
-                v = spop()
-                idx = spop()
-                ref = spop()
-                marker(j)
-                idx = mat(idx)
-                consts[f"i{bci}"] = ins
-                obj = newt()
-                out.append(f"{ind}{obj} = _deref({ref}, {bci}, i{bci})")
-                emit_access(out, ind, f"{obj}.element_address({idx})",
-                            f"{obj}.elem_size()", True, guarded)
-                if guarded:
-                    v = mat(v)
-                    emit_watch(out, ind, True, v)
-                out.append(f"{ind}{obj}.elements[{idx}] = {v}")
-            elif op is Op.GETFIELD:
-                ref = spop()
-                marker(j)
-                consts[f"i{bci}"] = ins
-                name = lit(ins.args[0], f"c{bci}")
-                obj = newt()
-                out.append(f"{ind}{obj} = _deref({ref}, {bci}, i{bci})")
-                emit_access(out, ind, f"{obj}.field_address({name})",
-                            "8", False, guarded)
-                t = newt()
-                out.append(f"{ind}{t} = {obj}.get_field({name})")
-                if guarded:
-                    emit_watch(out, ind, False, t)
-                syms.append(t)
-            elif op is Op.PUTFIELD:
-                v = spop()
-                ref = spop()
-                marker(j)
-                consts[f"i{bci}"] = ins
-                name = lit(ins.args[0], f"c{bci}")
-                obj = newt()
-                out.append(f"{ind}{obj} = _deref({ref}, {bci}, i{bci})")
-                emit_access(out, ind, f"{obj}.field_address({name})",
-                            "8", True, guarded)
-                if guarded:
-                    v = mat(v)
-                    emit_watch(out, ind, True, v)
-                out.append(f"{ind}{obj}.set_field({name}, {v})")
-            elif op is Op.GETSTATIC:
-                marker(j)
-                key = lit(ins.args[0], f"c{bci}")
-                emit_access(out, ind, f"_sa({key})", "8", False, guarded)
-                t = newt()
-                out.append(f"{ind}{t} = _gs({key})")
-                if guarded:
-                    emit_watch(out, ind, False, t)
-                syms.append(t)
-            elif op is Op.PUTSTATIC:
-                v = spop()
-                marker(j)
-                key = lit(ins.args[0], f"c{bci}")
-                emit_access(out, ind, f"_sa({key})", "8", True, guarded)
-                if guarded:
-                    v = mat(v)
-                    emit_watch(out, ind, True, v)
-                out.append(f"{ind}_ss({key}, {v})")
-            elif op is Op.ARRAYLENGTH:
-                ref = spop()
-                marker(j)
-                consts[f"i{bci}"] = ins
-                obj = newt()
-                out.append(f"{ind}{obj} = _deref({ref}, {bci}, i{bci})")
-                emit_access(out, ind, f"{obj}.addr + 8", "8", False,
-                            guarded)
-                if guarded:
-                    emit_watch(out, ind, False, f"{obj}.length")
-                syms.append(f"{obj}.length")    # immutable: defer
-            elif op is Op.NOP:
-                pass
-            else:  # pragma: no cover - fused_blocks admits only these
-                raise AssertionError(
-                    f"unfusable op {op} reached the emitter")
-
-        def finish() -> None:
-            """Repay deferred pushes; flush the combo histogram."""
-            if syms:
-                state["stack"] = True
-                if len(syms) == 1:
-                    out.append(f"{ind}stack.append({syms[0]})")
-                else:
-                    out.append(f"{ind}stack += ({', '.join(syms)},)")
-                syms.clear()
-            if guarded:
-                out.append(f"{ind}_obm(thread.tid, combos)")
-                out.append(f"{ind}combos = None")
-
-        for j, ins in enumerate(block[:-1]):
-            emit_one(j, ins)
-        j = len(block) - 1
-        tail = block[-1]
-        op = tail.op
-        nxt = start + j + 1
-        if op in _CMP_SYMS:
-            b = spop()
-            a = spop()
-            marker(j)
-            finish()
-            out.append(f"{ind}return {tail.args[0]} "
-                       f"if {a} {_CMP_SYMS[op]} {b} else {nxt}")
-        elif op in _ZERO_TESTS:
-            v = spop()
-            marker(j)
-            finish()
-            out.append(f"{ind}return {tail.args[0]} "
-                       f"if {v}{_ZERO_TESTS[op][1:]} else {nxt}")
-        elif op is Op.GOTO:
-            finish()
-            out.append(f"{ind}return {tail.args[0]}")
-        else:
-            emit_one(j, tail)
-            finish()
-            out.append(f"{ind}return {nxt}")
-
-        pro: List[str] = []
-        if state["stack"]:
-            pro.append(f"{ind}stack = frame.stack")
-        if state["locals"]:
-            pro.append(f"{ind}L = frame.locals")
-        if maxstore >= 0:
-            pro.append(f"{ind}if {maxstore} >= len(L): "
-                       f"L.extend([None] * ({maxstore} + 1 - len(L)))")
-        if guarded:
-            pro.append(f"{ind}combos = {{}}")
-            pro.append(f"{ind}W = thread.watch")
-        return pro + out
-
     blocks = fused_blocks(code)
     codes = []
     for start, end in blocks:
@@ -1109,7 +959,7 @@ def _generate_fused(method, observed: bool) -> _FusedArtifact:
             body_ind = "            "
         else:
             body_ind = "        "
-        src.extend(gen_fast_body(block, start, body_ind, guarded))
+        src.extend(_emit(block, start, body_ind, consts, guarded))
         if guarded:
             src.append("        _fusion.guard_bailouts += 1")
             src.append("        ipc = 0")
@@ -1138,58 +988,26 @@ def compile_fused(machine, runtime, table: List[Handler],
                   observed: bool = True) -> List[FusedEntry]:
     """Compile ``runtime``'s superinstruction table.
 
-    ``table`` is the method's plain dispatch table; observed blocks
-    call back into it when the bulk-budget guard fails.  Cached on ``runtime.fused_table_observed`` /
-    ``runtime.fused_table`` by the fused driver; like the plain tables
-    it survives JIT recompiles because bytecode is immutable.
+    ``table`` is the method's dispatch table; observed blocks call its
+    per-bci entries when the bulk-budget guard fails.  Cached on
+    ``runtime.fused_table_observed`` / ``runtime.fused_table`` by
+    :func:`compile_tables`; like the dispatch tables it survives JIT
+    recompiles because bytecode is immutable.
 
     The expensive codegen half is machine-independent and served from
     the process-wide :class:`FusedCodegenCache`; this function only
-    builds the per-machine namespace (heap/bus/hierarchy closures plus
-    the plain-handler chain bindings) and execs the cached per-block
-    code objects into it — which is why a warm shard daemon skips
-    recompilation for repeat programs.
+    builds the method's namespace (plus the dispatch-table chain
+    bindings) and execs the cached per-block code objects into it —
+    which is why a warm shard daemon skips recompilation for repeat
+    programs.
     """
-    from repro.jvm.interpreter import (
-        ArithmeticTrap,
-        NullPointerError,
-        _int_div,
-        _int_rem,
-    )
-    from repro.obs.bus import _LEVEL_BASE
-
     method = runtime.method
-    qname = method.qualified_name
-    heap = machine.heap
-    bus = machine.bus
-
     fused: List[FusedEntry] = [None] * len(method.code)
     art = _CODEGEN_CACHE.get(method, observed, machine.warm)
     if not art.code:
         return fused
 
-    def deref(ref, bci: int, ins: Instruction):
-        if not isinstance(ref, Ref):
-            raise NullPointerError(
-                f"{qname} bci {bci} ({ins!r}): dereferencing {ref!r}")
-        return heap.get(ref)
-
-    ns: dict = {
-        "_deref": deref,
-        "_ah": machine.hierarchy.access_hot,
-        "_sa": machine.static_address,
-        "_gs": machine.get_static,
-        "_ss": machine.set_static,
-        "_idiv": _int_div,
-        "_irem": _int_rem,
-        "_AT": ArithmeticTrap,
-        "_bus": bus,
-        "_bb": bus.bulk_budget,
-        "_obm": bus.observe_bulk_map,
-        "_wt": bus.watch_trap,
-        "_LB": _LEVEL_BASE,
-        "_fusion": machine.fusion,
-    }
+    ns = _namespace(machine, method.qualified_name)
     ns.update(art.consts)
     for bci in art.chain_bcis:
         ns[f"_h{bci}"] = table[bci]

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.heap.allocator import Ref
 from repro.heap.layout import Kind
 from repro.jvm.bytecode import Instruction, Op
-from repro.jvm.dispatch import compile_dispatch, compile_fused
+from repro.jvm.dispatch import compile_tables
 from repro.jvm.jit import MethodRuntime
 
 
@@ -141,7 +141,12 @@ class Interpreter:
       (:func:`repro.jvm.dispatch.compile_fused`), running whole basic
       blocks as single closures and falling back to the per-handler
       compiled dispatch table (:func:`repro.jvm.dispatch.
-      compile_dispatch`) off block leaders and on guard bailouts;
+      compile_dispatch`) off block leaders, where a block exceeds the
+      remaining budget and on guard bailouts.  Both tables come from
+      :func:`repro.jvm.dispatch.compile_tables`, and every op is
+      defined once for both: fusable ops by the fused-code emitter
+      (blocks, and size-1 entries in its exact-observation mode),
+      calls, natives, returns and allocation by hand-written closures;
     * the **legacy engine** (``MachineConfig.fastpath=False``) decodes
       each method once into ``(handler, instruction)`` pairs, one plain
       per-opcode function from :data:`LEGACY_HANDLERS` per bytecode, and
@@ -170,7 +175,8 @@ class Interpreter:
         block bigger than the remaining budget falls back to per-handler
         execution so quantum boundaries land on the exact instruction.
         Fault accounting inside a block arrives via ``thread.fused_fault``
-        (see :func:`repro.jvm.dispatch.compile_fused`).
+        (see :func:`repro.jvm.dispatch.compile_fused`); a fault charges
+        the stretch's progress once, in the same place as a normal exit.
         """
         if not self.fastpath:
             return self._run_quantum_legacy(thread, budget)
@@ -188,22 +194,12 @@ class Interpreter:
             # are recorded.  Observation state only changes through
             # subscribe/open_sampler, which take effect here on the
             # next stretch.
+            observed = bus.sampling or bus._accesses_wanted
+            fused = runtime.fused_table_observed if observed \
+                else runtime.fused_table
+            if fused is None:
+                fused = compile_tables(machine, runtime, observed)
             table = runtime.dispatch_table
-            if table is None:
-                table = compile_dispatch(machine, runtime)
-                runtime.dispatch_table = table
-            if bus.sampling or bus._accesses_wanted:
-                fused = runtime.fused_table_observed
-                if fused is None:
-                    fused = compile_fused(machine, runtime, table,
-                                          observed=True)
-                    runtime.fused_table_observed = fused
-            else:
-                fused = runtime.fused_table
-                if fused is None:
-                    fused = compile_fused(machine, runtime, table,
-                                          observed=False)
-                    runtime.fused_table = fused
             # cpi is constant within a stretch: it only changes when a
             # JIT compile fires, which requires an INVOKE — and INVOKE
             # always ends the stretch.
@@ -213,17 +209,16 @@ class Interpreter:
             limit = budget - executed
             done = 0
             fb = 0
-            trap: Optional[TrapError] = None
+            error: Optional[Exception] = None
             try:
                 while done < limit:
                     if pc >= code_len:
-                        # Raised below, after charging the instructions
-                        # that did execute — the legacy path charges
-                        # nothing for the missing instruction either.
-                        trap = TrapError(
+                        # Charged below like any fault: only the
+                        # instructions that did execute — the legacy
+                        # path charges nothing for the missing one.
+                        raise TrapError(
                             f"{runtime.method.qualified_name}: pc {pc} "
                             f"past end (missing return?)")
-                        break
                     entry = fused[pc]
                     if entry is not None:
                         k = entry[1]
@@ -238,42 +233,31 @@ class Interpreter:
                         pc = -1
                         break
                     pc = nxt
-            except TrapError:
-                ff = thread.fused_fault
-                if ff is not None:
-                    thread.fused_fault = None
-                    pc = ff[0]
-                    done += ff[1]
-                thread.cycles += cpi * done
-                thread.instructions += done
-                fusion.fused_executions += fb
-                # INVOKE manages frame.pc itself (legacy reports against
-                # the already-stored return address); everywhere else
-                # the legacy interpreter leaves pc at the faulting bci.
-                if runtime.method.code[pc].op is not Op.INVOKE:
-                    frame.pc = pc
-                raise
             except Exception as exc:
                 ff = thread.fused_fault
                 if ff is not None:
                     thread.fused_fault = None
                     pc = ff[0]
                     done += ff[1]
-                thread.cycles += cpi * done
-                thread.instructions += done
-                fusion.fused_executions += fb
-                frame.pc = pc
-                ins = runtime.method.code[pc]
-                raise TrapError(
-                    f"{runtime.method.qualified_name} bci {pc} "
-                    f"({ins!r}): {exc}") from exc
+                error = exc
             thread.cycles += cpi * done
             thread.instructions += done
             fusion.fused_executions += fb
             executed += done
-            if trap is not None:
-                frame.pc = pc
-                raise trap
+            if error is not None:
+                if not isinstance(error, TrapError):
+                    frame.pc = pc
+                    raise TrapError(
+                        f"{runtime.method.qualified_name} bci {pc} "
+                        f"({runtime.method.code[pc]!r}): {error}"
+                    ) from error
+                # INVOKE manages frame.pc itself (legacy reports against
+                # the already-stored return address); everywhere else
+                # the legacy interpreter leaves pc at the faulting bci.
+                if pc >= code_len \
+                        or runtime.method.code[pc].op is not Op.INVOKE:
+                    frame.pc = pc
+                raise error
             if pc >= 0:
                 # Budget exhausted mid-method: persist the resume point.
                 # On frame switches (-1) the handler already stored it.

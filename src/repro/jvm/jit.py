@@ -48,8 +48,8 @@ class MethodRuntime:
         self.version = 0     # number of (re)compilations
         #: Kept in sync by the owning MethodTable (interpreter fast path).
         self.cycles_per_instruction_cached = 0
-        #: Lazily built by :func:`repro.jvm.dispatch.compile_dispatch`:
-        #: one bound handler closure per bytecode.  The bytecode never
+        #: Lazily built by :func:`repro.jvm.dispatch.compile_tables`:
+        #: one bound handler per bytecode.  The bytecode never
         #: changes, so the tables survive (re)compilations — only the
         #: per-instruction cycle cost above varies by tier.
         self.dispatch_table = None

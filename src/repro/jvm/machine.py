@@ -490,16 +490,10 @@ class Machine:
         the legacy engine."""
         if not self._fastpath:
             return
-        from repro.jvm.dispatch import compile_dispatch, compile_fused
+        from repro.jvm.dispatch import compile_tables
         for runtime in self.method_table.runtimes():
-            if runtime.dispatch_table is None:
-                runtime.dispatch_table = compile_dispatch(self, runtime)
-            if runtime.fused_table is None:
-                runtime.fused_table = compile_fused(
-                    self, runtime, runtime.dispatch_table, observed=False)
-            if runtime.fused_table_observed is None:
-                runtime.fused_table_observed = compile_fused(
-                    self, runtime, runtime.dispatch_table, observed=True)
+            compile_tables(self, runtime, observed=False)
+            compile_tables(self, runtime, observed=True)
 
     # ------------------------------------------------------------------
     # Thread lifecycle & scheduling

@@ -24,6 +24,7 @@ import pytest
 from repro.core import DJXPerf, DjxConfig
 from repro.heap.layout import Kind
 from repro.jvm import Machine, MachineConfig, MethodBuilder
+from repro.jvm.bytecode import BRANCH_OPS, Op
 from repro.jvm.dispatch import _FUSABLE_TAIL, fused_blocks
 from repro.jvm.interpreter import TrapError
 from repro.jvm.verifier import _LEADER_AFTER, block_leaders
@@ -52,14 +53,15 @@ def arith_program(n=400):
 def array_program(passes=6, length=64):
     """Read-modify-write array sweeps: access-bearing fused blocks."""
     b = MethodBuilder("Fuse", "main")
-    b.iconst(length).newarray(Kind.INT).store(1)
+    b.line(1).iconst(length).newarray(Kind.INT).store(1)
 
     def inner(b):
-        # a[j] = a[j] * 2 + j
-        (b.load(1).load(2)
-          .load(1).load(2).aload()
+        # a[j] = a[j] * 2 + j, one source line per access so samples
+        # tell the two apart.
+        (b.line(2).load(1).load(2)
+          .load(1).load(2).line(3).aload()
           .iconst(2).mul().load(2).add()
-          .astore())
+          .line(4).astore().line(5))
 
     counting_loop(b, passes, 0, lambda b: counting_loop(b, length, 2, inner))
     b.load(1).arraylength().store(3)
@@ -114,12 +116,64 @@ def mixed_program(n=300):
     return single_method_program(b)
 
 
+def opcode_program(n=40):
+    """The fusable ops the other programs leave out: FCONST, I2F/F2I,
+    SHL/SHR/OR, NOP, ACONST_NULL with IF_NULL/IF_NONNULL, and every
+    zero and compare branch, each taken on some iterations and not on
+    others."""
+    b = MethodBuilder("Fuse", "main")
+    b.iconst(1).store(1)
+    b.fconst(0.5).store(2)
+    b.null().store(3)
+
+    def body(b):
+        (b.load(0).iconst(2).shl().iconst(1).shr()
+          .load(1).bor().iconst(4095).band().store(1))
+        (b.load(2).load(0).i2f().add().fconst(1.5).mul()
+          .f2i().load(1).add().iconst(8191).band().store(1))
+        b.nop()
+        for branch in ("if_eq", "if_ne", "if_lt", "if_ge", "if_gt",
+                       "if_le"):
+            skip = b.new_label()
+            b.load(0).iconst(n // 2).sub()
+            getattr(b, branch)(skip)
+            b.iinc(1, 3)
+            b.place(skip)
+        for branch in ("if_icmpeq", "if_icmpne", "if_icmplt", "if_icmpge",
+                       "if_icmpgt", "if_icmple"):
+            skip = b.new_label()
+            b.load(0).iconst(n // 3)
+            getattr(b, branch)(skip)
+            b.iinc(1, 5)
+            b.place(skip)
+        for branch in ("if_null", "if_nonnull"):
+            skip = b.new_label()
+            b.load(3)
+            getattr(b, branch)(skip)
+            b.iinc(1, 7)
+            b.place(skip)
+        # Local 3 is null on the first iteration only.
+        b.load(0).store(3)
+
+    counting_loop(b, n, 0, body)
+    b.load(1).putstatic("S.out")
+    b.ret()
+    return single_method_program(b, statics={"S.out": 0})
+
+
+def sweep_program():
+    """array_program over 64 KB: its sweeps miss L1, so profiled runs
+    take samples and attribute them to the accesses' lines."""
+    return array_program(passes=2, length=8192)
+
+
 PROGRAMS = {
     "arith": arith_program,
     "array": array_program,
     "field": field_program,
     "static": static_program,
     "mixed": mixed_program,
+    "opcodes": opcode_program,
 }
 
 
@@ -222,10 +276,18 @@ class TestEquivalence:
     def test_quantum_sweep(self, quantum):
         # Tiny quanta make stretch budgets expire mid-block-chain;
         # fused block entry must honour the remaining budget exactly
-        # like one-step execution does.
-        _, fused = _run(mixed_program, quantum=quantum)
-        _, legacy = _run(mixed_program, fastpath=False, quantum=quantum)
-        assert fused == legacy
+        # like one-step execution does.  At quantum 1 no block fits,
+        # so every instruction runs as its size-1 per-handler entry.
+        for name, factory in sorted(PROGRAMS.items()):
+            _, fused = _run(factory, quantum=quantum)
+            _, legacy = _run(factory, fastpath=False, quantum=quantum)
+            assert fused == legacy, f"{name} at quantum {quantum}"
+
+    def test_opcode_program_covers_the_missing_ops(self):
+        ops = {ins.op for ins in opcode_program().methods["main"].code}
+        assert {Op.FCONST, Op.ACONST_NULL, Op.I2F, Op.F2I, Op.SHL,
+                Op.SHR, Op.OR, Op.NOP} <= ops
+        assert BRANCH_OPS <= ops
 
     def test_memory_state_identical(self):
         m_fused, _ = _run(array_program)
@@ -271,31 +333,40 @@ TRAPS = {
 }
 
 
+#: The default quantum faults inside fused blocks; quantum 1 faults in
+#: the size-1 per-handler entries.
+TRAP_QUANTA = ({}, {"quantum": 1})
+
+
 class TestTrapParity:
     @pytest.mark.parametrize("name", sorted(TRAPS))
     def test_identical_trap_messages(self, name):
         factory = TRAPS[name]
-        messages = {}
-        for label, kw in (("fused", {}), ("legacy", {"fastpath": False})):
-            machine = Machine(factory(), MachineConfig(**kw))
-            with pytest.raises(TrapError) as excinfo:
-                machine.run()
-            messages[label] = str(excinfo.value)
-        assert messages["fused"] == messages["legacy"]
+        for quantum in TRAP_QUANTA:
+            messages = {}
+            for label, kw in (("fused", {}), ("legacy", {"fastpath": False})):
+                machine = Machine(factory(), MachineConfig(**kw, **quantum))
+                with pytest.raises(TrapError) as excinfo:
+                    machine.run()
+                messages[label] = str(excinfo.value)
+            assert messages["fused"] == messages["legacy"], quantum
 
     def test_partial_progress_accounting_matches(self):
         # The accesses and cycles charged before the faulting bci must
         # match one-step execution exactly (fault protocol), down to
         # the faulting thread's cycle and instruction counters.
-        stats = {}
-        for label, kw in (("fused", {}), ("legacy", {"fastpath": False})):
-            machine = Machine(loop_trap_program(), MachineConfig(**kw))
-            with pytest.raises(TrapError):
-                machine.run()
-            thread = machine.threads[0]
-            stats[label] = (vars(machine.hierarchy.stats), thread.cycles,
-                            thread.instructions, thread.frames[-1].pc)
-        assert stats["fused"] == stats["legacy"]
+        for quantum in TRAP_QUANTA:
+            stats = {}
+            for label, kw in (("fused", {}), ("legacy", {"fastpath": False})):
+                machine = Machine(loop_trap_program(),
+                                  MachineConfig(**kw, **quantum))
+                with pytest.raises(TrapError):
+                    machine.run()
+                thread = machine.threads[0]
+                stats[label] = (vars(machine.hierarchy.stats),
+                                thread.cycles, thread.instructions,
+                                thread.frames[-1].pc)
+            assert stats["fused"] == stats["legacy"], quantum
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +378,7 @@ def _profiled_result(factory, **cfg):
     program = profiler.instrument(factory())
     machine = Machine(program, MachineConfig(**cfg))
     profiler.attach(machine)
-    return machine, machine.run()
+    return machine, machine.run(), profiler
 
 
 class TestGuardBailout:
@@ -316,16 +387,30 @@ class TestGuardBailout:
         # guard can never pass: every observed fused-block entry must
         # bail to the per-handler chain — and the run must still be
         # indistinguishable from the legacy engine.
-        m_bail, r_bail = _profiled_result(array_program, skip_ahead=False)
+        m_bail, r_bail, p_bail = _profiled_result(sweep_program,
+                                                  skip_ahead=False)
         assert m_bail.fusion.guard_bailouts > 0
-        _, r_legacy = _profiled_result(array_program, skip_ahead=False,
-                                       fastpath=False)
+        _, r_legacy, p_legacy = _profiled_result(
+            sweep_program, skip_ahead=False, fastpath=False)
         assert r_bail == r_legacy
+        # The chain's entries expose each access's bci to the samples.
+        assert p_bail.analyze().to_dict() == p_legacy.analyze().to_dict()
 
     def test_skip_ahead_run_matches_bailout_run(self):
-        _, r_fast = _profiled_result(array_program, skip_ahead=True)
-        _, r_bail = _profiled_result(array_program, skip_ahead=False)
+        _, r_fast, _ = _profiled_result(array_program, skip_ahead=True)
+        _, r_bail, _ = _profiled_result(array_program, skip_ahead=False)
         assert r_fast == r_bail
+
+    def test_profiled_size_one_entries_match_legacy(self):
+        # Quantum 1 runs every instruction as its exact-observation
+        # entry, with skip-ahead counting on and samples firing.
+        runs = {}
+        for label, kw in (("fused", {}), ("legacy", {"fastpath": False})):
+            _, result, profiler = _profiled_result(
+                sweep_program, quantum=1, skip_ahead=True, **kw)
+            runs[label] = (result, profiler.analyze().to_dict())
+        assert runs["fused"][1]["total_samples"]
+        assert runs["fused"] == runs["legacy"]
 
 
 # ----------------------------------------------------------------------

@@ -266,6 +266,40 @@ class TestLegacyDecoder:
         from repro.jvm.interpreter import LEGACY_HANDLERS
         assert set(LEGACY_HANDLERS) == set(Op)
 
+    def test_one_production_definition_per_opcode(self):
+        """The production engine writes each op once: the fused-code
+        emitter writes every fusable op (its blocks and its size-1
+        entries) and compile_dispatch hand-writes the rest."""
+        from repro.jvm.bytecode import Instruction, Op
+        from repro.jvm.dispatch import _FUSABLE, _HAND_WRITTEN, _Param, _emit
+
+        assert not _FUSABLE & _HAND_WRITTEN
+        assert _FUSABLE | _HAND_WRITTEN == set(Op)
+        operands = (_Param("a0"), _Param("a1"))
+        for op in Op:
+            ins = Instruction(op, operands)
+            if op in _FUSABLE:
+                assert _emit([ins], 0, "    ", {}, exact=True)
+            else:
+                with pytest.raises(AssertionError, match="unfusable"):
+                    _emit([ins], 0, "    ", {}, exact=True)
+
+    def test_fusable_entries_are_bound_templates(self):
+        from repro.jvm import Machine
+        from repro.jvm.dispatch import _HAND_WRITTEN, _TEMPLATES, \
+            compile_dispatch
+
+        b = MethodBuilder("C", "m")
+        b.iconst(4).newarray(Kind.INT).dup().arraylength().iconst(1).sub()
+        b.iconst(9).astore().iconst(2).store(0).iinc(0, 3).ret()
+        machine = Machine(single_method_program(b))
+        runtime = machine.method_table.runtime("m")
+        table = compile_dispatch(machine, runtime)
+        templates = set(_TEMPLATES.values())
+        for ins, h in zip(runtime.method.code, table):
+            assert (h.__code__ in templates) \
+                is (ins.op not in _HAND_WRITTEN), ins
+
     def test_decode_cache_is_per_runtime(self):
         """Programs whose methods share qualified names but not bytecode
         (constants, loop bounds, branch targets) each run their own
